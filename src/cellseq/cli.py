@@ -33,21 +33,25 @@ from .models import ArnnModel, ModelDims, RnnModel, load_model, make_example, sa
 from .tokens import START, Vocab
 
 
-def _config_hash(params: dict) -> str:
+def _run_params(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+
+
+def _config_hash(args: argparse.Namespace) -> str:
+    """The one hash of a run's parameters, in its manifest and checkpoint."""
     # the output directory is where results land, not part of the computation
-    hashed = {k: v for k, v in params.items() if k != "out"}
+    hashed = {k: v for k, v in _run_params(args).items() if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace, extra: dict | None = None) -> None:
-    params = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
     manifest = {
         "package": "cellseq",
         "version": __version__,
         "command": command,
-        "params": params,
-        "config_hash": _config_hash(params),
+        "params": _run_params(args),
+        "config_hash": _config_hash(args),
     }
     if extra:
         manifest.update(extra)
@@ -162,6 +166,14 @@ def _vocab_from_train(dataset: corpus.Dataset) -> Vocab:
     return Vocab(cells)
 
 
+def _traffic_lookup(args, kind: str, cells) -> TrafficLookup | None:
+    if kind != "arnn":
+        return None
+    if not args.accumulation:
+        raise ValueError("--accumulation is required for the arnn model")
+    return TrafficLookup(load_accumulation(args.accumulation), cells)
+
+
 def _examples_for(records, vocab: Vocab, lookup: TrafficLookup | None):
     out = []
     skipped = 0
@@ -178,12 +190,7 @@ def cmd_train(args) -> int:
     out = _outdir(args)
     dataset = load_sequences(args.sequences)
     vocab = _vocab_from_train(dataset)
-    lookup = None
-    if args.model == "arnn":
-        if not args.accumulation:
-            raise ValueError("--accumulation is required for the arnn model")
-        series = load_accumulation(args.accumulation)
-        lookup = TrafficLookup(series, vocab.cells)
+    lookup = _traffic_lookup(args, args.model, vocab.cells)
     dims = ModelDims(d_e=args.d_e, d_h=args.d_h, d_f=args.d_f, d_a=args.d_a)
     cls = ArnnModel if args.model == "arnn" else RnnModel
     model = cls.init(vocab, dims, seed=args.seed)
@@ -200,7 +207,7 @@ def cmd_train(args) -> int:
         "loss_curve": result.epoch_losses,
         "clip_events": result.clip_events,
         "validation_loss": val_loss,
-        "config_hash": _config_hash({k: v for k, v in vars(args).items() if k != "func"}),
+        "config_hash": _config_hash(args),
     }
     save_model(out / "model.ckpt", model, meta)
     _write_manifest(out, "train", args, {"outputs": ["model.ckpt"], "final_loss": result.epoch_losses[-1],
@@ -214,12 +221,10 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     model, _ = load_model(args.ckpt)
     prefix = [START] + [int(c) for c in args.prefix.split(",") if c]
-    traffic = None
-    if model.kind == "arnn":
-        if not args.accumulation or args.start_time is None:
-            raise ValueError("--accumulation and --start-time are required for the arnn model")
-        series = load_accumulation(args.accumulation)
-        traffic = TrafficLookup(series, model.vocab.cells).window(args.start_time)
+    if model.kind == "arnn" and args.start_time is None:
+        raise ValueError("--start-time is required for the arnn model")
+    lookup = _traffic_lookup(args, model.kind, model.vocab.cells)
+    traffic = lookup.window(args.start_time) if lookup is not None else None
     for i in range(args.n):
         seed = evaluation.derive_seed(args.seed, "generate", 0, i)
         result = models.generate(model, prefix, seed, max_len=args.max_len, traffic=traffic)
@@ -234,12 +239,7 @@ def cmd_evaluate(args) -> int:
     records = list(getattr(dataset, args.split))
     if args.limit and args.limit > 0:
         records = records[: args.limit]
-    lookup = None
-    if model.kind == "arnn":
-        if not args.accumulation:
-            raise ValueError("--accumulation is required for the arnn model")
-        series = load_accumulation(args.accumulation)
-        lookup = TrafficLookup(series, model.vocab.cells)
+    lookup = _traffic_lookup(args, model.kind, model.vocab.cells)
     g_policy = "all" if args.g_policy == "all" else [int(g) for g in args.g_policy.split(",")]
     score_records, diag = evaluation.evaluate_records(
         records, model, lookup, master_seed=args.seed, k=args.k, g_policy=g_policy
@@ -270,12 +270,7 @@ def cmd_hypersearch(args) -> int:
     out = _outdir(args)
     dataset = load_sequences(args.sequences)
     vocab = _vocab_from_train(dataset)
-    lookup = None
-    if args.model == "arnn":
-        if not args.accumulation:
-            raise ValueError("--accumulation is required for the arnn model")
-        series = load_accumulation(args.accumulation)
-        lookup = TrafficLookup(series, vocab.cells)
+    lookup = _traffic_lookup(args, args.model, vocab.cells)
     train_records = dataset.train[: args.limit] if args.limit else dataset.train
     val_records = dataset.validation[: args.limit] if args.limit else dataset.validation
     train_examples, _ = _examples_for(train_records, vocab, lookup)
@@ -421,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Override flags from the INI section named after the subcommand, each
+    value converted as its flag's own argparse action would convert it."""
     if not args.config:
         return
     ini = configparser.ConfigParser()
@@ -429,26 +426,26 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ValueError(f"cannot read config file {args.config!r}")
     if args.command not in ini:
         return
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in ini[args.command].items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, ini[args.command].getboolean(key))
-        elif isinstance(current, int):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
+        if action.nargs == 0:  # a flag such as --no-clip
+            converted = ini[args.command].getboolean(key)
         else:
-            setattr(args, dest, value)
+            converted = action.type(value) if action.type is not None else value
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
+        setattr(args, action.dest, converted)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - surface stage failures as exit 1
         print(f"error: {exc}", file=sys.stderr)

@@ -335,9 +335,17 @@ def load_sequences(path: str | Path) -> Dataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        trip_id, split_name, start, cells = line.split("\t")
-        tokens = (START, *(int(c) for c in cells.split()), END)
-        buckets[split_name].append(SequenceRecord(trip_id, float(start), tokens))
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        trip_id, split_name, start, cells = fields
+        if split_name not in buckets:
+            raise ValueError(f"{path}:{lineno}: unknown split {split_name!r}")
+        try:
+            tokens = (START, *map(int, cells.split()), END)
+            buckets[split_name].append(SequenceRecord(trip_id, float(start), tokens))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric start time or non-integer cell id") from None
     return Dataset(
         train=tuple(buckets["train"]),
         validation=tuple(buckets["validation"]),

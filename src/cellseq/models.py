@@ -6,11 +6,15 @@ traffic state: per-cell features from the [N, 10] accumulation window set
 the initial LSTM state and, at every step, an additive-attention context
 vector is concatenated to the token embedding at the LSTM input.
 
-Training is teacher-forced per-sequence SGD with Adam; generation samples
-the next token from the emitted multinomial until #end.
+Both run one recurrence step, ``_step``, in training, validation and
+generation. Training is teacher-forced with Adam, each batch of sequences
+right-padded to [B, T] and run as one masked unroll and one backward pass;
+validation runs the unroll forward-only in fixed-size chunks. Generation
+samples the next token from the emitted multinomial until #end.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nncore
-from .nncore import Params, lstm_backward, lstm_step_cached, softmax, softmax_cross_entropy
+from .nncore import Params, softmax
 from .tokens import END, START, Token, Vocab
 
 TRAFFIC_WINDOW_MINUTES = 10
@@ -109,39 +113,21 @@ def _base_params(rng: np.random.Generator, v: int, dims: ModelDims, input_dim: i
 
 
 # ---------------------------------------------------------------------------
-# forward passes
-
-
-def rnn_forward(x: Sequence[Token], model: RnnModel) -> np.ndarray:
-    """Per-step next-token probability vectors, shape [len(x), V]."""
-    ids = np.asarray(model.vocab.encode(list(x)), dtype=np.intp)
-    return _rnn_forward_ids(ids, model)
-
-
-def _rnn_forward_ids(ids: np.ndarray, model: RnnModel) -> np.ndarray:
-    p = model.params
-    d_h = model.dims.d_h
-    h = np.zeros(d_h)
-    c = np.zeros(d_h)
-    out = np.empty((len(ids), len(model.vocab)))
-    for i, tid in enumerate(ids):
-        x = p["embed"][tid]
-        h, c = nncore.lstm_step(x, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
-        out[i] = softmax(h @ p["dec_W"] + p["dec_b"])
-    return out
+# the recurrence
 
 
 def encode_traffic(traffic: np.ndarray, model: ArnnModel) -> np.ndarray:
-    """Per-cell features tanh(traffic @ W_f), shape [N, d_f]."""
+    """Per-cell features tanh(traffic @ W_f): [N, 10] -> [N, d_f], or
+    [B, N, 10] -> [B, N, d_f]."""
     traffic = np.asarray(traffic, dtype=float)
-    if traffic.ndim != 2 or traffic.shape[1] != TRAFFIC_WINDOW_MINUTES:
+    if traffic.ndim not in (2, 3) or traffic.shape[-1] != TRAFFIC_WINDOW_MINUTES:
         raise ValueError(f"traffic tensor must be [N, {TRAFFIC_WINDOW_MINUTES}], got {traffic.shape}")
     return np.tanh(traffic @ model.params["traffic_W"])
 
 
 def attention_init_state(features: np.ndarray, model: ArnnModel) -> tuple[np.ndarray, np.ndarray]:
     """Initial (hidden, cell) state: tanh maps of the mean-pooled features."""
-    f_mean = features.mean(axis=0)
+    f_mean = features.mean(axis=-2)
     h0 = np.tanh(f_mean @ model.params["init_Wh"])
     c0 = np.tanh(f_mean @ model.params["init_Wc"])
     return h0, c0
@@ -154,144 +140,168 @@ def attention_step(s_prev: np.ndarray, features: np.ndarray, model: ArnnModel) -
     softmax and C the alpha-weighted sum of features.
     """
     p = model.params
-    t = np.tanh(s_prev @ p["attn_W"] + features @ p["attn_U"])
-    e = t @ p["attn_v"]
-    alpha = softmax(e)
-    context = alpha @ features
-    return alpha, context
+    alpha, context = _attend(model, s_prev[None] @ p["attn_W"], features, features @ p["attn_U"])
+    return alpha[0], context[0]
+
+
+def _attend(model, s_w, features, fu):
+    """``attention_step`` for projected states s_w = s @ W_a [B, d_a];
+    features and fu = features @ U_a are [N, ...] or [B, N, ...]."""
+    alpha = softmax(np.tanh(s_w[:, None, :] + fu) @ model.params["attn_v"])
+    return alpha, (alpha[:, None, :] @ features)[:, 0]
+
+
+def _start(model: RnnModel, traffic: np.ndarray | None, n_rows: int):
+    """Initial (h, c) for n_rows and, for the attention model, what its steps
+    reuse: features, fu = features @ U_a, [lstm_U | W_a] (one matmul of the
+    state serves gates and scores) and the context rows of lstm_W."""
+    p, d_h = model.params, model.dims.d_h
+    if model.kind != "arnn":
+        return np.zeros((n_rows, d_h)), np.zeros((n_rows, d_h)), None
+    if traffic is None:
+        raise ValueError("traffic tensor required for the attention model")
+    features = encode_traffic(traffic, model)
+    h0, c0 = attention_init_state(features, model)
+    att = (features, features @ p["attn_U"], np.hstack([p["lstm_U"], p["attn_W"]]),
+           p["lstm_W"][model.dims.d_e :])
+    return np.broadcast_to(h0, (n_rows, d_h)).copy(), np.broadcast_to(c0, (n_rows, d_h)).copy(), att
+
+
+def _step(model, xw, h, c, att):
+    """The one recurrence step, for a batch of rows, of training, validation
+    and generation. ``xw`` is the token half of the gate pre-activations,
+    embed @ W + b; ``att`` comes from ``_start``. Returns h', c' and
+    (cell cache, alpha, projected state h @ W_a, context)."""
+    if att is None:
+        alpha = s_w = context = None
+        z = xw + h @ model.params["lstm_U"]
+    else:
+        features, fu, u_attn, w_ctx = att
+        hz = h @ u_attn
+        s_w = hz[:, xw.shape[1] :]
+        alpha, context = _attend(model, s_w, features, fu)
+        z = xw + hz[:, : xw.shape[1]] + context @ w_ctx
+    h2, c2, cell = nncore.lstm_cell(z, c)
+    return h2, c2, (cell, alpha, s_w, context)
+
+
+class _Unroll:
+    """Teacher-forced forward pass over right-padded ids [B, T] (and traffic
+    [B, N, 10]), then ``loss`` and ``backward``; arrays are time-major. The
+    embedding gather and input projection run once, outside the time loop;
+    ``keep`` keeps each step's cell cache and h @ W_a for ``backward``."""
+
+    def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
+        if traffic is not None and np.ndim(traffic) != 3:
+            raise ValueError(f"traffic tensor must be [N, {TRAFFIC_WINDOW_MINUTES}] per sequence")
+        p, d_e = model.params, model.dims.d_e
+        self.model, self.ids, self.traffic, self.steps = model, ids.T, traffic, []
+        n_steps, n_rows = self.ids.shape
+        self.emb = p["embed"][self.ids]
+        xw = self.emb @ p["lstm_W"][:d_e] + p["lstm_b"]
+        self.h0, self.c0, self.att = _start(model, traffic, n_rows)
+        h, c = self.h0, self.c0
+        self.hs = np.empty((n_steps, n_rows, model.dims.d_h))
+        if self.att is not None:
+            self.alphas = np.empty((n_steps, n_rows, self.att[0].shape[1]))
+            self.contexts = np.empty((n_steps, n_rows, self.att[0].shape[2]))
+        for t in range(n_steps):
+            h, c, cache = _step(model, xw[t], h, c, self.att)
+            self.hs[t] = h
+            if self.att is not None:
+                self.alphas[t], self.contexts[t] = cache[1], cache[3]
+            if keep:
+                self.steps.append((cache[0], cache[2]))
+
+    def loss(self, y_ids: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
+        """Summed softmax-CE over the real steps (``mask`` [B, T]), all in
+        one matmul, and its gradient wrt their logits."""
+        p, self.real = self.model.params, mask.T
+        return nncore.softmax_cross_entropy(self.hs[self.real] @ p["dec_W"] + p["dec_b"], y_ids.T[self.real])
+
+    def backward(self, dlogits: np.ndarray) -> Params:
+        """Gradients of every parameter from those of the real steps' logits.
+        Only state gradients recur; each weight gradient is one matmul or sum
+        over all steps, padded steps adding exact zeros. The attention scores
+        are recomputed and their per-cell gradients summed, not kept per step."""
+        p, real = self.model.params, self.real
+        d_e, d_h = self.model.dims.d_e, self.model.dims.d_h
+        n_steps, n_rows = real.shape
+        grads = {"dec_W": self.hs[real].T @ dlogits, "dec_b": dlogits.sum(axis=0)}
+        d_hs = np.zeros_like(self.hs)
+        d_hs[real] = dlogits @ p["dec_W"].T
+        dz_all = np.empty((n_steps, n_rows, 4 * d_h))
+        dh = dc = np.zeros((n_rows, d_h))
+        derivs = nncore.lstm_cell_derivatives([np.stack(x) for x in zip(*(cell for cell, _ in self.steps))])
+        if self.att is None:
+            back_w = p["lstm_U"].T
+        else:  # one matmul of dz gives the gradients of h and of the context
+            features, d_a = self.att[0], p["attn_v"].shape[0]
+            back_w = np.ascontiguousarray(np.vstack([p["lstm_U"], self.att[3]]).T)
+            d_ctx_all, d_s_all = np.empty_like(self.contexts), np.empty((n_steps, n_rows, d_a))
+            d_fu = np.zeros(features.shape[:2] + (d_a,))
+            grads["attn_v"] = np.zeros(d_a)
+        for t in reversed(range(n_steps)):
+            dz, dc = nncore.lstm_cell_backward(d_hs[t] + dh, dc, [x[t] for x in derivs])
+            dz_all[t] = dz
+            dh = dz @ back_w
+            if self.att is not None:
+                # context = alpha @ features, alpha = softmax(v . tanh(s @ W_a + fu))
+                t_mat, alpha = np.tanh(self.steps[t][1][:, None, :] + self.att[1]), self.alphas[t]
+                d_ctx_all[t] = d_ctx = dh[:, d_h:]
+                d_alpha = (features @ d_ctx[:, :, None])[:, :, 0]
+                de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
+                grads["attn_v"] += de.reshape(-1) @ t_mat.reshape(-1, d_a)
+                d_pre = (de[:, :, None] * p["attn_v"]) * (1.0 - t_mat * t_mat)
+                d_fu += d_pre
+                d_s_all[t] = d_s = d_pre.sum(axis=1)
+                dh = dh[:, :d_h] + d_s @ p["attn_W"].T
+
+        dz_flat = dz_all.reshape(-1, 4 * d_h)
+        hs_prev = np.concatenate([self.h0[None], self.hs[:-1]]).reshape(-1, d_h)
+        grads["lstm_U"] = hs_prev.T @ dz_flat
+        grads["lstm_b"] = dz_flat.sum(axis=0)
+        grads["lstm_W"] = self.emb.reshape(-1, d_e).T @ dz_flat
+        grads["embed"] = np.zeros_like(p["embed"])
+        np.add.at(grads["embed"], self.ids[real], dz_all[real] @ p["lstm_W"][:d_e].T)
+        if self.att is None:
+            return grads
+        d_f = features.shape[2]
+        grads["lstm_W"] = np.vstack([grads["lstm_W"], self.contexts.reshape(-1, d_f).T @ dz_flat])
+        grads["attn_W"] = hs_prev.T @ d_s_all.reshape(-1, d_a)
+        grads["attn_U"] = features.reshape(-1, d_f).T @ d_fu.reshape(-1, d_a)
+        d_features = self.alphas.transpose(1, 2, 0) @ d_ctx_all.transpose(1, 0, 2) + d_fu @ p["attn_U"].T
+        # initial state: h0, c0 = tanh(mean(features) @ init_W)
+        f_mean = features.mean(axis=1)
+        d_pre_h, d_pre_c = dh * (1.0 - self.h0 * self.h0), dc * (1.0 - self.c0 * self.c0)
+        grads["init_Wh"], grads["init_Wc"] = f_mean.T @ d_pre_h, f_mean.T @ d_pre_c
+        d_features += (d_pre_h @ p["init_Wh"].T + d_pre_c @ p["init_Wc"].T)[:, None, :] / features.shape[1]
+        d_pre_f = d_features * (1.0 - features * features)
+        grads["traffic_W"] = self.traffic.reshape(-1, TRAFFIC_WINDOW_MINUTES).T @ d_pre_f.reshape(-1, d_f)
+        return grads
+
+
+def _probs(model: RnnModel, x: Sequence[Token], traffic: np.ndarray | None):
+    ids = np.asarray(model.vocab.encode(list(x)), dtype=np.intp)
+    run = _Unroll(model, ids[None], None if traffic is None else np.asarray(traffic, dtype=float)[None], False)
+    return softmax(run.hs[:, 0] @ model.params["dec_W"] + model.params["dec_b"]), run
+
+
+def rnn_forward(x: Sequence[Token], model: RnnModel) -> np.ndarray:
+    """Per-step next-token probability vectors, shape [len(x), V]."""
+    return _probs(model, x, None)[0]
 
 
 def arnn_forward(
     x: Sequence[Token], traffic: np.ndarray, model: ArnnModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability vectors [len(x), V] and attention map [len(x), N]."""
-    ids = np.asarray(model.vocab.encode(list(x)), dtype=np.intp)
-    return _arnn_forward_probs(model, ids, traffic)
+    probs, run = _probs(model, x, traffic)
+    return probs, run.alphas[:, 0]
 
 
 # ---------------------------------------------------------------------------
-# loss and manual backprop
-
-
-def loss_and_grads(
-    model: RnnModel, x_ids: np.ndarray, y_ids: np.ndarray, traffic: np.ndarray | None = None
-) -> tuple[float, Params]:
-    """Summed cross-entropy over the sequence and gradients for every parameter."""
-    if model.kind == "arnn":
-        if traffic is None:
-            raise ValueError("traffic tensor required for the attention model")
-        return _arnn_loss_and_grads(model, x_ids, y_ids, traffic)
-    return _rnn_loss_and_grads(model, x_ids, y_ids)
-
-
-def _zero_grads(params: Params) -> Params:
-    return {k: np.zeros_like(p) for k, p in params.items()}
-
-
-def _rnn_loss_and_grads(model, x_ids, y_ids):
-    p = model.params
-    d_h = model.dims.d_h
-    h = np.zeros(d_h)
-    c = np.zeros(d_h)
-    loss = 0.0
-    steps = []
-    for i in range(len(x_ids)):
-        x = p["embed"][x_ids[i]]
-        h, c, cache = lstm_step_cached(x, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
-        logits = h @ p["dec_W"] + p["dec_b"]
-        li, dlogits = softmax_cross_entropy(logits, int(y_ids[i]))
-        loss += li
-        steps.append((cache, dlogits, h))
-
-    grads = _zero_grads(p)
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    for i in reversed(range(len(x_ids))):
-        cache, dlogits, h_i = steps[i]
-        grads["dec_W"] += np.outer(h_i, dlogits)
-        grads["dec_b"] += dlogits
-        dh = dlogits @ p["dec_W"].T + dh_next
-        dx, dh_next, dc_next = lstm_backward(
-            cache, dh, dc_next, p["lstm_W"], p["lstm_U"],
-            grads["lstm_W"], grads["lstm_U"], grads["lstm_b"],
-        )
-        grads["embed"][x_ids[i]] += dx
-    return loss, grads
-
-
-def _arnn_loss_and_grads(model, x_ids, y_ids, traffic):
-    p = model.params
-    d_e = model.dims.d_e
-    d_h = model.dims.d_h
-    traffic = np.asarray(traffic, dtype=float)
-
-    pre_f = traffic @ p["traffic_W"]
-    features = np.tanh(pre_f)
-    n_cells = features.shape[0]
-    f_mean = features.mean(axis=0)
-    h_init = np.tanh(f_mean @ p["init_Wh"])
-    c_init = np.tanh(f_mean @ p["init_Wc"])
-
-    h, c = h_init, c_init
-    loss = 0.0
-    steps = []
-    for i in range(len(x_ids)):
-        s_prev = h
-        t_mat = np.tanh(s_prev @ p["attn_W"] + features @ p["attn_U"])
-        e = t_mat @ p["attn_v"]
-        alpha = softmax(e)
-        context = alpha @ features
-        x_in = np.concatenate([p["embed"][x_ids[i]], context])
-        h, c, cache = lstm_step_cached(x_in, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
-        logits = h @ p["dec_W"] + p["dec_b"]
-        li, dlogits = softmax_cross_entropy(logits, int(y_ids[i]))
-        loss += li
-        steps.append((cache, dlogits, h, alpha, t_mat, s_prev))
-
-    grads = _zero_grads(p)
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    d_features = np.zeros_like(features)
-    for i in reversed(range(len(x_ids))):
-        cache, dlogits, h_i, alpha, t_mat, s_prev = steps[i]
-        grads["dec_W"] += np.outer(h_i, dlogits)
-        grads["dec_b"] += dlogits
-        dh = dlogits @ p["dec_W"].T + dh_next
-        dxc, dh_prev, dc_prev = lstm_backward(
-            cache, dh, dc_next, p["lstm_W"], p["lstm_U"],
-            grads["lstm_W"], grads["lstm_U"], grads["lstm_b"],
-        )
-        grads["embed"][x_ids[i]] += dxc[:d_e]
-        d_context = dxc[d_e:]
-
-        # attention backward: context = alpha @ features, alpha = softmax(e)
-        d_alpha = features @ d_context
-        d_features += np.outer(alpha, d_context)
-        de = alpha * (d_alpha - alpha @ d_alpha)
-        grads["attn_v"] += t_mat.T @ de
-        d_pre = np.outer(de, p["attn_v"]) * (1.0 - t_mat * t_mat)
-        d_pre_sum = d_pre.sum(axis=0)
-        grads["attn_W"] += np.outer(s_prev, d_pre_sum)
-        grads["attn_U"] += features.T @ d_pre
-        d_features += d_pre @ p["attn_U"].T
-        dh_next = dh_prev + d_pre_sum @ p["attn_W"].T
-        dc_next = dc_prev
-
-    d_pre_h = dh_next * (1.0 - h_init * h_init)
-    grads["init_Wh"] += np.outer(f_mean, d_pre_h)
-    d_f_mean = d_pre_h @ p["init_Wh"].T
-    d_pre_c = dc_next * (1.0 - c_init * c_init)
-    grads["init_Wc"] += np.outer(f_mean, d_pre_c)
-    d_f_mean += d_pre_c @ p["init_Wc"].T
-    d_features += d_f_mean[None, :] / n_cells
-
-    d_pre_f = d_features * (1.0 - features * features)
-    grads["traffic_W"] += traffic.T @ d_pre_f
-    return loss, grads
-
-
-# ---------------------------------------------------------------------------
-# training
+# loss and training
 
 
 @dataclass(frozen=True)
@@ -299,6 +309,45 @@ class TrainingExample:
     x_ids: np.ndarray
     y_ids: np.ndarray
     traffic: np.ndarray | None = None
+
+
+def _batches(model: RnnModel, examples: Sequence[TrainingExample], size: int):
+    """Consecutive examples right-padded to [B, T], as (x_ids, y_ids, mask,
+    traffic), at most ``size`` a batch; for the attention model a batch also
+    ends where the traffic shape changes, so that it stacks."""
+    attend = model.kind == "arnn"
+    for _, same in itertools.groupby(examples, lambda ex: np.shape(ex.traffic) if attend else None):
+        same = list(same)
+        for group in (same[i : i + size] for i in range(0, len(same), size)):
+            lengths = np.array([len(ex.x_ids) for ex in group])
+            mask = np.arange(lengths.max()) < lengths[:, None]
+            x_ids, y_ids = np.zeros((2,) + mask.shape, dtype=np.intp)
+            x_ids[mask] = np.concatenate([ex.x_ids for ex in group])
+            y_ids[mask] = np.concatenate([ex.y_ids for ex in group])
+            if attend and any(ex.traffic is None for ex in group):
+                raise ValueError("traffic tensor required for the attention model")
+            traffic = np.stack([np.asarray(ex.traffic, dtype=float) for ex in group]) if attend else None
+            yield x_ids, y_ids, mask, traffic
+
+
+def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, Params]:
+    """Summed cross-entropy over a batch of sequences and the summed
+    gradients, from one padded unroll and one backward pass."""
+    loss, grads = 0.0, {}
+    for x_ids, y_ids, mask, traffic in _batches(model, examples, len(examples)):
+        run = _Unroll(model, x_ids, traffic, keep=True)
+        part, dlogits = run.loss(y_ids, mask)
+        loss += part
+        for name, g in run.backward(dlogits).items():
+            grads[name] = grads[name] + g if name in grads else g
+    return loss, grads
+
+
+def loss_and_grads(
+    model: RnnModel, x_ids: np.ndarray, y_ids: np.ndarray, traffic: np.ndarray | None = None
+) -> tuple[float, Params]:
+    """Summed cross-entropy over the sequence and gradients for every parameter."""
+    return batch_loss_and_grads(model, [TrainingExample(np.asarray(x_ids), np.asarray(y_ids), traffic)])
 
 
 def make_example(vocab: Vocab, tokens: Sequence[Token], traffic: np.ndarray | None = None) -> TrainingExample:
@@ -327,8 +376,9 @@ def train(
 ) -> TrainResult:
     """Teacher-forced training: one Adam update per batch of sequences.
 
-    The default batch size of 1 is plain per-sequence SGD; larger batches
-    accumulate gradients over whole sequences before stepping.
+    Each batch runs as one unroll over its sequences, right-padded to the
+    longest, with loss and gradients summed over the real steps; a batch
+    size of 1 (the default) is plain per-sequence SGD.
     ``clip_norm=None`` disables gradient clipping. Order of sequences is
     reshuffled each epoch from the given seed.
     """
@@ -343,23 +393,14 @@ def train(
     for epoch in range(epochs):
         if shuffle:
             order = rng.permutation(len(examples))
-        total = 0.0
-        steps = 0
+        total, steps = 0.0, 0
         for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            grads: Params | None = None
-            for offset, idx in enumerate(batch):
-                ex = examples[idx]
-                loss, g = loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(f"diverged at epoch {epoch} step {start + offset}")
-                total += loss
-                steps += len(ex.x_ids)
-                if grads is None:
-                    grads = g
-                else:
-                    for name in grads:
-                        grads[name] += g[name]
+            batch = [examples[idx] for idx in order[start : start + batch_size]]
+            loss, grads = batch_loss_and_grads(model, batch)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"diverged at epoch {epoch} in the batch from step {start}")
+            total += loss
+            steps += sum(len(ex.x_ids) for ex in batch)
             if clip_norm is not None and nncore.clip_global_norm(grads, clip_norm):
                 result.clip_events += 1
             nncore.adam_update(model.params, grads, state, lr)
@@ -367,36 +408,17 @@ def train(
     return result
 
 
+MEAN_LOSS_CHUNK = 32
+
+
 def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
-    """Mean per-step cross-entropy over a set of sequences (no updates)."""
-    total = 0.0
-    steps = 0
-    for ex in examples:
-        if model.kind == "arnn":
-            probs, _ = _arnn_forward_probs(model, ex.x_ids, ex.traffic)
-        else:
-            probs = _rnn_forward_ids(ex.x_ids, model)
-        idx = np.arange(len(ex.y_ids))
-        total += float(-np.log(probs[idx, ex.y_ids]).sum())
-        steps += len(ex.x_ids)
+    """Mean per-step cross-entropy over a set of sequences (no updates), run
+    forward-only in padded chunks of ``MEAN_LOSS_CHUNK`` sequences."""
+    total = steps = 0
+    for x_ids, y_ids, mask, traffic in _batches(model, examples, MEAN_LOSS_CHUNK):
+        total += _Unroll(model, x_ids, traffic, keep=False).loss(y_ids, mask)[0]
+        steps += int(mask.sum())
     return total / steps
-
-
-def _arnn_forward_probs(model, ids, traffic):
-    if traffic is None:
-        raise ValueError("traffic tensor required for the attention model")
-    p = model.params
-    features = encode_traffic(traffic, model)
-    h, c = attention_init_state(features, model)
-    probs = np.empty((len(ids), len(model.vocab)))
-    alphas = np.empty((len(ids), features.shape[0]))
-    for i, tid in enumerate(ids):
-        alpha, context = attention_step(h, features, model)
-        x_in = np.concatenate([p["embed"][tid], context])
-        h, c = nncore.lstm_step(x_in, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
-        probs[i] = softmax(h @ p["dec_W"] + p["dec_b"])
-        alphas[i] = alpha
-    return probs, alphas
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +461,7 @@ def generate(
 
     Deterministic for a given seed: one uniform draw per sampled token.
     """
-    results = generate_batch(model, prefix, [seed], max_len, traffic=traffic)
-    return results[0]
+    return generate_batch(model, prefix, [seed], max_len, traffic=traffic)[0]
 
 
 def generate_batch(
@@ -466,45 +487,21 @@ def generate_batch(
     k = len(seeds)
     rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s) for s in seeds]
     p = model.params
-    d_h = model.dims.d_h
-    v = len(model.vocab)
     end_id = model.vocab.end_id
-    is_arnn = model.kind == "arnn"
-
-    if is_arnn:
-        if traffic is None:
-            raise ValueError("traffic tensor required for the attention model")
-        features = encode_traffic(traffic, model)
-        fu = features @ p["attn_U"]
-        h0, c0 = attention_init_state(features, model)
-        h = np.tile(h0, (k, 1))
-        c = np.tile(c0, (k, 1))
-    else:
-        features = fu = None
-        h = np.zeros((k, d_h))
-        c = np.zeros((k, d_h))
+    h, c, att = _start(model, traffic, k)
 
     out_ids = [list(ids) for _ in range(k)]
     step_probs: list[list[np.ndarray]] = [[] for _ in range(k)]
-    attn: list[list[np.ndarray]] | None = [[] for _ in range(k)] if is_arnn else None
+    attn: list[list[np.ndarray]] | None = [[] for _ in range(k)] if att is not None else None
     alive = np.ones(k, dtype=bool)
     last = np.full(k, ids[0], dtype=np.intp)
-    probs = np.empty((k, v))
+    probs = np.empty((k, len(model.vocab)))
+    w_token = p["lstm_W"][: model.dims.d_e]
 
     def step(active: np.ndarray) -> None:
-        nonlocal h, c
         sel = np.flatnonzero(active)
-        if is_arnn:
-            pre = h[sel] @ p["attn_W"]
-            t_mat = np.tanh(pre[:, None, :] + fu[None, :, :])
-            e = t_mat @ p["attn_v"]
-            alpha = softmax(e)
-            context = alpha @ features
-            x_in = np.concatenate([p["embed"][last[sel]], context], axis=1)
-        else:
-            alpha = None
-            x_in = p["embed"][last[sel]]
-        h_new, c_new = nncore.lstm_step(x_in, h[sel], c[sel], p["lstm_W"], p["lstm_U"], p["lstm_b"])
+        xw = p["embed"][last[sel]] @ w_token + p["lstm_b"]
+        h_new, c_new, (_, alpha, _, _) = _step(model, xw, h[sel], c[sel], att)
         h[sel] = h_new
         c[sel] = c_new
         pr = softmax(h_new @ p["dec_W"] + p["dec_b"])
@@ -520,14 +517,14 @@ def generate_batch(
         step(alive)
 
     # sampling loop
-    while np.any(alive):
+    while alive.any():
         for cand in np.flatnonzero(alive):
             tid = _sample(probs[cand], rngs[cand].random())
             out_ids[cand].append(tid)
             last[cand] = tid
             if tid == end_id or len(out_ids[cand]) >= max_len:
                 alive[cand] = False
-        if not np.any(alive):
+        if not alive.any():
             break
         step(alive)
 

@@ -1,5 +1,5 @@
-"""Minimal neural numeric core: LSTM cell, softmax cross-entropy, Adam,
-and a finite-difference gradient checker.
+"""Minimal neural numeric core: LSTM cell and its backward step, softmax
+cross-entropy, Adam, and a finite-difference gradient checker.
 
 Everything is float64 numpy with hand-written backward passes; the model
 module composes these pieces into full sequence models. Parameters travel
@@ -8,6 +8,7 @@ as plain ``dict[str, np.ndarray]`` maps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -21,37 +22,35 @@ CHECKPOINT_VERSION = "ckpt-v1"
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax over the last axis."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    logits = np.asarray(logits)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Loss -log softmax(logits)[label] and its gradient wrt the logits."""
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Loss -log softmax(logits)[label], summed over the rows of an [M, V]
+    matrix with one label each (or a vector and one label), and its
+    gradient wrt the logits."""
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1:
-        raise ValueError("logits must be a vector")
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    z = logits - np.max(logits)
-    logsumexp = np.log(np.sum(np.exp(z)))
-    loss = float(logsumexp - z[label])
+    labels = np.asarray(labels, dtype=np.intp)
+    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
+        raise ValueError("logits must be a vector with one label or a matrix with one label per row")
+    labels, n_classes = labels.reshape(-1), logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"label out of range for {n_classes} classes")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows = np.arange(labels.size)
+    loss = float((logsumexp.reshape(-1) - z.reshape(-1, n_classes)[rows, labels]).sum())
     grad = np.exp(z - logsumexp)
-    grad[label] -= 1.0
+    grad.reshape(-1, n_classes)[rows, labels] -= 1.0
     return loss, grad
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _gate_split(z: np.ndarray, d: int):
-    return z[..., 0:d], z[..., d : 2 * d], z[..., 2 * d : 3 * d], z[..., 3 * d : 4 * d]
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no overflow for any x
+    and no branches; exact to rounding in absolute terms."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def lstm_step(
@@ -65,64 +64,58 @@ def lstm_step(
     """
     d = h.shape[-1]
     if W.shape != (x.shape[-1], 4 * d) or U.shape != (d, 4 * d) or b.shape != (4 * d,):
-        raise ValueError(
-            f"inconsistent LSTM shapes: x{x.shape} h{h.shape} W{W.shape} U{U.shape} b{b.shape}"
-        )
+        raise ValueError(f"inconsistent LSTM shapes: x{x.shape} h{h.shape} W{W.shape} U{U.shape} b{b.shape}")
     if c.shape != h.shape:
         raise ValueError("hidden and cell state shapes must match")
-    z = x @ W + h @ U + b
-    zi, zf, zo, zg = _gate_split(z, d)
-    i, f, o, g = sigmoid(zi), sigmoid(zf), sigmoid(zo), np.tanh(zg)
-    c2 = f * c + i * g
-    h2 = o * np.tanh(c2)
+    h2, c2, _ = lstm_cell(x @ W + h @ U + b, c)
     return h2, c2
 
 
-def lstm_step_cached(x, h, c, W, U, b):
-    """lstm_step plus the intermediate values needed for the backward pass."""
-    d = h.shape[-1]
-    z = x @ W + h @ U + b
-    zi, zf, zo, zg = _gate_split(z, d)
-    i, f, o, g = sigmoid(zi), sigmoid(zf), sigmoid(zo), np.tanh(zg)
-    c2 = f * c + i * g
+def lstm_cell(z: np.ndarray, c: np.ndarray):
+    """The LSTM cell from its gate pre-activations z = x @ W + h @ U + b:
+    (h', c', cache), the cache holding gates i|f|o, candidate g, c, tanh(c')."""
+    d = c.shape[-1]
+    ifo = sigmoid(z[..., : 3 * d])
+    g = np.tanh(z[..., 3 * d :])
+    c2 = ifo[..., d : 2 * d] * c + ifo[..., :d] * g
     tanh_c2 = np.tanh(c2)
-    h2 = o * tanh_c2
-    cache = {"x": x, "h": h, "c": c, "i": i, "f": f, "o": o, "g": g, "tanh_c2": tanh_c2}
-    return h2, c2, cache
+    h2 = ifo[..., 2 * d :] * tanh_c2
+    return h2, c2, (ifo, g, c, tanh_c2)
 
 
-def lstm_backward(cache, dh2, dc2, W, U, gW, gU, gb):
-    """Backward through one cached step.
+def lstm_cell_derivatives(cache):
+    """The local derivatives of ``lstm_cell``, for caches stacked over any
+    leading axes, so that a backward pass computes them for all steps at
+    once: dz per unit of the total cell-state gradient [..., 4, d] (zero
+    for the o gate), dz_o per unit of dh', dc per unit of dh', and f."""
+    ifo, g, c, tanh_c2 = cache
+    d = c.shape[-1]
+    slope = np.concatenate([ifo * (1.0 - ifo), 1.0 - g * g], axis=-1)
+    via_c = np.concatenate([g, c, np.zeros_like(c), ifo[..., :d]], axis=-1) * slope
+    via_h = tanh_c2 * slope[..., 2 * d : 3 * d]
+    h_to_c = ifo[..., 2 * d :] * (1.0 - tanh_c2 * tanh_c2)
+    return via_c.reshape(via_c.shape[:-1] + (4, d)), via_h, h_to_c, ifo[..., d : 2 * d]
 
-    Accumulates into gW/gU/gb and returns (dx, dh, dc) for the inputs.
-    """
-    i, f, o, g = cache["i"], cache["f"], cache["o"], cache["g"]
-    tanh_c2 = cache["tanh_c2"]
-    do = dh2 * tanh_c2
-    dc_total = dc2 + dh2 * o * (1.0 - tanh_c2 * tanh_c2)
-    df = dc_total * cache["c"]
-    dc = dc_total * f
-    di = dc_total * g
-    dg = dc_total * i
-    dzi = di * i * (1.0 - i)
-    dzf = df * f * (1.0 - f)
-    dzo = do * o * (1.0 - o)
-    dzg = dg * (1.0 - g * g)
-    dz = np.concatenate([dzi, dzf, dzo, dzg], axis=-1)
-    gW += np.outer(cache["x"], dz)
-    gU += np.outer(cache["h"], dz)
-    gb += dz
-    dx = dz @ W.T
-    dh = dz @ U.T
-    return dx, dh, dc
+
+def lstm_cell_backward(dh2: np.ndarray, dc2: np.ndarray, derivs) -> tuple[np.ndarray, np.ndarray]:
+    """Backward through one ``lstm_cell`` step from the gradients of h' and
+    c' and the step's ``lstm_cell_derivatives``: the gradients of z (which
+    the caller turns into those of W, U, b, x and h) and of the previous c."""
+    via_c, via_h, h_to_c, f = derivs
+    dc_total = dc2 + dh2 * h_to_c
+    dz = dc_total[..., None, :] * via_c
+    dz[..., 2, :] = dh2 * via_h
+    return dz.reshape(dz.shape[:-2] + (-1,)), dc_total * f
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and the step counter."""
+    """First/second moment estimates and the step counter; the moments are
+    flat vectors over all parameters, ``m`` and ``v`` their views by name."""
 
-    m: Params
-    v: Params
+    shapes: dict[str, tuple[int, ...]]
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -130,39 +123,44 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: Params) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(p.size for p in params.values())
+        return cls({name: p.shape for name, p in params.items()}, np.zeros(size), np.zeros(size))
+
+    def split(self, flat: np.ndarray) -> Params:
+        """One view per parameter of a flat vector in parameter order."""
+        views, start = {}, 0
+        for name, shape in self.shapes.items():
+            views[name] = flat[start : start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+        return views
+
+    m = property(lambda self: self.split(self.m_flat))
+    v = property(lambda self: self.split(self.v_flat))
 
 
 def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam step, applied to the parameters in place."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"diverged: non-finite gradient for {name!r}")
+    g = np.concatenate([grads[name].reshape(-1) for name in state.shapes])
+    if not np.isfinite(g).all():
+        name = next(name for name in state.shapes if not np.isfinite(grads[name]).all())
+        raise FloatingPointError(f"diverged: non-finite gradient for {name!r}")
     state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    for name, g in grads.items():
-        p = params[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    t, b1, b2, m, v = state.step, state.beta1, state.beta2, state.m_flat, state.v_flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
+    for name, delta in state.split(step).items():
+        params[name] -= delta
 
 
 def global_norm(grads: Params) -> float:
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        total += float((g * g).sum())
     return float(np.sqrt(total))
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cellseq.cli import main
+from cellseq import models
+from cellseq.cli import _apply_config, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,38 @@ def test_config_file_overrides_flags(pipeline, tmp_path, capsys):
                  "--prefix", "", "--n", "7", "--max-len", "20", "--seed", "4"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2  # config wins over the flag
+
+
+def test_one_train_run_writes_one_config_hash(pipeline):
+    for name in ("rnn", "arnn"):
+        manifest = json.loads((pipeline / name / "manifest.json").read_text())
+        _, meta = models.load_model(pipeline / name / "model.ckpt")
+        assert meta["config_hash"] == manifest["config_hash"]
+
+
+def test_config_values_take_the_flag_type(tmp_path):
+    # --d-f defaults to None, so the type must come from the flag, not the default
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[train]\nd-f = 8\nd_a = 4\nlr = 0.01\nno-clip = yes\nmodel = arnn\n")
+    parser = build_parser()
+    args = parser.parse_args(["--config", str(cfg), "train", "--sequences", "s.tsv", "--out", "o"])
+    _apply_config(args, parser)
+    assert args.d_f == 8 and type(args.d_f) is int
+    assert args.d_a == 4 and type(args.d_a) is int
+    assert args.lr == 0.01
+    assert args.no_clip is True
+    assert args.model == "arnn"
+
+
+@pytest.mark.parametrize("line, message", [("model = lstm", "not one of"), ("d-f = eight", "invalid literal"),
+                                            ("func = x", "unknown config key"), ("bogus = 1", "unknown config key")])
+def test_config_values_rejected(tmp_path, line, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[train]\n{line}\n")
+    parser = build_parser()
+    args = parser.parse_args(["--config", str(cfg), "train", "--sequences", "s.tsv", "--out", "o"])
+    with pytest.raises(ValueError, match=message):
+        _apply_config(args, parser)
 
 
 def test_unknown_subcommand_exits_2():

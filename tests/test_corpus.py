@@ -303,3 +303,22 @@ def test_sequences_io_roundtrip(tmp_path):
     save_sequences(path, ds)
     loaded = load_sequences(path)
     assert loaded == ds
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b\ttrain\t90.0", "expected 4 tab-separated fields, got 3"),
+        ("b\ttrain\t90.0\t3 4\textra", "expected 4 tab-separated fields, got 5"),
+        ("b\ttrain\t90.0\t3 x", "non-integer cell id"),
+        ("b\ttrain\t90.0\t3 4.5", "non-integer cell id"),
+        ("b\ttrain\tnoon\t3", "non-numeric start time"),
+        ("b\ttrian\t90.0\t3", "unknown split 'trian'"),
+    ],
+)
+def test_sequences_malformed_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "seqs.tsv"
+    save_sequences(path, Dataset(train=(SequenceRecord("a", 12.5, (START, 1, 2, END)),), validation=(), test=()))
+    path.write_text(path.read_text() + "\n" + row + "\n")  # a blank line 3, the bad row on line 4
+    with pytest.raises(ValueError, match=f"{path}:4: .*{message}"):
+        load_sequences(path)

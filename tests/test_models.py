@@ -213,6 +213,60 @@ def test_arnn_requires_traffic():
         loss_and_grads(model, np.array([0]), np.array([2]))
 
 
+def _ragged_examples(vocab, n_cells, seed):
+    # lengths 2..7 in shuffled order, so the padded batch is ragged at both ends
+    rng = np.random.default_rng(seed)
+    examples = []
+    for length in rng.permutation(np.arange(2, 8)):
+        ids = rng.integers(2, len(vocab), size=length + 1)
+        ids[0] = vocab.start_id
+        traffic = rng.random((n_cells, 10)) if n_cells else None
+        examples.append(models.TrainingExample(ids[:-1], ids[1:], traffic))
+    return examples
+
+
+@pytest.mark.parametrize("cls, n_cells", [(RnnModel, 0), (ArnnModel, 5)])
+def test_padded_batch_equals_summed_sequences(cls, n_cells):
+    vocab = Vocab(range(1, 7))
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4, d_f=3, d_a=2), seed=4)
+    examples = _ragged_examples(vocab, n_cells, seed=9)
+    loss, grads = models.batch_loss_and_grads(model, examples)
+    singles = [loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic) for ex in examples]
+    assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
+    assert grads.keys() == model.params.keys()
+    for name, g in grads.items():
+        expect = sum(s[1][name] for s in singles)
+        scale = np.abs(expect).max()
+        np.testing.assert_allclose(g, expect, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("cls, n_cells", [(RnnModel, 0), (ArnnModel, 5)])
+def test_chunked_mean_loss_equals_per_sequence_mean(cls, n_cells):
+    vocab = Vocab(range(1, 7))
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=5)
+    examples = []
+    for seed in range(7):  # 42 sequences: more than one chunk, the last one partial
+        examples += _ragged_examples(vocab, n_cells, seed)
+    assert len(examples) > models.MEAN_LOSS_CHUNK
+    total = steps = 0
+    for ex in examples:
+        tokens = vocab.decode(list(ex.x_ids))
+        probs = arnn_forward(tokens, ex.traffic, model)[0] if n_cells else rnn_forward(tokens, model)
+        total += -np.log(probs[np.arange(len(ex.y_ids)), ex.y_ids]).sum()
+        steps += len(ex.y_ids)
+    assert models.mean_loss(model, examples) == pytest.approx(total / steps, rel=1e-12)
+
+
+def test_batch_splits_where_traffic_shape_changes():
+    vocab = Vocab(range(1, 7))
+    model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
+    examples = _ragged_examples(vocab, 4, seed=1)[:3] + _ragged_examples(vocab, 6, seed=2)[:3]
+    loss, grads = models.batch_loss_and_grads(model, examples)
+    singles = [loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic) for ex in examples]
+    assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
+    np.testing.assert_allclose(grads["traffic_W"], sum(s[1]["traffic_W"] for s in singles), rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # training
 

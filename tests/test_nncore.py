@@ -11,9 +11,10 @@ from cellseq.nncore import (
     clip_global_norm,
     grad_check,
     load_checkpoint,
-    lstm_backward,
+    lstm_cell,
+    lstm_cell_backward,
+    lstm_cell_derivatives,
     lstm_step,
-    lstm_step_cached,
     save_checkpoint,
     softmax,
     softmax_cross_entropy,
@@ -61,23 +62,28 @@ def test_lstm_shape_mismatch_rejected():
 
 
 def test_lstm_backward_matches_finite_differences():
+    # the cell backward, composed into weight and input gradients as the
+    # models' backward pass does, against central differences; the loss
+    # reads both h' and c' and the previous states are parameters too
     rng = np.random.default_rng(0)
     d, din = 4, 3
     params = {
         "W": rng.normal(size=(din, 4 * d)) * 0.5,
         "U": rng.normal(size=(d, 4 * d)) * 0.5,
         "b": rng.normal(size=4 * d) * 0.5,
+        "x": rng.normal(size=din),
+        "h0": rng.normal(size=d),
+        "c0": rng.normal(size=d),
     }
-    x = rng.normal(size=din)
-    h0 = rng.normal(size=d)
-    c0 = rng.normal(size=d)
-    w_out = rng.normal(size=d)
+    w_h = rng.normal(size=d)
+    w_c = rng.normal(size=d)
 
     def fn(p):
-        h, c, cache = lstm_step_cached(x, h0, c0, p["W"], p["U"], p["b"])
-        loss = float(w_out @ h)
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        lstm_backward(cache, w_out, np.zeros(d), p["W"], p["U"], grads["W"], grads["U"], grads["b"])
+        h, c, cache = lstm_cell(p["x"] @ p["W"] + p["h0"] @ p["U"] + p["b"], p["c0"])
+        loss = float(w_h @ h + w_c @ c)
+        dz, dc0 = lstm_cell_backward(w_h, w_c, lstm_cell_derivatives(cache))
+        grads = {"W": np.outer(p["x"], dz), "U": np.outer(p["h0"], dz), "b": dz,
+                 "x": dz @ p["W"].T, "h0": dz @ p["U"].T, "c0": dc0}
         return loss, grads
 
     assert grad_check(fn, params) < 1e-6
@@ -133,6 +139,27 @@ def test_softmax_cross_entropy_gradient_vs_finite_differences():
     assert grad_check(fn, params) < 1e-8
 
 
+def test_softmax_cross_entropy_rows_sum_single_rows():
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(6, 5)) * 4
+    labels = rng.integers(0, 5, size=6)
+    loss, grad = softmax_cross_entropy(logits, labels)
+    singles = [softmax_cross_entropy(row, label) for row, label in zip(logits, labels)]
+    assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-14)
+    np.testing.assert_allclose(grad, np.vstack([g for _, g in singles]), rtol=1e-14, atol=0)
+    with pytest.raises(ValueError):
+        softmax_cross_entropy(logits, labels[:5])
+
+
+def test_sigmoid_tanh_form_matches_logistic():
+    # exact to rounding in absolute terms; far in the negative tail it
+    # rounds to 0 where the logistic is below 1e-16
+    x = np.linspace(-800, 800, 16001)
+    s = nncore.sigmoid(x)
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    np.testing.assert_allclose(s, 1.0 / (1.0 + np.exp(-np.clip(x, -700, None))), rtol=0, atol=3e-16)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -165,6 +192,28 @@ def test_adam_deterministic():
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_adam_flat_moments_match_per_parameter_loop():
+    # the reference is the per-parameter update written out; the flat one
+    # must agree bit for bit and expose the moments by name and shape
+    rng = np.random.default_rng(4)
+    params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "c": rng.normal(size=(1, 1))}
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    state = AdamState.zeros_like(params)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        adam_update(params, grads, state, lr=0.01)
+        for k, g in grads.items():
+            ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
+            ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
+            ref[k] -= 0.01 * (ref_m[k] / (1.0 - 0.9**t)) / (np.sqrt(ref_v[k] / (1.0 - 0.999**t)) + 1e-8)
+    for k in params:
+        np.testing.assert_array_equal(params[k], ref[k])
+        np.testing.assert_array_equal(state.m[k], ref_m[k])
+        np.testing.assert_array_equal(state.v[k], ref_v[k])
 
 
 def test_adam_rejects_non_finite_gradient():
