@@ -14,38 +14,8 @@ import time
 import numpy as np
 
 from cellseq import corpus, evaluation, models, synthworld
-from cellseq.cellspace import cluster_points, discretize_trajectory
 from cellseq.metrics import ScoreVector
-from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
-from cellseq.tokens import Vocab
-
-
-def build_corpus(args):
-    world = synthworld.generate_world(
-        rows=4, cols=8, spacing=300.0, seed=args.seed, horizon_minutes=args.horizon_min,
-        block_minutes=60, epsilon=0.1, congested_speed=3.0,
-    )
-    trips = synthworld.simulate_trips(world, args.trips, seed=args.seed + 1)
-    train_idx, val_idx, test_idx = corpus.split_indices(len(trips), (0.8, 0.1, 0.1), seed=args.seed + 2)
-    cmap = cluster_points(np.concatenate([trips[i].xy for i in train_idx]), radius=135.0)
-
-    def rec(i):
-        seq = discretize_trajectory(trips[i], cmap)
-        return corpus.SequenceRecord(trips[i].trip_id, trips[i].start_time, seq.tokens)
-
-    dataset = corpus.Dataset(
-        train=tuple(rec(i) for i in train_idx),
-        validation=tuple(rec(i) for i in val_idx),
-        test=tuple(rec(i) for i in test_idx),
-    )
-    cells = set()
-    for r in dataset.train:
-        cells.update(t for t in r.tokens if isinstance(t, int))
-    vocab = Vocab(cells)
-    series = corpus.compute_accumulation(trips, cmap)
-    train_series = corpus.compute_accumulation([trips[i] for i in train_idx], cmap)
-    lookup = corpus.TrafficLookup(corpus.normalize(series, maxima=train_series.maxima), vocab.cells)
-    return dataset, vocab, lookup
+from cellseq.models import ArnnModel, ModelDims, RnnModel
 
 
 def main() -> int:
@@ -61,31 +31,26 @@ def main() -> int:
     args = parser.parse_args()
 
     t0 = time.time()
-    dataset, vocab, lookup = build_corpus(args)
+    world = synthworld.generate_world(
+        rows=4, cols=8, spacing=300.0, seed=args.seed, horizon_minutes=args.horizon_min,
+        block_minutes=60, epsilon=0.1, congested_speed=3.0,
+    )
+    trips = synthworld.simulate_trips(world, args.trips, seed=args.seed + 1)
+    dataset, vocab, lookup = corpus.build(trips, radius=135.0, fractions=(0.8, 0.1, 0.1), seed=args.seed + 2)
     print(f"corpus: {dataset.sizes()} sequences, {len(vocab.cells)} active cells "
           f"({time.time() - t0:.0f}s)")
 
-    def examples(records, with_traffic):
-        out = []
-        for r in records:
-            if any(t not in vocab for t in r.tokens):
-                continue
-            out.append(make_example(vocab, r.tokens, lookup.window(r.start_time) if with_traffic else None))
-        return out
-
     dims = ModelDims(d_e=args.d, d_h=args.d)
+    test_records = [r for r in dataset.test if all(t in vocab for t in r.tokens)][: args.eval_limit]
     scores = {}
-    for kind, cls, with_traffic in (("rnn", RnnModel, False), ("arnn", ArnnModel, True)):
+    for kind, cls, traffic in (("rnn", RnnModel, None), ("arnn", ArnnModel, lookup)):
         model = cls.init(vocab, dims, seed=1 if kind == "rnn" else 2)
         t1 = time.time()
-        result = models.train(model, examples(dataset.train, with_traffic),
+        result = models.train(model, models.make_examples(dataset.train, vocab, traffic),
                               lr=args.lr, epochs=args.epochs, seed=5)
         print(f"{kind}: trained {args.epochs} epochs in {time.time() - t1:.0f}s, "
               f"final loss {result.epoch_losses[-1]:.4f}")
-        test_records = [r for r in dataset.test if all(t in vocab for t in r.tokens)][: args.eval_limit]
-        scores[kind], _ = evaluation.evaluate_records(
-            test_records, model, lookup if with_traffic else None, master_seed=99, k=args.k,
-        )
+        scores[kind], _ = evaluation.evaluate_records(test_records, model, traffic, master_seed=99, k=args.k)
 
     rnn_g1 = np.mean([r.mean.meteor for r in scores["rnn"] if r.g == 1])
     arnn_g1 = np.mean([r.mean.meteor for r in scores["arnn"] if r.g == 1])

@@ -72,10 +72,6 @@ class CellMap:
     def n_cells(self) -> int:
         return self.centroids.shape[0]
 
-    @property
-    def cell_ids(self) -> range:
-        return range(1, self.n_cells + 1)
-
 
 @dataclass(frozen=True)
 class CellSequence:
@@ -106,14 +102,6 @@ class CellSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-@dataclass(frozen=True)
-class XYSample:
-    """Teacher-forcing pair: Y is X shifted left by one token."""
-
-    x: tuple[Token, ...]
-    y: tuple[Token, ...]
 
 
 def cluster_points(points: Iterable[Sequence[float]] | np.ndarray, radius: float) -> CellMap:
@@ -160,22 +148,14 @@ def cluster_points(points: Iterable[Sequence[float]] | np.ndarray, radius: float
     return CellMap(centroids=cents[:n].copy(), radius=float(radius))
 
 
-def assign_cell(point: Sequence[float], cmap: CellMap) -> int:
-    """Nearest-centroid cell id (1-based); ties go to the lowest index."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise ValueError("invalid point")
-    d2 = np.sum((cmap.centroids - p) ** 2, axis=1)
-    return int(np.argmin(d2)) + 1  # argmin takes the first minimum
-
-
 def assign_points(points: np.ndarray, cmap: CellMap) -> np.ndarray:
-    """Vectorized nearest-centroid assignment for an [l, 2] point array."""
+    """Nearest-centroid cell ids (1-based) for an [l, 2] point array; ties go
+    to the lowest index."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("invalid point")
     d2 = np.sum((pts[:, None, :] - cmap.centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1) + 1
+    return np.argmin(d2, axis=1) + 1  # argmin takes the first minimum
 
 
 def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> CellSequence:
@@ -189,13 +169,6 @@ def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> CellSequence:
             collapsed.append(int(c))
     collapsed.append(END)
     return CellSequence(tokens=tuple(collapsed))
-
-
-def split_xy(seq: CellSequence) -> XYSample:
-    """Split into the one-step-shifted input/label pair."""
-    if seq.m < 1:
-        raise ValueError("empty journey")
-    return XYSample(x=seq.tokens[:-1], y=seq.tokens[1:])
 
 
 def save_cellmap(path: str | Path, cmap: CellMap) -> None:
@@ -217,9 +190,23 @@ def load_cellmap(path: str | Path) -> CellMap:
     radius = float(fields["radius"])
     n = int(fields["n"])
     cents = np.zeros((n, 2))
-    for line in lines[1:]:
+    seen: set[int] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        idx, x, y = line.split("\t")
-        cents[int(idx) - 1] = (float(x), float(y))
+        try:
+            idx, x, y = line.split("\t")
+            i, xy = int(idx), (float(x), float(y))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected index<TAB>x<TAB>y") from None
+        if not 1 <= i <= n:
+            raise ValueError(f"{path}:{lineno}: cell index {i} outside 1..{n}")
+        if i in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate cell index {i}")
+        seen.add(i)
+        cents[i - 1] = xy
+    if len(seen) < n:
+        missing = min(set(range(1, n + 1)) - seen)
+        raise ValueError(f"{path}:{len(lines)}: file ends after {len(seen)} of {n} cells; "
+                         f"cell {missing} has no row")
     return CellMap(centroids=cents, radius=radius)

@@ -14,12 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, corpus, evaluation, hypersearch, models, synthworld
-from .cellspace import cluster_points, discretize_trajectory, load_cellmap, save_cellmap
+from .cellspace import load_cellmap, save_cellmap
 from .corpus import (
-    SequenceRecord,
     TrafficLookup,
     load_accumulation,
     load_and_terminate,
@@ -29,8 +26,8 @@ from .corpus import (
     save_sequences,
     write_trajectories,
 )
-from .models import ArnnModel, ModelDims, RnnModel, load_model, make_example, save_model
-from .tokens import START, Vocab
+from .models import ArnnModel, ModelDims, RnnModel, load_model, save_model
+from .tokens import START
 
 
 def _run_params(args: argparse.Namespace) -> dict:
@@ -100,22 +97,7 @@ def cmd_discretize(args) -> int:
     out = _outdir(args)
     rows = read_trajectory_rows(args.infile)
     trips = load_and_terminate(rows)
-    fractions = _parse_fractions(args.split)
-    train_idx, val_idx, test_idx = corpus.split_indices(len(trips), fractions, args.seed)
-
-    train_points = np.concatenate([trips[i].xy for i in train_idx]) if train_idx else None
-    if train_points is None or train_points.size == 0:
-        raise ValueError("training split is empty; cannot build a cell map")
-    cmap = cluster_points(train_points, radius=args.radius)
-
-    def records(indices):
-        recs = []
-        for i in indices:
-            seq = discretize_trajectory(trips[i], cmap)
-            recs.append(SequenceRecord(trips[i].trip_id, trips[i].start_time, seq.tokens))
-        return tuple(recs)
-
-    dataset = corpus.Dataset(train=records(train_idx), validation=records(val_idx), test=records(test_idx))
+    cmap, dataset = corpus.discretize_split(trips, args.radius, _parse_fractions(args.split), args.seed)
     save_cellmap(out / "cellmap.tsv", cmap)
     save_sequences(out / "sequences.tsv", dataset)
     _write_manifest(
@@ -136,12 +118,8 @@ def cmd_accumulate(args) -> int:
     out = _outdir(args)
     rows = read_trajectory_rows(args.trips)
     trips = load_and_terminate(rows)
-    cmap = load_cellmap(args.cellmap)
-    dataset = load_sequences(args.sequences)
-    train_ids = {rec.trip_id for rec in dataset.train}
-    full = corpus.compute_accumulation(trips, cmap)
-    train_series = corpus.compute_accumulation([t for t in trips if t.trip_id in train_ids], cmap)
-    normalized = corpus.normalize(full, maxima=train_series.maxima)
+    cmap, dataset = load_cellmap(args.cellmap), load_sequences(args.sequences)
+    normalized = corpus.normalized_accumulation(trips, cmap, dataset)
     save_accumulation(out / "accumulation.tsv", normalized)
     _write_manifest(
         out,
@@ -157,15 +135,6 @@ def cmd_accumulate(args) -> int:
     return 0
 
 
-def _vocab_from_train(dataset: corpus.Dataset) -> Vocab:
-    cells = set()
-    for rec in dataset.train:
-        cells.update(t for t in rec.tokens if isinstance(t, int))
-    if not cells:
-        raise ValueError("training split has no cells")
-    return Vocab(cells)
-
-
 def _traffic_lookup(args, kind: str, cells) -> TrafficLookup | None:
     if kind != "arnn":
         return None
@@ -174,33 +143,21 @@ def _traffic_lookup(args, kind: str, cells) -> TrafficLookup | None:
     return TrafficLookup(load_accumulation(args.accumulation), cells)
 
 
-def _examples_for(records, vocab: Vocab, lookup: TrafficLookup | None):
-    out = []
-    skipped = 0
-    for rec in records:
-        if any(t not in vocab for t in rec.tokens):
-            skipped += 1
-            continue
-        traffic = lookup.window(rec.start_time) if lookup is not None else None
-        out.append(make_example(vocab, rec.tokens, traffic))
-    return out, skipped
-
-
 def cmd_train(args) -> int:
     out = _outdir(args)
     dataset = load_sequences(args.sequences)
-    vocab = _vocab_from_train(dataset)
+    vocab = corpus.train_vocab(dataset)
     lookup = _traffic_lookup(args, args.model, vocab.cells)
     dims = ModelDims(d_e=args.d_e, d_h=args.d_h, d_f=args.d_f, d_a=args.d_a)
     cls = ArnnModel if args.model == "arnn" else RnnModel
     model = cls.init(vocab, dims, seed=args.seed)
-    train_examples, _ = _examples_for(dataset.train, vocab, lookup)
+    train_examples = models.make_examples(dataset.train, vocab, lookup)
     clip = None if args.no_clip else args.clip_norm
     result = models.train(
         model, train_examples, lr=args.lr, epochs=args.epochs, seed=args.seed, clip_norm=clip,
         batch_size=args.batch_size,
     )
-    val_examples, _ = _examples_for(dataset.validation, vocab, lookup)
+    val_examples = models.make_examples(dataset.validation, vocab, lookup)
     val_loss = models.mean_loss(model, val_examples) if val_examples else float("nan")
     meta = {
         "epochs": args.epochs,
@@ -269,12 +226,12 @@ def cmd_evaluate(args) -> int:
 def cmd_hypersearch(args) -> int:
     out = _outdir(args)
     dataset = load_sequences(args.sequences)
-    vocab = _vocab_from_train(dataset)
+    vocab = corpus.train_vocab(dataset)
     lookup = _traffic_lookup(args, args.model, vocab.cells)
     train_records = dataset.train[: args.limit] if args.limit else dataset.train
     val_records = dataset.validation[: args.limit] if args.limit else dataset.validation
-    train_examples, _ = _examples_for(train_records, vocab, lookup)
-    val_examples, _ = _examples_for(val_records, vocab, lookup)
+    train_examples = models.make_examples(train_records, vocab, lookup)
+    val_examples = models.make_examples(val_records, vocab, lookup)
     if not val_examples:
         raise ValueError("validation split is empty")
     space = hypersearch.SearchSpace(

@@ -1,5 +1,7 @@
 """Dataset management: trajectory loading with trip termination, splits,
-and the network traffic state built from vehicle accumulation counts.
+and the network traffic state built from vehicle accumulation counts. The
+training split alone decides the cell map, the vocabulary and the
+accumulation maxima; ``build`` applies that policy to a set of trips.
 
 A vehicle counts toward a cell at a minute mark when its trip interval
 covers that instant and its most recent point at or before it maps to the
@@ -13,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cellspace import CellMap, RawTrajectory, assign_points
-from .tokens import Token
+from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory
+from .tokens import Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
 TRIP_GAP_SECONDS = 3600.0
@@ -132,16 +134,32 @@ def split_indices(
     )
 
 
-def split_dataset(
-    seqs: Sequence[SequenceRecord], fractions: tuple[float, float, float], seed: int
-) -> Dataset:
-    """Random disjoint train/validation/test assignment, fixed under seed."""
-    train_idx, val_idx, test_idx = split_indices(len(seqs), fractions, seed)
-    return Dataset(
-        train=tuple(seqs[i] for i in train_idx),
-        validation=tuple(seqs[i] for i in val_idx),
-        test=tuple(seqs[i] for i in test_idx),
-    )
+def discretize_split(
+    trips: Sequence[RawTrajectory], radius: float, fractions: tuple[float, float, float], seed: int
+) -> tuple[CellMap, Dataset]:
+    """Split the trips under ``seed``, cluster the training points into a
+    cell map, and discretize every trip into its split.
+
+    The training points are concatenated in split order, which the greedy
+    clustering depends on.
+    """
+    split = split_indices(len(trips), fractions, seed)
+    if not split[0]:
+        raise ValueError("training split is empty; cannot build a cell map")
+    cmap = cluster_points(np.concatenate([trips[i].xy for i in split[0]]), radius=radius)
+
+    def record(trip: RawTrajectory) -> SequenceRecord:
+        return SequenceRecord(trip.trip_id, trip.start_time, discretize_trajectory(trip, cmap).tokens)
+
+    return cmap, Dataset(*(tuple(record(trips[i]) for i in indices) for indices in split))
+
+
+def train_vocab(dataset: Dataset) -> Vocab:
+    """Vocabulary over the cells visited in the training split."""
+    cells = {t for rec in dataset.train for t in rec.tokens if isinstance(t, int)}
+    if not cells:
+        raise ValueError("training split has no cells")
+    return Vocab(cells)
 
 
 @dataclass(frozen=True)
@@ -238,6 +256,16 @@ def normalize(series: AccumulationSeries, maxima: np.ndarray | None = None) -> A
     )
 
 
+def normalized_accumulation(
+    trips: Sequence[RawTrajectory], cmap: CellMap, dataset: Dataset
+) -> AccumulationSeries:
+    """The full-period series, normalized by the maxima of the training trips
+    (the trips whose ids are in ``dataset.train``)."""
+    train_ids = {rec.trip_id for rec in dataset.train}
+    train_series = compute_accumulation([t for t in trips if t.trip_id in train_ids], cmap)
+    return normalize(compute_accumulation(trips, cmap), maxima=train_series.maxima)
+
+
 def traffic_window(
     series: AccumulationSeries,
     trip_start: float,
@@ -278,6 +306,16 @@ class TrafficLookup:
         return traffic_window(self.series, trip_start, self.cells)
 
 
+def build(
+    trips: Sequence[RawTrajectory], radius: float, fractions: tuple[float, float, float], seed: int
+) -> tuple[Dataset, Vocab, TrafficLookup]:
+    """The corpus the models train on: the split cell sequences, the
+    training vocabulary, and the traffic windows over its cells."""
+    cmap, dataset = discretize_split(trips, radius, fractions, seed)
+    vocab = train_vocab(dataset)
+    return dataset, vocab, TrafficLookup(normalized_accumulation(trips, cmap, dataset), vocab.cells)
+
+
 def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
     """Versioned header, per-cell maxima, then one row of counts per minute."""
     kind = "normalized" if series.normalized else "raw"
@@ -305,10 +343,18 @@ def load_accumulation(path: str | Path) -> AccumulationSeries:
     clamped = int(fields.get("clamped", "0"))
     cells = tuple(int(c) for c in lines[1].split("\t")[1:])
     maxima = np.array([float(v) for v in lines[2].split("\t")[1:]])
+    found = len(lines) - 3
+    if found < minutes:
+        raise ValueError(f"{path}:{len(lines)}: file ends after {found} of {minutes} count rows")
+    if found > minutes:
+        raise ValueError(f"{path}:{4 + minutes}: {found - minutes} row(s) beyond the {minutes} count rows")
     dtype = float if normalized else np.int64
-    counts = np.array(
-        [[dtype(v) for v in line.split("\t")] for line in lines[3 : 3 + minutes]], dtype=dtype
-    ).reshape(minutes, n)
+    counts = np.empty((minutes, n), dtype=dtype)
+    for i, line in enumerate(lines[3:]):
+        row = line.split("\t")
+        if len(row) != n:
+            raise ValueError(f"{path}:{4 + i}: expected {n} counts, got {len(row)}")
+        counts[i] = [dtype(v) for v in row]
     return AccumulationSeries(cells, minute0, counts, maxima, normalized=normalized, clamped=clamped)
 
 

@@ -291,12 +291,15 @@ def read_scores(path: str | Path) -> list[ScoreRecord]:
     if not lines or lines[0] != expected:
         raise ValueError("unsupported score file header")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
+        if len(parts) != 3 + len(SCORE_NAMES):
+            raise ValueError(f"{path}:{lineno}: expected {3 + len(SCORE_NAMES)} tab-separated fields, "
+                             f"got {len(parts)}")
         trip_id, g, m = parts[0], int(parts[1]), int(parts[2])
-        values = [float(v) for v in parts[3:8]]
+        values = [float(v) for v in parts[3:]]
         out.append(ScoreRecord(trip_id, g, m, ScoreVector(*values)))
     return out
 

@@ -22,10 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from . import nncore
+from .corpus import WINDOW_MINUTES, SequenceRecord, TrafficLookup
 from .nncore import Params, softmax
 from .tokens import END, START, Token, Vocab
-
-TRAFFIC_WINDOW_MINUTES = 10
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,7 +88,7 @@ class ArnnModel(RnnModel):
         rng = np.random.default_rng(seed)
         d_f, d_a = dims.feat, dims.attn
         params = _base_params(rng, len(vocab), dims, input_dim=dims.d_e + d_f)
-        params["traffic_W"] = nncore.uniform_init(rng, (TRAFFIC_WINDOW_MINUTES, d_f), TRAFFIC_WINDOW_MINUTES)
+        params["traffic_W"] = nncore.uniform_init(rng, (WINDOW_MINUTES, d_f), WINDOW_MINUTES)
         params["attn_W"] = nncore.uniform_init(rng, (dims.d_h, d_a), dims.d_h)
         params["attn_U"] = nncore.uniform_init(rng, (d_f, d_a), d_f)
         params["attn_v"] = nncore.uniform_init(rng, (d_a,), d_a)
@@ -120,8 +119,8 @@ def encode_traffic(traffic: np.ndarray, model: ArnnModel) -> np.ndarray:
     """Per-cell features tanh(traffic @ W_f): [N, 10] -> [N, d_f], or
     [B, N, 10] -> [B, N, d_f]."""
     traffic = np.asarray(traffic, dtype=float)
-    if traffic.ndim not in (2, 3) or traffic.shape[-1] != TRAFFIC_WINDOW_MINUTES:
-        raise ValueError(f"traffic tensor must be [N, {TRAFFIC_WINDOW_MINUTES}], got {traffic.shape}")
+    if traffic.ndim not in (2, 3) or traffic.shape[-1] != WINDOW_MINUTES:
+        raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}], got {traffic.shape}")
     return np.tanh(traffic @ model.params["traffic_W"])
 
 
@@ -193,7 +192,7 @@ class _Unroll:
 
     def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
         if traffic is not None and np.ndim(traffic) != 3:
-            raise ValueError(f"traffic tensor must be [N, {TRAFFIC_WINDOW_MINUTES}] per sequence")
+            raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
         p, d_e = model.params, model.dims.d_e
         self.model, self.ids, self.traffic, self.steps = model, ids.T, traffic, []
         n_steps, n_rows = self.ids.shape
@@ -277,7 +276,7 @@ class _Unroll:
         grads["init_Wh"], grads["init_Wc"] = f_mean.T @ d_pre_h, f_mean.T @ d_pre_c
         d_features += (d_pre_h @ p["init_Wh"].T + d_pre_c @ p["init_Wc"].T)[:, None, :] / features.shape[1]
         d_pre_f = d_features * (1.0 - features * features)
-        grads["traffic_W"] = self.traffic.reshape(-1, TRAFFIC_WINDOW_MINUTES).T @ d_pre_f.reshape(-1, d_f)
+        grads["traffic_W"] = self.traffic.reshape(-1, WINDOW_MINUTES).T @ d_pre_f.reshape(-1, d_f)
         return grads
 
 
@@ -356,6 +355,18 @@ def make_example(vocab: Vocab, tokens: Sequence[Token], traffic: np.ndarray | No
     if len(ids) < 3:
         raise ValueError("empty journey")
     return TrainingExample(x_ids=ids[:-1], y_ids=ids[1:], traffic=traffic)
+
+
+def make_examples(
+    records: Sequence[SequenceRecord], vocab: Vocab, lookup: TrafficLookup | None = None
+) -> list[TrainingExample]:
+    """Examples for the records whose cells are all in ``vocab``, each with
+    its pre-trip traffic window when a lookup is given; the rest are skipped."""
+    return [
+        make_example(vocab, rec.tokens, lookup.window(rec.start_time) if lookup is not None else None)
+        for rec in records
+        if all(t in vocab for t in rec.tokens)
+    ]
 
 
 @dataclass

@@ -59,11 +59,6 @@ class Vocab:
         except KeyError as exc:
             raise ValueError(f"unknown token: {exc.args[0]!r}") from None
 
-    def encode_one(self, token: Token) -> int:
-        if token not in self._index:
-            raise ValueError(f"unknown token: {token!r}")
-        return self._index[token]
-
     def decode(self, ids: Sequence[int]) -> list[Token]:
         return [self.tokens[i] for i in ids]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cellseq import cellspace, corpus, evaluation, hypersearch, models, nncore, synthworld
-from cellseq.cellspace import cluster_points, discretize_trajectory, split_xy
+from cellseq.cellspace import cluster_points, discretize_trajectory
 from cellseq.cli import main as cli_main
 from cellseq.metrics import bleu_n, meteor, meteor_align, modified_precision
 from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
@@ -190,40 +190,13 @@ def differential():
     )
     trips = synthworld.simulate_trips(world, 6000, seed=43)
     assert len(trips) >= 5000
-    train_idx, val_idx, test_idx = corpus.split_indices(len(trips), (0.8, 0.1, 0.1), seed=7)
-    cmap = cluster_points(np.concatenate([trips[i].xy for i in train_idx]), radius=135.0)
-
-    def rec(i):
-        seq = discretize_trajectory(trips[i], cmap)
-        return corpus.SequenceRecord(trips[i].trip_id, trips[i].start_time, seq.tokens)
-
-    dataset = corpus.Dataset(
-        train=tuple(rec(i) for i in train_idx),
-        validation=tuple(rec(i) for i in val_idx),
-        test=tuple(rec(i) for i in test_idx),
-    )
-    cells = set()
-    for r in dataset.train:
-        cells.update(t for t in r.tokens if isinstance(t, int))
-    vocab = Vocab(cells)
-
-    series = corpus.compute_accumulation(trips, cmap)
-    train_series = corpus.compute_accumulation([trips[i] for i in train_idx], cmap)
-    lookup = corpus.TrafficLookup(corpus.normalize(series, maxima=train_series.maxima), vocab.cells)
-
-    def build_examples(records, with_traffic):
-        out = []
-        for r in records:
-            if any(t not in vocab for t in r.tokens):
-                continue
-            out.append(make_example(vocab, r.tokens, lookup.window(r.start_time) if with_traffic else None))
-        return out
+    dataset, vocab, lookup = corpus.build(trips, radius=135.0, fractions=(0.8, 0.1, 0.1), seed=7)
 
     dims = ModelDims(d_e=16, d_h=16)
     rnn = RnnModel.init(vocab, dims, seed=1)
     arnn = ArnnModel.init(vocab, dims, seed=2)
-    models.train(rnn, build_examples(dataset.train, False), lr=3e-3, epochs=8, seed=5)
-    models.train(arnn, build_examples(dataset.train, True), lr=3e-3, epochs=8, seed=5)
+    models.train(rnn, models.make_examples(dataset.train, vocab), lr=3e-3, epochs=8, seed=5)
+    models.train(arnn, models.make_examples(dataset.train, vocab, lookup), lr=3e-3, epochs=8, seed=5)
 
     test_records = [r for r in dataset.test if all(t in vocab for t in r.tokens)][:150]
     rnn_scores, _ = evaluation.evaluate_records(test_records, rnn, None, master_seed=99, k=20)
@@ -263,16 +236,17 @@ def test_pipeline_identity():
     world = synthworld.generate_world(rows=4, cols=7, spacing=300.0, seed=3, horizon_minutes=240)
     trips = synthworld.simulate_trips(world, 1000, seed=4)
     cmap = cluster_points(np.concatenate([t.xy for t in trips[:300]]), radius=135.0)
+    vocab = Vocab(range(1, cmap.n_cells + 1))
     violations = 0
     for trip in trips:
         seq = discretize_trajectory(trip, cmap)
         if seq.m > len(trip):
             violations += 1
-        sample = split_xy(seq)
-        if len(sample.x) != len(sample.y):
+        sample = make_example(vocab, seq.tokens)
+        if len(sample.x_ids) != len(sample.y_ids):
             violations += 1
-        for i in range(len(sample.x) - 1):
-            if sample.y[i] != sample.x[i + 1]:
+        for i in range(len(sample.x_ids) - 1):
+            if sample.y_ids[i] != sample.x_ids[i + 1]:
                 violations += 1
                 break
     _report("pipeline-identity", violations == 0, f"1000 trajectories, {violations} violations")

@@ -7,15 +7,14 @@ from cellseq.cellspace import (
     CellMap,
     CellSequence,
     RawTrajectory,
-    assign_cell,
     assign_points,
     cluster_points,
     discretize_trajectory,
     load_cellmap,
     save_cellmap,
-    split_xy,
 )
-from cellseq.tokens import END, START
+from cellseq.models import make_example
+from cellseq.tokens import END, START, Vocab
 
 
 def make_traj(points_xy, t0=0.0, dt=10.0, trip_id="t0"):
@@ -110,12 +109,12 @@ def test_cluster_deterministic():
 
 def test_assign_exact_centroid():
     cmap = CellMap(centroids=np.array([(0.0, 0.0)] * 6 + [(5.0, 5.0)] + [(9.0, 9.0)]), radius=1.0)
-    assert assign_cell((5.0, 5.0), cmap) == 7
+    assert assign_points([(5.0, 5.0)], cmap).tolist() == [7]
 
 
 def test_assign_tie_breaks_to_lowest_index():
     cmap = CellMap(centroids=np.array([(0.0, 0.0), (0.0, 2.0)]), radius=1.0)
-    assert assign_cell((0.0, 1.0), cmap) == 1
+    assert assign_points([(0.0, 1.0)], cmap).tolist() == [1]
 
 
 def test_assign_derived_example():
@@ -123,13 +122,13 @@ def test_assign_derived_example():
     # distances: 5.0, sqrt(65) ~ 8.06, 5.0 -> tie between cells 1 and 3
     dists = np.sqrt(np.sum((cmap.centroids - np.array([3.0, 4.0])) ** 2, axis=1))
     assert dists[0] == pytest.approx(dists[2])
-    assert assign_cell((3.0, 4.0), cmap) == 1
+    assert assign_points([(3.0, 4.0)], cmap).tolist() == [1]
 
 
 def test_assign_rejects_non_finite():
     cmap = CellMap(centroids=np.array([(0.0, 0.0)]), radius=1.0)
     with pytest.raises(ValueError):
-        assign_cell((np.inf, 0.0), cmap)
+        assign_points([(np.inf, 0.0)], cmap)
 
 
 @settings(deadline=None, max_examples=60)
@@ -141,11 +140,11 @@ def test_assign_rejects_non_finite():
 def test_assign_voronoi_property(px, py, seed):
     rng = np.random.default_rng(seed)
     cmap = CellMap(centroids=rng.uniform(-1000, 1000, size=(8, 2)), radius=1.0)
-    cell = assign_cell((px, py), cmap)
+    cell = int(assign_points([(px, py)], cmap)[0])
     d = np.sqrt(np.sum((cmap.centroids - np.array([px, py])) ** 2, axis=1))
     assert d[cell - 1] <= d.min() + 1e-12
     # idempotent and total
-    assert assign_cell((px, py), cmap) == cell
+    assert assign_points([(px, py)], cmap).tolist() == [cell]
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +182,23 @@ def test_discretize_m_le_l_and_no_consecutive_dups(points, seed):
 
 
 def test_split_xy_layout():
-    seq = CellSequence(tokens=(START, 4, 9, 2, END))
-    s = split_xy(seq)
-    assert s.x == (START, 4, 9, 2)
-    assert s.y == (4, 9, 2, END)
+    vocab = Vocab([2, 4, 9])
+    s = make_example(vocab, CellSequence(tokens=(START, 4, 9, 2, END)).tokens)
+    assert vocab.decode(s.x_ids) == [START, 4, 9, 2]
+    assert vocab.decode(s.y_ids) == [4, 9, 2, END]
 
 
 def test_split_xy_minimal_journey():
-    s = split_xy(CellSequence(tokens=(START, 5, END)))
-    assert s.x == (START, 5)
-    assert s.y == (5, END)
+    vocab = Vocab([5])
+    s = make_example(vocab, CellSequence(tokens=(START, 5, END)).tokens)
+    assert vocab.decode(s.x_ids) == [START, 5]
+    assert vocab.decode(s.y_ids) == [5, END]
 
 
 def test_split_xy_empty_journey_rejected():
     seq = CellSequence(tokens=(START, END))  # no interior cells
     with pytest.raises(ValueError, match="empty journey"):
-        split_xy(seq)
+        make_example(Vocab([1]), seq.tokens)
 
 
 @settings(deadline=None, max_examples=40)
@@ -207,10 +207,10 @@ def test_split_shift_identity(points, seed):
     rng = np.random.default_rng(seed)
     cmap = CellMap(centroids=rng.uniform(-5000, 5000, size=(5, 2)), radius=400.0)
     seq = discretize_trajectory(make_traj(points), cmap)
-    s = split_xy(seq)
-    assert len(s.x) == len(s.y) == seq.m + 1
-    for i in range(len(s.x) - 1):
-        assert s.y[i] == s.x[i + 1]
+    s = make_example(Vocab(range(1, 6)), seq.tokens)
+    assert len(s.x_ids) == len(s.y_ids) == seq.m + 1
+    for i in range(len(s.x_ids) - 1):
+        assert s.y_ids[i] == s.x_ids[i + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +242,22 @@ def test_cellmap_io_roundtrip(tmp_path):
     loaded = load_cellmap(path)
     assert loaded.radius == cmap.radius
     np.testing.assert_array_equal(loaded.centroids, cmap.centroids)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1\t0.0\t0.0", "2\t1.0\t1.0"], ":3: .*cell 3 has no row"),
+        (["0\t0.0\t0.0", "2\t1.0\t1.0", "3\t2.0\t2.0"], ":2: cell index 0 outside 1..3"),
+        (["1\t0.0\t0.0", "4\t1.0\t1.0", "3\t2.0\t2.0"], ":3: cell index 4 outside 1..3"),
+        (["1\t0.0\t0.0", "1\t1.0\t1.0", "3\t2.0\t2.0"], ":3: duplicate cell index 1"),
+        (["1\t0.0\t0.0", "2\t1.0", "3\t2.0\t2.0"], ":3: expected index<TAB>x<TAB>y"),
+        (["1\t0.0\t0.0", "2\tx\t1.0", "3\t2.0\t2.0"], ":3: expected index<TAB>x<TAB>y"),
+    ],
+    ids=["truncated", "index-zero", "index-too-large", "duplicate", "short-row", "non-numeric"],
+)
+def test_cellmap_load_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "cells.tsv"
+    path.write_text("\n".join(["cellmap-v1\tradius=100.0\tn=3", *rows]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}{message}"):
+        load_cellmap(path)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cellseq import models
+from cellseq import corpus, models
+from cellseq.cellspace import save_cellmap
 from cellseq.cli import _apply_config, build_parser, main
 
 
@@ -56,6 +57,18 @@ def test_pipeline_outputs_exist(pipeline):
     assert (pipeline / "eval_rnn" / "aggregates.tsv").exists()
     assert (pipeline / "report" / "improvement_gm.tsv").exists()
     assert (pipeline / "report" / "improvement_m.tsv").exists()
+
+
+def test_stages_write_what_corpus_build_gives(pipeline, tmp_path):
+    trips = corpus.load_and_terminate(corpus.read_trajectory_rows(pipeline / "synth" / "trips.tsv"))
+    dataset, vocab, lookup = corpus.build(trips, radius=135.0, fractions=(0.7, 0.15, 0.15), seed=1)
+    cmap, _ = corpus.discretize_split(trips, radius=135.0, fractions=(0.7, 0.15, 0.15), seed=1)
+    save_cellmap(tmp_path / "cellmap.tsv", cmap)
+    corpus.save_sequences(tmp_path / "sequences.tsv", dataset)
+    corpus.save_accumulation(tmp_path / "accumulation.tsv", lookup.series)
+    for stage, name in (("disc", "cellmap.tsv"), ("disc", "sequences.tsv"), ("acc", "accumulation.tsv")):
+        assert (pipeline / stage / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert corpus.train_vocab(corpus.load_sequences(pipeline / "disc" / "sequences.tsv")) == vocab
 
 
 def test_manifests_written_everywhere(pipeline):

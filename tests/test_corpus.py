@@ -18,7 +18,7 @@ from cellseq.corpus import (
     read_trajectory_rows,
     save_accumulation,
     save_sequences,
-    split_dataset,
+    split_indices,
     traffic_window,
     write_trajectories,
 )
@@ -91,36 +91,29 @@ def test_trajectory_io_roundtrip(tmp_path):
 # splits
 
 
-def make_records(n):
-    return [SequenceRecord(f"t{i:03d}", float(i), (START, 1 + i % 3, 5, END)) for i in range(n)]
-
-
 def test_split_exact_fractions():
-    ds = split_dataset(make_records(100), (0.8, 0.1, 0.1), seed=1)
-    assert ds.sizes() == (80, 10, 10)
+    assert [len(part) for part in split_indices(100, (0.8, 0.1, 0.1), seed=1)] == [80, 10, 10]
 
 
 def test_split_deterministic_and_seed_sensitive():
-    recs = make_records(60)
-    a = split_dataset(recs, (0.5, 0.25, 0.25), seed=1)
-    b = split_dataset(recs, (0.5, 0.25, 0.25), seed=1)
-    c = split_dataset(recs, (0.5, 0.25, 0.25), seed=2)
-    assert [r.trip_id for r in a.train] == [r.trip_id for r in b.train]
-    assert a.sizes() == c.sizes()
-    assert [r.trip_id for r in a.train] != [r.trip_id for r in c.train]
+    a = split_indices(60, (0.5, 0.25, 0.25), seed=1)
+    b = split_indices(60, (0.5, 0.25, 0.25), seed=1)
+    c = split_indices(60, (0.5, 0.25, 0.25), seed=2)
+    assert a == b
+    assert [len(part) for part in a] == [len(part) for part in c]
+    assert a[0] != c[0]
 
 
 def test_split_disjoint():
-    ds = split_dataset(make_records(50), (0.6, 0.2, 0.2), seed=3)
-    ids = [r.trip_id for r in ds.all()]
-    assert len(ids) == len(set(ids)) == 50
+    indices = [i for part in split_indices(50, (0.6, 0.2, 0.2), seed=3) for i in part]
+    assert sorted(indices) == list(range(50))
 
 
 def test_split_rejects_bad_input():
     with pytest.raises(ValueError):
-        split_dataset([], (0.8, 0.1, 0.1), seed=0)
+        split_indices(0, (0.8, 0.1, 0.1), seed=0)
     with pytest.raises(ValueError):
-        split_dataset(make_records(10), (0.8, 0.3, 0.1), seed=0)
+        split_indices(10, (0.8, 0.3, 0.1), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +284,23 @@ def test_accumulation_io_roundtrip(tmp_path):
     assert loaded.normalized
     np.testing.assert_array_equal(loaded.counts, norm.counts)
     np.testing.assert_array_equal(loaded.maxima, norm.maxima)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:-1], ":5: file ends after 2 of 3 count rows"),
+        (lambda lines: lines + lines[-1:], ":7: 1 row\\(s\\) beyond the 3 count rows"),
+        (lambda lines: lines[:-1] + ["4\t1\t0"], ":6: expected 2 counts, got 3"),
+    ],
+    ids=["truncated", "over-long", "wide-row"],
+)
+def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
+    path = tmp_path / "acc.tsv"
+    save_accumulation(path, make_series(np.array([[1, 2], [3, 4], [5, 6]])))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"{path}{message}"):
+        load_accumulation(path)
 
 
 def test_sequences_io_roundtrip(tmp_path):

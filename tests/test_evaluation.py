@@ -228,6 +228,17 @@ def test_score_file_roundtrip_and_determinism(tmp_path, memorized_model):
         assert a.mean == b.mean
 
 
+@pytest.mark.parametrize("fields", [7, 9])
+def test_score_file_rejects_wrong_field_count(tmp_path, fields):
+    path = tmp_path / "scores.tsv"
+    write_scores(path, [make_score_record("a", 1, 3, 0.5)])
+    header, row = path.read_text().splitlines()
+    row = "\t".join((row.split("\t") + ["0.5"])[:fields])
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=f"{path}:2: expected 8 tab-separated fields, got {fields}"):
+        read_scores(path)
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, "t", 1, 0) == derive_seed(1, "t", 1, 0)
     assert derive_seed(1, "t", 1, 0) != derive_seed(1, "t", 1, 1)

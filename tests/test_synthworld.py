@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellseq import synthworld
-from cellseq.cellspace import assign_cell, cluster_points, discretize_trajectory
+from cellseq.cellspace import assign_points, cluster_points, discretize_trajectory
 from cellseq.synthworld import (
     flipped_schedule,
     generate_world,
@@ -151,9 +151,9 @@ def test_end_to_end_discretization_recovers_route():
         if world.load_levels[corridor, minute % world.horizon_minutes] > 0.5:
             continue
         dest_col = round(trip.points[:, 0].max() / world.spacing)
-        intended = [
-            assign_cell(world.centroid(r, c), cmap) for r, c in route_cells(world, corridor, dest_col)
-        ]
+        intended = assign_points(
+            [world.centroid(r, c) for r, c in route_cells(world, corridor, dest_col)], cmap
+        ).tolist()
         seq = discretize_trajectory(trip, cmap)
         assert list(seq.cells) == intended
         assert seq.tokens[0] == START and seq.tokens[-1] == END
