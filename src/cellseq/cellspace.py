@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,6 +179,33 @@ def save_cellmap(path: str | Path, cmap: CellMap) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def header_fields(
+    path: str | Path, parts: Sequence[str], types: Mapping[str, Callable[[str], object]],
+    defaults: Mapping[str, str] | None = None,
+) -> dict[str, object]:
+    """Typed ``key=value`` fields of a header line (line 1 of ``path``).
+
+    Every key of ``types`` must be present or have a default; unknown keys
+    are ignored. A part without ``=``, a missing key or a value its type
+    rejects raises ValueError naming ``path:1``.
+    """
+    raw = dict(defaults or {})
+    for part in parts:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:1: header field {part!r} is not key=value")
+        raw[key] = value
+    fields = {}
+    for key, kind in types.items():
+        if key not in raw:
+            raise ValueError(f"{path}:1: header has no {key}= field")
+        try:
+            fields[key] = kind(raw[key])
+        except ValueError:
+            raise ValueError(f"{path}:1: header field {key}={raw[key]!r} is not {kind.__name__}") from None
+    return fields
+
+
 def load_cellmap(path: str | Path) -> CellMap:
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -186,9 +213,8 @@ def load_cellmap(path: str | Path) -> CellMap:
     header = lines[0].split("\t")
     if not header or header[0] != CELLMAP_VERSION:
         raise ValueError(f"unsupported cell map version: {lines[0]!r}")
-    fields = dict(part.split("=", 1) for part in header[1:])
-    radius = float(fields["radius"])
-    n = int(fields["n"])
+    fields = header_fields(path, header[1:], {"radius": float, "n": int})
+    radius, n = fields["radius"], fields["n"]
     cents = np.zeros((n, 2))
     seen: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):

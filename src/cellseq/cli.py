@@ -215,6 +215,8 @@ def cmd_evaluate(args) -> int:
                 "skipped_short": diag.skipped_short,
                 "skipped_unknown_cell": diag.skipped_unknown_cell,
                 "unterminated_candidates": diag.unterminated,
+                "candidates": diag.candidates,
+                "distinct_candidates": diag.distinct_candidates,
             },
         },
     )

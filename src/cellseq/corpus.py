@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory
+from .cellspace import (CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory,
+                        header_fields)
 from .tokens import Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
@@ -332,17 +333,23 @@ def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
 
 def load_accumulation(path: str | Path) -> AccumulationSeries:
     lines = Path(path).read_text().splitlines()
-    header = lines[0].split("\t")
+    header = lines[0].split("\t") if lines else [""]
     if header[0] != ACCUMULATION_VERSION:
         raise ValueError(f"unsupported accumulation version: {header[0]!r}")
-    fields = dict(part.split("=", 1) for part in header[1:])
+    fields = header_fields(path, header[1:], {"kind": str, "n": int, "minute0": int, "minutes": int,
+                                              "clamped": int}, defaults={"clamped": "0"})
     normalized = fields["kind"] == "normalized"
-    n = int(fields["n"])
-    minute0 = int(fields["minute0"])
-    minutes = int(fields["minutes"])
-    clamped = int(fields.get("clamped", "0"))
-    cells = tuple(int(c) for c in lines[1].split("\t")[1:])
-    maxima = np.array([float(v) for v in lines[2].split("\t")[1:]])
+    n, minutes = fields["n"], fields["minutes"]
+    if len(lines) < 3:
+        raise ValueError(f"{path}:{len(lines)}: file ends before the cells and maxima rows")
+    try:
+        cells = tuple(int(c) for c in lines[1].split("\t")[1:])
+    except ValueError:
+        raise ValueError(f"{path}:2: non-integer cell id in {lines[1]!r}") from None
+    try:
+        maxima = np.array([float(v) for v in lines[2].split("\t")[1:]])
+    except ValueError:
+        raise ValueError(f"{path}:3: non-numeric maximum in {lines[2]!r}") from None
     found = len(lines) - 3
     if found < minutes:
         raise ValueError(f"{path}:{len(lines)}: file ends after {found} of {minutes} count rows")
@@ -354,8 +361,12 @@ def load_accumulation(path: str | Path) -> AccumulationSeries:
         row = line.split("\t")
         if len(row) != n:
             raise ValueError(f"{path}:{4 + i}: expected {n} counts, got {len(row)}")
-        counts[i] = [dtype(v) for v in row]
-    return AccumulationSeries(cells, minute0, counts, maxima, normalized=normalized, clamped=clamped)
+        try:
+            counts[i] = [dtype(v) for v in row]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{4 + i}: non-numeric count in {line!r}") from None
+    return AccumulationSeries(cells, minute0=fields["minute0"], counts=counts, maxima=maxima,
+                              normalized=normalized, clamped=fields["clamped"])
 
 
 SEQUENCES_VERSION = "sequences-v1"

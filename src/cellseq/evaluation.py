@@ -3,7 +3,10 @@
 Every test sequence yields one task per given-prefix length g. A task
 generates k candidate continuations with independent seeded streams,
 scores each against the reference continuation, and keeps the mean of the
-five scores. Aggregations by original sequence length m and the
+five scores. Trained models repeat candidates within a task, so each
+distinct continuation is scored once and its scores are reused for its
+repeats; the per-candidate scores and their mean are the same as scoring
+every candidate. Aggregations by original sequence length m and the
 attention-vs-baseline improvement ratio per (g, m) mirror how the models
 are compared.
 """
@@ -52,6 +55,7 @@ class ScoreRecord:
     mean: ScoreVector
     raw: tuple[ScoreVector, ...] | None = None
     unterminated: int = 0
+    distinct: int = 0  # distinct continuations among the candidates
 
 
 @dataclass
@@ -59,6 +63,8 @@ class EvalDiagnostics:
     skipped_short: int = 0
     skipped_unknown_cell: int = 0
     unterminated: int = 0
+    candidates: int = 0
+    distinct_candidates: int = 0  # summed per task: what was scored
 
 
 def make_tasks(
@@ -103,7 +109,8 @@ def run_task(
 
     The candidate continuation is everything generated after the prefix,
     virtual tokens removed; candidates that hit the length cap are scored
-    as-is and counted.
+    as-is and counted. Each distinct continuation is scored once; ``raw``
+    still holds one score vector per candidate, in candidate order.
     """
     prefix = list(task.tokens[: task.g + 1])
     reference = list(task.tokens[task.g + 1 : -1])
@@ -116,11 +123,14 @@ def run_task(
     max_len = default_max_len(len(task.tokens))
     results = generate_batch(model, prefix, seeds, max_len, traffic=traffic)
 
+    scored: dict[tuple[Token, ...], ScoreVector] = {}
     raw = []
     unterminated = 0
     for res in results:
-        continuation = strip_virtual(res.tokens[len(prefix) :])
-        raw.append(score_vector(continuation, reference))
+        continuation = tuple(strip_virtual(res.tokens[len(prefix) :]))
+        if continuation not in scored:
+            scored[continuation] = score_vector(continuation, reference)
+        raw.append(scored[continuation])
         if not res.terminated:
             unterminated += 1
     mean = ScoreVector(
@@ -136,6 +146,7 @@ def run_task(
         mean=mean,
         raw=tuple(raw),
         unterminated=unterminated,
+        distinct=len(scored),
     )
 
 
@@ -161,6 +172,8 @@ def evaluate_records(
     for task in tasks:
         record = run_task(task, model, traffic_lookup, master_seed)
         diag.unterminated += record.unterminated
+        diag.candidates += len(record.raw)
+        diag.distinct_candidates += record.distinct
         out.append(record)
     return out, diag
 

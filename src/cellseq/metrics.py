@@ -7,7 +7,9 @@ then fewest crossings), takes the 1:9 precision/recall harmonic mean, and
 applies the cubic fragmentation penalty 0.5 * (chunks / mapped)^3.
 
 Virtual #start/#end markers are stripped before scoring; only real cells
-are compared.
+are compared. ``score_vector`` computes P_1..P_4 once per pair and builds
+BLEU-1..4 from them through the same helper as ``bleu_n``, so its scores
+equal the single-score functions bit for bit.
 """
 from __future__ import annotations
 
@@ -88,14 +90,20 @@ def bleu_n(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
     ref = strip_virtual(ref)
     if not cand or not ref:
         return 0.0
-    precisions = [modified_precision(cand, ref, i) for i in range(1, n + 1)]
+    return _bleu([modified_precision(cand, ref, i) for i in range(1, n + 1)], len(cand), len(ref))
+
+
+def _bleu(precisions: Sequence[float], cand_len: int, ref_len: int) -> float:
+    """BLEU-n from P_1..P_n (n = len(precisions)) of a non-empty candidate
+    and reference: zero if any precision is, else the brevity penalty times
+    the n-th root of the product."""
     if any(p == 0.0 for p in precisions):
         return 0.0
     geo = 1.0
     for p in precisions:
         geo *= p
-    geo **= 1.0 / n
-    penalty = min(1.0, len(cand) / len(ref))
+    geo **= 1.0 / len(precisions)
+    penalty = min(1.0, cand_len / ref_len)
     return penalty * geo
 
 
@@ -212,11 +220,16 @@ def meteor(cand: Sequence[Token], ref: Sequence[Token]) -> float:
 
 
 def score_vector(cand: Sequence[Token], ref: Sequence[Token]) -> ScoreVector:
-    """All five scores for one candidate/reference pair."""
-    return ScoreVector(
-        bleu1=bleu_n(cand, ref, 1),
-        bleu2=bleu_n(cand, ref, 2),
-        bleu3=bleu_n(cand, ref, 3),
-        bleu4=bleu_n(cand, ref, 4),
-        meteor=meteor(cand, ref),
-    )
+    """All five scores for one candidate/reference pair.
+
+    Strips the virtual markers once and computes P_1..P_4 once; BLEU-n takes
+    the first n of them, so each score equals ``bleu_n``/``meteor`` bit for bit.
+    """
+    cand = strip_virtual(cand)
+    ref = strip_virtual(ref)
+    if not cand or not ref:
+        bleus = [0.0] * 4
+    else:
+        precisions = [modified_precision(cand, ref, n) for n in range(1, 5)]
+        bleus = [_bleu(precisions[:n], len(cand), len(ref)) for n in range(1, 5)]
+    return ScoreVector(*bleus, meteor=meteor(cand, ref))

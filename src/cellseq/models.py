@@ -455,10 +455,13 @@ def default_max_len(reference_len: int) -> int:
     return min(100, 4 * reference_len)
 
 
-def _sample(probs: np.ndarray, u: float) -> int:
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return min(idx, probs.shape[0] - 1)
+def _sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of probs [R, V] with uniforms u [R]: the
+    first index whose cumulative mass exceeds u times the row total (numpy's
+    ``searchsorted(side="right")`` on the row's cumsum), clamped to V - 1."""
+    cum = np.cumsum(probs, axis=1)
+    idx = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+    return np.minimum(idx, probs.shape[1] - 1)
 
 
 def generate(
@@ -485,7 +488,9 @@ def generate_batch(
     """Sample several continuations of one prefix, one RNG stream each.
 
     Candidate i consumes uniforms exactly as a lone ``generate`` call with
-    ``seeds[i]`` would, so batched and sequential evaluation agree.
+    ``seeds[i]`` would, so batched and sequential evaluation agree. Each
+    step draws one uniform per live candidate and picks all their next
+    tokens at once with ``_sample``.
     """
     prefix = list(prefix)
     if not prefix or prefix[0] != START:
@@ -501,52 +506,50 @@ def generate_batch(
     end_id = model.vocab.end_id
     h, c, att = _start(model, traffic, k)
 
-    out_ids = [list(ids) for _ in range(k)]
-    step_probs: list[list[np.ndarray]] = [[] for _ in range(k)]
-    attn: list[list[np.ndarray]] | None = [[] for _ in range(k)] if att is not None else None
-    alive = np.ones(k, dtype=bool)
-    last = np.full(k, ids[0], dtype=np.intp)
-    probs = np.empty((k, len(model.vocab)))
+    # Alive candidates move in lockstep: step s feeds the token at position s
+    # of each and writes its distribution (and attention) at [s, candidate].
+    out = np.empty((k, max_len), dtype=np.intp)
+    out[:, : len(ids)] = ids
+    lengths = np.full(k, len(ids))
+    step_probs = np.empty((max_len, k, len(model.vocab)))
+    attn = np.empty((max_len, k, att[0].shape[0])) if att is not None else None
     w_token = p["lstm_W"][: model.dims.d_e]
 
-    def step(active: np.ndarray) -> None:
-        sel = np.flatnonzero(active)
-        xw = p["embed"][last[sel]] @ w_token + p["lstm_b"]
+    def step(s: int, sel: np.ndarray) -> None:
+        xw = p["embed"][out[sel, s]] @ w_token + p["lstm_b"]
         h_new, c_new, (_, alpha, _, _) = _step(model, xw, h[sel], c[sel], att)
         h[sel] = h_new
         c[sel] = c_new
-        pr = softmax(h_new @ p["dec_W"] + p["dec_b"])
-        probs[sel] = pr
-        for row, cand in enumerate(sel):
-            step_probs[cand].append(pr[row])
-            if attn is not None:
-                attn[cand].append(alpha[row])
+        step_probs[s, sel] = softmax(h_new @ p["dec_W"] + p["dec_b"])
+        if attn is not None:
+            attn[s, sel] = alpha
 
     # teacher-forced pass over the prefix
-    for j, tid in enumerate(ids):
-        last[:] = tid
-        step(alive)
+    sel = np.arange(k)
+    for s in range(len(ids)):
+        step(s, sel)
 
-    # sampling loop
-    while alive.any():
-        for cand in np.flatnonzero(alive):
-            tid = _sample(probs[cand], rngs[cand].random())
-            out_ids[cand].append(tid)
-            last[cand] = tid
-            if tid == end_id or len(out_ids[cand]) >= max_len:
-                alive[cand] = False
-        if not alive.any():
+    # sampling loop: one uniform per alive candidate, in candidate order
+    pos = len(ids)
+    while True:
+        u = np.array([rngs[cand].random() for cand in sel])
+        tids = _sample(step_probs[pos - 1, sel], u)
+        out[sel, pos] = tids
+        lengths[sel] = pos + 1
+        pos += 1
+        sel = sel[tids != end_id] if pos < max_len else sel[:0]
+        if not sel.size:
             break
-        step(alive)
+        step(pos - 1, sel)
 
     return [
         GenerationResult(
-            tokens=model.vocab.decode(out_ids[cand]),
-            step_probs=step_probs[cand],
-            attention=attn[cand] if attn is not None else None,
-            terminated=out_ids[cand][-1] == end_id,
+            tokens=model.vocab.decode(out[cand, :n].tolist()),
+            step_probs=list(step_probs[: n - 1, cand]),
+            attention=list(attn[: n - 1, cand]) if attn is not None else None,
+            terminated=bool(out[cand, n - 1] == end_id),
         )
-        for cand in range(k)
+        for cand, n in enumerate(lengths.tolist())
     ]
 
 

@@ -231,16 +231,45 @@ def save_checkpoint(path: str | Path, params: Params, meta: Mapping) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[Params, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip().decode("ascii")
-        if magic != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint format: {magic!r}")
-        header_len = int.from_bytes(fh.read(8), "big")
-        meta = json.loads(fh.read(header_len).decode("utf-8"))
-        params: Params = {}
-        for entry in meta["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").copy()
-            params[entry["name"]] = data.reshape(shape)
+    """Read a ``save_checkpoint`` file.
+
+    A foreign, truncated or over-long file, or a header that is not the JSON
+    object ``save_checkpoint`` writes, raises ValueError naming the path and
+    the byte offset or parameter where it goes wrong.
+    """
+    data = Path(path).read_bytes()
+    magic, _, _ = data.partition(b"\n")
+    if magic.strip() != CHECKPOINT_VERSION.encode("ascii"):
+        raise ValueError(f"{path}: unsupported checkpoint format: {magic.strip().decode('ascii', 'replace')!r}")
+    at = len(magic) + 1
+    if len(data) < at + 8:
+        raise ValueError(f"{path}: file ends at byte {len(data)} inside the header length at byte offset {at}")
+    header_len = int.from_bytes(data[at : at + 8], "big")
+    at += 8
+    if at + header_len > len(data):
+        raise ValueError(f"{path}: header of {header_len} bytes at byte offset {at} runs past the end of "
+                         f"the file ({len(data)} bytes)")
+    try:
+        meta = json.loads(data[at : at + header_len].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: header at byte offset {at} is not valid JSON: {exc}") from None
+    entries = meta.get("params") if isinstance(meta, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: header at byte offset {at} has no params list")
+    at += header_len
+    params: Params = {}
+    for i, entry in enumerate(entries):
+        name, shape = (entry.get("name"), entry.get("shape")) if isinstance(entry, dict) else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise ValueError(f"{path}: parameter entry {i} of the header is not {{name, shape}}: {entry!r}")
+        count = math.prod(shape)
+        if at + 8 * count > len(data):
+            raise ValueError(f"{path}: file ends at byte {len(data)} inside parameter {name!r}, "
+                             f"which takes bytes {at} to {at + 8 * count}")
+        params[name] = np.frombuffer(data, dtype="<f8", count=count, offset=at).reshape(shape).copy()
+        at += 8 * count
+    if at != len(data):
+        raise ValueError(f"{path}: {len(data) - at} unexpected byte(s) after the last parameter, "
+                         f"at byte offset {at}")
     return params, meta

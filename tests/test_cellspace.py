@@ -261,3 +261,21 @@ def test_cellmap_load_rejects_bad_rows(tmp_path, rows, message):
     path.write_text("\n".join(["cellmap-v1\tradius=100.0\tn=3", *rows]) + "\n")
     with pytest.raises(ValueError, match=f"{path}{message}"):
         load_cellmap(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("cellmap-v1\tradius=100.0", ":1: header has no n= field"),
+        ("cellmap-v1\tn=3", ":1: header has no radius= field"),
+        ("cellmap-v1\tradius=100.0\tn=three", ":1: header field n='three' is not int"),
+        ("cellmap-v1\tradius=wide\tn=3", ":1: header field radius='wide' is not float"),
+        ("cellmap-v1\tradius\tn=3", ":1: header field 'radius' is not key=value"),
+    ],
+    ids=["no-n", "no-radius", "non-numeric-n", "non-numeric-radius", "no-equals"],
+)
+def test_cellmap_load_rejects_bad_header(tmp_path, header, message):
+    path = tmp_path / "cells.tsv"
+    path.write_text("\n".join([header, "1\t0.0\t0.0", "2\t1.0\t1.0", "3\t2.0\t2.0"]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}{message}"):
+        load_cellmap(path)

@@ -85,6 +85,15 @@ def test_evaluate_manifest_records_seed_mixing(pipeline):
     assert "diagnostics" in manifest
 
 
+def test_evaluate_manifest_counts_distinct_candidates(pipeline):
+    for name in ("eval_rnn", "eval_arnn"):
+        diag = json.loads((pipeline / name / "manifest.json").read_text())["diagnostics"]
+        tasks = len((pipeline / name / "scores.tsv").read_text().splitlines()) - 1
+        assert tasks > 0
+        assert diag["candidates"] == 3 * tasks  # --k 3
+        assert tasks <= diag["distinct_candidates"] <= diag["candidates"]
+
+
 def test_score_file_has_expected_header(pipeline):
     header = (pipeline / "eval_rnn" / "scores.tsv").read_text().splitlines()[0]
     assert header == "trip_id\tg\tm\tbleu1\tbleu2\tbleu3\tbleu4\tmeteor"

@@ -303,6 +303,39 @@ def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
         load_accumulation(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0].replace("\tn=2", "")] + lines[1:], ":1: header has no n= field"),
+        (lambda lines: [lines[0].replace("\tminutes=3", "")] + lines[1:], ":1: header has no minutes= field"),
+        (lambda lines: [lines[0].replace("kind=raw\t", "")] + lines[1:], ":1: header has no kind= field"),
+        (lambda lines: [lines[0].replace("minute0=", "minute0=x")] + lines[1:],
+         ":1: header field minute0='x.*' is not int"),
+        (lambda lines: lines[:4] + ["x\t4"] + lines[5:], ":5: non-numeric count in 'x"),
+        (lambda lines: lines[:1] + ["cells\t1\ttwo"] + lines[2:], ":2: non-integer cell id"),
+        (lambda lines: lines[:2] + ["maxima\t5.0\thigh"] + lines[3:], ":3: non-numeric maximum"),
+        (lambda lines: lines[:1], ":1: file ends before the cells and maxima rows"),
+    ],
+    ids=["no-n", "no-minutes", "no-kind", "non-numeric-minute0", "non-numeric-count",
+         "non-integer-cell", "non-numeric-maximum", "header-only"],
+)
+def test_accumulation_load_rejects_bad_fields(tmp_path, edit, message):
+    path = tmp_path / "acc.tsv"
+    save_accumulation(path, make_series(np.array([[1, 2], [3, 4], [5, 6]])))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"{path}{message}"):
+        load_accumulation(path)
+
+
+def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
+    path = tmp_path / "acc.tsv"
+    save_accumulation(path, normalize(make_series(np.array([[1, 2], [3, 4]]))))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["0.5\tnan?"] + lines[4:]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:4: non-numeric count in '0.5"):
+        load_accumulation(path)
+
+
 def test_sequences_io_roundtrip(tmp_path):
     ds = Dataset(
         train=(SequenceRecord("a", 12.5, (START, 1, 2, END)),),

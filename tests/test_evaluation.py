@@ -108,6 +108,27 @@ def test_run_task_mean_is_mean_of_raws(memorized_model):
         )
 
 
+def test_run_task_scores_repeated_candidates_like_each_one():
+    vocab = Vocab(range(1, 4))
+    model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)  # untrained: short repeats
+    task = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1, k=40)
+    rec = run_task(task, model, None, master_seed=3)
+    seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
+    results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(5))
+    continuations = [[t for t in r.tokens[2:] if isinstance(t, int)] for r in results]
+    assert 1 < rec.distinct == len({tuple(c) for c in continuations}) < task.k
+    expect = [score_vector(c, [2, 3]).as_tuple() for c in continuations]
+    assert [[v.hex() for v in r.as_tuple()] for r in rec.raw] == [[v.hex() for v in e] for e in expect]
+
+
+def test_evaluate_records_counts_candidates(memorized_model):
+    records = [record("a", [1, 2, 3]), record("b", [1, 2, 3, 4])]
+    out, diag = evaluate_records(records, memorized_model, None, master_seed=1, k=4)
+    assert diag.candidates == 4 * len(out) == 20
+    assert diag.distinct_candidates == sum(r.distinct for r in out)
+    assert len(out) <= diag.distinct_candidates <= diag.candidates
+
+
 def test_run_task_arnn_requires_lookup():
     vocab = Vocab([1, 2])
     model = models.ArnnModel.init(vocab, ModelDims(d_e=2, d_h=2), seed=0)

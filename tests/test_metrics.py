@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellseq.metrics import (
@@ -171,6 +171,21 @@ def test_scores_in_unit_interval(cand, ref):
     v = score_vector(cand, ref)
     for s in v.as_tuple():
         assert 0.0 <= s <= 1.0
+
+
+virtual_seq = st.lists(st.sampled_from([1, 2, 3, START, END]), min_size=0, max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(cand=virtual_seq, ref=virtual_seq)
+@example(cand=[], ref=[])
+@example(cand=[START, END], ref=[START, 1, 2, END])
+@example(cand=[START, 1, 2, END], ref=[START, END])
+@example(cand=[START, 1, 2, 1, 2, END], ref=[START, 2, 1, 2, END])
+def test_score_vector_is_bitwise_the_single_scores(cand, ref):
+    expect = (*(bleu_n(cand, ref, n) for n in (1, 2, 3, 4)), meteor(cand, ref))
+    got = score_vector(cand, ref).as_tuple()
+    assert [v.hex() for v in got] == [float(v).hex() for v in expect]
 
 
 @settings(deadline=None, max_examples=50)

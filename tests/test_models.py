@@ -387,6 +387,50 @@ def test_generate_batch_equals_sequential():
             np.testing.assert_allclose(np.vstack(b.step_probs), np.vstack(s.step_probs), atol=1e-12)
 
 
+def _scalar_sample(row, u):
+    # the one-row rule: cumsum, then searchsorted(side="right"), clamped
+    cum = np.cumsum(row)
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), row.shape[0] - 1)
+
+
+def test_row_sampler_matches_scalar_rule_on_edge_rows():
+    rows = np.array([
+        [0.0, 0.5, 0.0, 0.5, 0.0],  # zero mass between and after the support
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.1, 0.1, 0.1, 0.1, 0.1],  # sums to 0.5
+        [0.7, 0.1, 0.1, 0.1, 0.0],  # sums to 0.9999999999999999 in floating point
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        softmax(np.array([0.3, -1.0, 2.0, 0.0, 0.7])),
+    ])
+    for u in (0.0, np.nextafter(1.0, 0.0), 0.5, 0.2, 0.6):
+        us = np.full(len(rows), u)
+        got = models._sample(rows, us)
+        assert got.tolist() == [_scalar_sample(r, u) for r in rows]
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n_rows=st.integers(1, 6), v=st.integers(1, 7))
+def test_row_sampler_matches_scalar_rule(data, n_rows, v):
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = np.array(data.draw(st.lists(st.lists(weight, min_size=v, max_size=v),
+                                       min_size=n_rows, max_size=n_rows)))
+    unit = st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0.0)), st.floats(0.0, 1.0, exclude_max=True))
+    us = np.array(data.draw(st.lists(unit, min_size=n_rows, max_size=n_rows)))
+    got = models._sample(rows, us)
+    assert got.tolist() == [_scalar_sample(r, u) for r, u in zip(rows, us)]
+
+
+def test_generate_batch_keeps_one_distribution_per_fed_token():
+    vocab = Vocab(range(1, 6))
+    model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=7)
+    for res in generate_batch(model, [START, 2], range(6), max_len=9, traffic=random_traffic(4, seed=8)):
+        assert len(res.step_probs) == len(res.attention) == len(res.tokens) - 1
+        for probs, alpha in zip(res.step_probs, res.attention):
+            assert probs.shape == (len(vocab),) and alpha.shape == (4,)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_generate_max_len_cap():
     assert models.default_max_len(5) == 20
     assert models.default_max_len(60) == 100

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,4 +287,55 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"not-a-checkpoint\x00\x01")
     with pytest.raises(ValueError, match="unsupported checkpoint"):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}, {"kind": "rnn"})
+    data = path.read_bytes()
+    header_at = data.index(b"\n") + 1 + 8
+    body_at = header_at + int.from_bytes(data[header_at - 8 : header_at], "big")
+    return path, data, header_at, body_at
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d, h, b: d[:-8], "file ends at byte {n} inside parameter 'b'"),
+        (lambda d, h, b: d[: b + 8], "file ends at byte {n} inside parameter 'a'"),
+        (lambda d, h, b: d + b"\x00" * 5, "5 unexpected byte\\(s\\) after the last parameter, at byte offset {b_end}"),
+        (lambda d, h, b: d[: h - 3], "file ends at byte {n} inside the header length at byte offset {h8}"),
+        (lambda d, h, b: d[: h - 8] + (10**6).to_bytes(8, "big") + d[h:],
+         "header of 1000000 bytes at byte offset {h} runs past the end of the file"),
+        (lambda d, h, b: d[:h] + b"#" + d[h + 1 :], "header at byte offset {h} is not valid JSON"),
+        (lambda d, h, b: d[:h] + b"\xff" + d[h + 1 :], "header at byte offset {h} is not valid JSON"),
+    ],
+    ids=["truncated-last", "truncated-first", "over-long", "truncated-length", "bad-length",
+         "bad-json", "bad-utf8"],
+)
+def test_checkpoint_rejects_damaged_file(tmp_path, edit, message):
+    path, data, header_at, body_at = _saved_checkpoint(tmp_path)
+    damaged = edit(data, header_at, body_at)
+    path.write_bytes(damaged)
+    expect = message.format(n=len(damaged), h=header_at, h8=header_at - 8, b_end=len(data))
+    with pytest.raises(ValueError, match=f"{path}: {expect}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"params": "a"}, "params"),
+        ({"params": [{"name": "a"}]}, "parameter entry 0"),
+        ({"params": [{"name": "a", "shape": [2, -1]}]}, "parameter entry 0"),
+        ([1, 2], "params"),
+    ],
+    ids=["params-not-list", "entry-without-shape", "negative-dim", "header-not-object"],
+)
+def test_checkpoint_rejects_malformed_header(tmp_path, meta, message):
+    path = tmp_path / "model.ckpt"
+    header = json.dumps(meta).encode()
+    path.write_bytes(b"ckpt-v1\n" + len(header).to_bytes(8, "big") + header)
+    with pytest.raises(ValueError, match=f"{path}: .*{message}"):
         load_checkpoint(path)
