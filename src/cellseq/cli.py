@@ -217,6 +217,7 @@ def cmd_evaluate(args) -> int:
                 "unterminated_candidates": diag.unterminated,
                 "candidates": diag.candidates,
                 "distinct_candidates": diag.distinct_candidates,
+                "alignment_fallbacks": diag.alignment_fallbacks,
             },
         },
     )

@@ -56,6 +56,7 @@ class ScoreRecord:
     raw: tuple[ScoreVector, ...] | None = None
     unterminated: int = 0
     distinct: int = 0  # distinct continuations among the candidates
+    alignment_fallbacks: int = 0  # distinct continuations whose METEOR alignment search hit its budget
 
 
 @dataclass
@@ -65,6 +66,7 @@ class EvalDiagnostics:
     unterminated: int = 0
     candidates: int = 0
     distinct_candidates: int = 0  # summed per task: what was scored
+    alignment_fallbacks: int = 0  # summed per task: scored with an inexact METEOR alignment
 
 
 def make_tasks(
@@ -110,7 +112,9 @@ def run_task(
     The candidate continuation is everything generated after the prefix,
     virtual tokens removed; candidates that hit the length cap are scored
     as-is and counted. Each distinct continuation is scored once; ``raw``
-    still holds one score vector per candidate, in candidate order.
+    still holds one score vector per candidate, in candidate order. The
+    distinct continuations whose METEOR alignment search hit its budget
+    are counted too.
     """
     prefix = list(task.tokens[: task.g + 1])
     reference = list(task.tokens[task.g + 1 : -1])
@@ -147,6 +151,7 @@ def run_task(
         raw=tuple(raw),
         unterminated=unterminated,
         distinct=len(scored),
+        alignment_fallbacks=sum(not v.meteor_exact for v in scored.values()),
     )
 
 
@@ -174,6 +179,7 @@ def evaluate_records(
         diag.unterminated += record.unterminated
         diag.candidates += len(record.raw)
         diag.distinct_candidates += record.distinct
+        diag.alignment_fallbacks += record.alignment_fallbacks
         out.append(record)
     return out, diag
 

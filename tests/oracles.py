@@ -2,7 +2,8 @@
 
 These deliberately avoid sharing code with the package: n-gram counting is
 done by direct list scans, and alignments are found by exhaustive recursion
-over candidate positions.
+over candidate positions, or, for inputs too large for that, by enumerating
+every choice of occurrences per token.
 """
 from __future__ import annotations
 
@@ -102,3 +103,42 @@ def meteor_oracle(cand, ref):
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
     penalty = 0.5 * (chunks / matched) ** 3
     return f_mean * (1.0 - penalty)
+
+
+def best_alignment_by_subsets(cand, ref):
+    """(pairs, crossings, chunks) of the canonical best alignment, by
+    enumerating every choice of occurrences, with no cap.
+
+    For each token on both sides, k = min(a, b) of its a candidate and b
+    reference occurrences take part, chosen in every C(a, k) * C(b, k) way.
+    The chosen occurrences pair up in increasing order: a same-token
+    crossing can always be undone, which removes at least one crossing, so
+    no fewest-crossing alignment has one. Tokens are taken one at a time;
+    a branch stops once its crossings exceed the best complete total.
+    """
+    blocks = []
+    for tok in sorted(set(cand) & set(ref), key=cand.index):
+        cs = [i for i, t in enumerate(cand) if t == tok]
+        rs = [j for j, t in enumerate(ref) if t == tok]
+        k = min(len(cs), len(rs))
+        blocks.append(
+            [list(zip(csel, rsel)) for csel in itertools.combinations(cs, k) for rsel in itertools.combinations(rs, k)]
+        )
+    best = None
+
+    def recurse(b, placed, crossed):
+        nonlocal best
+        if best is not None and crossed > best[0]:
+            return
+        if b == len(blocks):
+            key = (crossed, tuple(sorted(placed)))
+            if best is None or key < best:
+                best = key
+            return
+        for block in blocks[b]:
+            extra = sum(1 for i1, j1 in placed for i2, j2 in block if (i1 < i2) != (j1 < j2))
+            recurse(b + 1, placed + block, crossed + extra)
+
+    recurse(0, [], 0)
+    crossings, pairs = best
+    return pairs, crossings, chunks_of(pairs)

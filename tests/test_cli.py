@@ -92,6 +92,7 @@ def test_evaluate_manifest_counts_distinct_candidates(pipeline):
         assert tasks > 0
         assert diag["candidates"] == 3 * tasks  # --k 3
         assert tasks <= diag["distinct_candidates"] <= diag["candidates"]
+        assert diag["alignment_fallbacks"] == 0
 
 
 def test_score_file_has_expected_header(pipeline):

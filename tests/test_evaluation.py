@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,12 +123,32 @@ def test_run_task_scores_repeated_candidates_like_each_one():
     assert [[v.hex() for v in r.as_tuple()] for r in rec.raw] == [[v.hex() for v in e] for e in expect]
 
 
+def test_run_task_counts_alignment_fallbacks(monkeypatch):
+    # mark the METEOR alignment of odd-length continuations as cut at the budget
+    def scored(cand, ref):
+        return dataclasses.replace(score_vector(cand, ref), meteor_exact=len(cand) % 2 == 0)
+
+    vocab = Vocab(range(1, 4))
+    model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)
+    task = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1, k=40)
+    plain = run_task(task, model, None, master_seed=3)
+    monkeypatch.setattr(evaluation, "score_vector", scored)
+    rec = run_task(task, model, None, master_seed=3)
+    seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
+    results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(5))
+    continuations = {tuple(t for t in r.tokens[2:] if isinstance(t, int)) for r in results}
+    assert plain.alignment_fallbacks == 0
+    assert 0 < rec.alignment_fallbacks == sum(len(c) % 2 for c in continuations) < rec.distinct
+    assert [r.as_tuple() for r in rec.raw] == [r.as_tuple() for r in plain.raw]
+
+
 def test_evaluate_records_counts_candidates(memorized_model):
     records = [record("a", [1, 2, 3]), record("b", [1, 2, 3, 4])]
     out, diag = evaluate_records(records, memorized_model, None, master_seed=1, k=4)
     assert diag.candidates == 4 * len(out) == 20
     assert diag.distinct_candidates == sum(r.distinct for r in out)
     assert len(out) <= diag.distinct_candidates <= diag.candidates
+    assert diag.alignment_fallbacks == sum(r.alignment_fallbacks for r in out) == 0
 
 
 def test_run_task_arnn_requires_lookup():

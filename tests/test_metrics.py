@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellseq import metrics
 from cellseq.metrics import (
     ScoreVector,
     bleu_n,
@@ -13,7 +14,7 @@ from cellseq.metrics import (
 )
 from cellseq.tokens import END, START
 
-from oracles import best_alignment_oracle, bleu_oracle, meteor_oracle
+from oracles import best_alignment_by_subsets, best_alignment_oracle, bleu_oracle, crossings_of, meteor_oracle
 
 A, B, C, D = "a", "b", "c", "d"
 
@@ -208,3 +209,131 @@ def test_repeated_token_alignment_exact():
     a = meteor_align(cand, ref)
     assert (a.matched, a.crossings) == (len(pairs), crossings)
     assert a.pairs == pairs
+
+
+# ---------------------------------------------------------------------------
+# exact alignment on repeat-heavy inputs, against the uncapped subset oracle
+
+
+def _as_oracle(a):
+    assert a.exact  # the search finished within its budget
+    return a.pairs, a.crossings, a.chunks
+
+
+@settings(deadline=None, max_examples=300)
+@given(cand=st.lists(st.sampled_from([1, 2, 3]), max_size=14), ref=st.lists(st.sampled_from([1, 2, 3]), max_size=8))
+def test_alignment_matches_subset_oracle(cand, ref):
+    assert _as_oracle(meteor_align(cand, ref)) == best_alignment_by_subsets(cand, ref)
+
+
+@settings(deadline=None, max_examples=300)
+@given(cand=st.lists(st.sampled_from([1, 2, 3]), max_size=8), ref=st.lists(st.sampled_from([1, 2, 3]), max_size=14))
+def test_alignment_matches_subset_oracle_longer_reference(cand, ref):
+    # the reference often repeats a token more than the candidate does, which
+    # leaves the search a choice of reference positions
+    assert _as_oracle(meteor_align(cand, ref)) == best_alignment_by_subsets(cand, ref)
+
+
+# Random-walk pairs of the score_revisit benchmark (seeds 2 and 1), with
+# 22,275 and 61,776 occurrence combinations. A 512-wide beam over the
+# combinations found 1 crossing and 5 chunks, and 3 crossings and 7 chunks.
+@pytest.mark.parametrize(
+    "cand, ref, crossings, chunks",
+    [
+        (
+            [7, 6, 7, 8, 7, 6, 5, 4, 3, 4, 5, 6, 7, 8, 7, 8, 7, 6, 7, 6, 7, 6, 5, 6, 5, 4, 5, 4, 5, 6, 7, 8, 7, 8, 7,
+             6, 7],
+            [8, 7, 8, 7, 6, 7, 8, 7, 8],
+            0,
+            4,
+        ),
+        (
+            [8, 7, 6, 5, 6, 5, 6, 7, 8, 7, 8, 7, 6, 7, 8, 7, 8, 7, 8, 7, 6, 5, 6, 5, 6, 5, 4, 5, 4, 5, 6, 5, 4, 5, 6,
+             5, 4, 5, 6, 7, 6, 7, 6, 7, 8, 7, 8, 7, 8],
+            [1, 2, 3, 4, 3, 4, 3, 4, 5, 6, 7, 8],
+            0,
+            5,
+        ),
+    ],
+)
+def test_alignment_exact_on_revisit_pairs(cand, ref, crossings, chunks):
+    a = meteor_align(cand, ref)
+    assert _as_oracle(a) == best_alignment_by_subsets(cand, ref)
+    assert (a.crossings, a.chunks) == (crossings, chunks)
+
+
+ZIGZAG = [2, 1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 2]
+
+
+def _leftmost_embedding(seq, into):
+    """(position in ``into``, position in ``seq``) of the greedy leftmost
+    embedding of ``seq`` as a subsequence of ``into``."""
+    pairs, start = [], 0
+    for k, t in enumerate(seq):
+        start = into.index(t, start) + 1
+        pairs.append((start - 1, k))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("n", [15, 50])
+def test_alignment_alternating_candidate(n):
+    # every 12-cell sequence over {1, 2} is a subsequence of [1, 2] * 12, so
+    # no crossing is needed; the leftmost embedding is the smallest pair list
+    cand = [1, 2] * n
+    a = meteor_align(cand, ZIGZAG)
+    assert (a.crossings, a.matched) == (0, 12)
+    assert a.pairs == _leftmost_embedding(ZIGZAG, cand)
+
+
+def test_alignment_alternating_reference():
+    ref = [1, 2] * 50
+    a = meteor_align(ZIGZAG, ref)
+    assert (a.crossings, a.matched) == (0, 12)
+    assert a.pairs == tuple((i, j) for j, i in _leftmost_embedding(ZIGZAG, ref))
+
+
+# A candidate that passes over the reference's cells twice: every cell has
+# two candidate occurrences to choose from.
+OUT = list(range(1, 25))
+BACK = list(range(23, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "cand, ref, pairs",
+    [
+        (OUT + BACK, OUT, tuple((j, j) for j in range(24))),
+        (OUT[:22] * 2, OUT[:22], tuple((j, j) for j in range(22))),
+        # against the way back only the second pass maps without crossings
+        (OUT + BACK, OUT[::-1], tuple((23 + j, j) for j in range(24))),
+    ],
+)
+def test_alignment_candidate_passing_twice(cand, ref, pairs):
+    a = meteor_align(cand, ref)
+    assert (a.crossings, a.matched, a.exact) == (0, len(ref), True)
+    assert a.pairs == pairs
+
+
+SHUFFLED = [8, 9, 2, 6, 4, 5, 3, 1, 10, 7]
+
+
+def test_alignment_out_and_back_against_shuffled_reference():
+    cand = list(range(1, 11)) + list(range(9, 0, -1))
+    a = meteor_align(cand, SHUFFLED)
+    assert _as_oracle(a) == best_alignment_by_subsets(cand, SHUFFLED)
+    assert a.crossings == 13
+
+
+def test_alignment_stops_at_budget(monkeypatch):
+    cand = list(range(1, 11)) + list(range(9, 0, -1))
+    exact = meteor_align(cand, SHUFFLED)
+    monkeypatch.setattr(metrics, "_SEARCH_BUDGET", 10)  # the exact search enters more states
+    cut = meteor_align(cand, SHUFFLED)
+    assert exact.exact and not cut.exact
+    assert cut.matched == exact.matched
+    assert all(cand[i] == SHUFFLED[j] for i, j in cut.pairs)
+    assert len({j for _, j in cut.pairs}) == cut.matched
+    assert cut.crossings == crossings_of(cut.pairs) >= exact.crossings
+    sv = score_vector(cand, SHUFFLED)
+    assert not sv.meteor_exact
+    assert sv.meteor == meteor(cand, SHUFFLED)
+    assert score_vector(cand, cand).meteor_exact
