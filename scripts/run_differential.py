@@ -50,7 +50,9 @@ def main() -> int:
                               lr=args.lr, epochs=args.epochs, seed=5)
         print(f"{kind}: trained {args.epochs} epochs in {time.time() - t1:.0f}s, "
               f"final loss {result.epoch_losses[-1]:.4f}")
-        scores[kind], _ = evaluation.evaluate_records(test_records, model, traffic, master_seed=99, k=args.k)
+        scores[kind], diag = evaluation.evaluate_records(test_records, model, traffic, master_seed=99, k=args.k)
+        print(f"{kind}: evaluated {len(scores[kind])} tasks in {diag.generate_s + diag.score_s:.2f}s "
+              f"(generate {diag.generate_s:.2f}s, score {diag.score_s:.2f}s)")
 
     rnn_g1 = np.mean([r.mean.meteor for r in scores["rnn"] if r.g == 1])
     arnn_g1 = np.mean([r.mean.meteor for r in scores["arnn"] if r.g == 1])

@@ -31,7 +31,7 @@ from .tokens import START
 
 
 def _run_params(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config", "debug")}
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -219,6 +219,7 @@ def cmd_evaluate(args) -> int:
                 "distinct_candidates": diag.distinct_candidates,
                 "alignment_fallbacks": diag.alignment_fallbacks,
             },
+            "timings": {"generate_s": diag.generate_s, "score_s": diag.score_s},
         },
     )
     print(f"scored {len(score_records)} tasks "
@@ -284,6 +285,7 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cellseq", description=__doc__)
     parser.add_argument("--config", help="INI file; its [subcommand] section overrides flags")
+    parser.add_argument("--debug", action="store_true", help="re-raise a failing stage's error with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the synthetic two-corridor world and trips")
@@ -408,6 +410,8 @@ def main(argv=None) -> int:
         _apply_config(args, parser)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - surface stage failures as exit 1
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

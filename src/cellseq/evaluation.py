@@ -3,26 +3,34 @@
 Every test sequence yields one task per given-prefix length g. A task
 generates k candidate continuations with independent seeded streams,
 scores each against the reference continuation, and keeps the mean of the
-five scores. Trained models repeat candidates within a task, so each
-distinct continuation is scored once and its scores are reused for its
-repeats; the per-candidate scores and their mean are the same as scoring
-every candidate. Aggregations by original sequence length m and the
-attention-vs-baseline improvement ratio per (g, m) mirror how the models
-are compared.
+five scores. ``evaluate_records`` takes the sequences in blocks of
+``models.MEAN_LOSS_CHUNK``; it generates the candidates of all tasks of a
+block in one batched pass (``models.sample_forks``: each sequence
+teacher-forced once, every task's k rows forked from the state after its
+prefix, all rows sampled in lockstep under ``models.ROW_CAP``), and only
+then scores them. ``run_task`` is the one-task case. Trained models repeat
+candidates within a task, so each distinct continuation is scored once and
+its scores are reused for its repeats; the per-candidate scores and their
+mean are the same as scoring every candidate. Aggregations by original
+sequence length m and the attention-vs-baseline improvement ratio per
+(g, m) mirror how the models are compared.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import models
 from .corpus import SequenceRecord, TrafficLookup
 from .metrics import ScoreVector, score_vector
-from .models import RnnModel, default_max_len, generate_batch
-from .tokens import Token, strip_virtual
+from .models import Fork, RnnModel, default_max_len, sample_forks
+from .tokens import Token, Vocab, strip_virtual
 
 SEED_MIXING = "blake2b64(master:trip_id:g:candidate)"
 SCORES_VERSION = "scores-v1"
@@ -67,6 +75,8 @@ class EvalDiagnostics:
     candidates: int = 0
     distinct_candidates: int = 0  # summed per task: what was scored
     alignment_fallbacks: int = 0  # summed per task: scored with an inexact METEOR alignment
+    generate_s: float = 0.0  # wall time sampling the candidates
+    score_s: float = 0.0  # wall time scoring them
 
 
 def make_tasks(
@@ -107,7 +117,8 @@ def run_task(
     traffic_lookup: TrafficLookup | None,
     master_seed: int,
 ) -> ScoreRecord:
-    """Generate k candidates and average their scores.
+    """Generate k candidates and average their scores: the one-task case of
+    ``evaluate_records``'s batched pass.
 
     The candidate continuation is everything generated after the prefix,
     virtual tokens removed; candidates that hit the length cap are scored
@@ -116,26 +127,44 @@ def run_task(
     distinct continuations whose METEOR alignment search hit its budget
     are counted too.
     """
-    prefix = list(task.tokens[: task.g + 1])
-    reference = list(task.tokens[task.g + 1 : -1])
+    (rows,) = _generate([task], model, traffic_lookup, master_seed)
+    return _score(task, rows, model.vocab)
+
+
+def _generate(
+    tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int
+) -> list[list[tuple[int, ...]]]:
+    """The sampled ids of every task's candidates, from one batched pass in
+    which each distinct sequence is teacher-forced once."""
+    trips: dict[tuple, int] = {}
+    forks = []
+    for task in tasks:
+        trip = trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips))
+        seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(task.k)]
+        forks.append(Fork(trip, task.g + 1, seeds, default_max_len(len(task.tokens))))
     traffic = None
-    if model.kind == "arnn":
+    if model.kind == "arnn" and trips:
         if traffic_lookup is None:
             raise ValueError("traffic lookup required for the attention model")
-        traffic = traffic_lookup.window(task.start_time)
-    seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(task.k)]
-    max_len = default_max_len(len(task.tokens))
-    results = generate_batch(model, prefix, seeds, max_len, traffic=traffic)
+        traffic = [traffic_lookup.window(start_time) for _, _, start_time in trips]
+    return sample_forks(model, [tokens for _, tokens, _ in trips], traffic, forks)
 
+
+def _score(task: EvalTask, rows: Sequence[tuple[int, ...]], vocab: Vocab) -> ScoreRecord:
+    """Score one task's candidates (sampled ids, in candidate order)."""
+    reference = list(task.tokens[task.g + 1 : -1])
     scored: dict[tuple[Token, ...], ScoreVector] = {}
+    by_ids: dict[tuple[int, ...], ScoreVector] = {}
     raw = []
     unterminated = 0
-    for res in results:
-        continuation = tuple(strip_virtual(res.tokens[len(prefix) :]))
-        if continuation not in scored:
-            scored[continuation] = score_vector(continuation, reference)
-        raw.append(scored[continuation])
-        if not res.terminated:
+    for ids in rows:
+        if ids not in by_ids:
+            continuation = tuple(strip_virtual(vocab.decode(ids)))
+            if continuation not in scored:
+                scored[continuation] = score_vector(continuation, reference)
+            by_ids[ids] = scored[continuation]
+        raw.append(by_ids[ids])
+        if ids[-1] != vocab.end_id:
             unterminated += 1
     mean = ScoreVector(
         **{
@@ -163,7 +192,9 @@ def evaluate_records(
     k: int = 100,
     g_policy: str | Iterable[int] = "all",
 ) -> tuple[list[ScoreRecord], EvalDiagnostics]:
-    """Score every task for the given sequences, in deterministic task order."""
+    """Score every task for the given sequences, in deterministic task order:
+    per block of sequences, all candidates are generated in one batched
+    pass, then scored."""
     diag = EvalDiagnostics()
     usable = []
     for rec in records:
@@ -173,14 +204,23 @@ def evaluate_records(
         usable.append(rec)
     tasks, diag.skipped_short = make_tasks(usable, g_policy=g_policy, k=k)
     tasks.sort(key=lambda t: (t.trip_id, t.g))
+    # a block of sequences at a time, so that sampled candidates wait for
+    # scoring in bounded memory
+    by_trip = [list(group) for _, group in itertools.groupby(tasks, key=lambda t: t.trip_id)]
     out = []
-    for task in tasks:
-        record = run_task(task, model, traffic_lookup, master_seed)
+    for lo in range(0, len(by_trip), models.MEAN_LOSS_CHUNK):
+        block = [task for group in by_trip[lo : lo + models.MEAN_LOSS_CHUNK] for task in group]
+        started = time.perf_counter()
+        sampled = _generate(block, model, traffic_lookup, master_seed)
+        scoring = time.perf_counter()
+        out += [_score(task, rows, model.vocab) for task, rows in zip(block, sampled)]
+        diag.generate_s += scoring - started
+        diag.score_s += time.perf_counter() - scoring
+    for record in out:
         diag.unterminated += record.unterminated
         diag.candidates += len(record.raw)
         diag.distinct_candidates += record.distinct
         diag.alignment_fallbacks += record.alignment_fallbacks
-        out.append(record)
     return out, diag
 
 

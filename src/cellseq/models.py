@@ -10,11 +10,16 @@ Both run one recurrence step, ``_step``, in training, validation and
 generation. Training is teacher-forced with Adam, each batch of sequences
 right-padded to [B, T] and run as one masked unroll and one backward pass;
 validation runs the unroll forward-only in fixed-size chunks. Generation
-samples the next token from the emitted multinomial until #end.
+samples the next token from the emitted multinomial until #end, in one
+batched pass (``sample_forks``): each source sequence is teacher-forced once,
+every fork's candidates start from the state after its prefix, and all rows
+are sampled in lockstep, at most ``ROW_CAP`` at a time. ``generate`` and
+``generate_batch`` are its one-prefix case.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -188,9 +193,11 @@ class _Unroll:
     """Teacher-forced forward pass over right-padded ids [B, T] (and traffic
     [B, N, 10]), then ``loss`` and ``backward``; arrays are time-major. The
     embedding gather and input projection run once, outside the time loop;
-    ``keep`` keeps each step's cell cache and h @ W_a for ``backward``."""
+    ``keep`` keeps each step's cell cache and h @ W_a for ``backward``, and
+    ``cells`` each step's cell state c, for sampling to fork from."""
 
-    def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
+    def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool,
+                 cells: bool = False):
         if traffic is not None and np.ndim(traffic) != 3:
             raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
         p, d_e = model.params, model.dims.d_e
@@ -201,12 +208,15 @@ class _Unroll:
         self.h0, self.c0, self.att = _start(model, traffic, n_rows)
         h, c = self.h0, self.c0
         self.hs = np.empty((n_steps, n_rows, model.dims.d_h))
+        self.cs = np.empty_like(self.hs) if cells else None
         if self.att is not None:
             self.alphas = np.empty((n_steps, n_rows, self.att[0].shape[1]))
             self.contexts = np.empty((n_steps, n_rows, self.att[0].shape[2]))
         for t in range(n_steps):
             h, c, cache = _step(model, xw[t], h, c, self.att)
             self.hs[t] = h
+            if cells:
+                self.cs[t] = c
             if self.att is not None:
                 self.alphas[t], self.contexts[t] = cache[1], cache[3]
             if keep:
@@ -419,7 +429,7 @@ def train(
     return result
 
 
-MEAN_LOSS_CHUNK = 32
+MEAN_LOSS_CHUNK = 32  # sequences per forward-only unroll, in mean_loss and in evaluation's sampling
 
 
 def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
@@ -436,6 +446,9 @@ def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
 # generation
 
 
+ROW_CAP = 64  # rows sampled in lockstep at once; bounds the arnn's [rows, N, d] attention temporaries
+
+
 @dataclass
 class GenerationResult:
     """Sampled continuation plus the per-step distributions that produced it."""
@@ -448,6 +461,18 @@ class GenerationResult:
     @property
     def cells(self) -> list[int]:
         return [t for t in self.tokens if isinstance(t, int)]
+
+
+@dataclass(frozen=True)
+class Fork:
+    """``len(seeds)`` continuations of the first ``n`` tokens of source
+    sequence ``trip``, each ending at #end or at ``max_len`` tokens, prefix
+    included."""
+
+    trip: int
+    n: int
+    seeds: Sequence[int]
+    max_len: int
 
 
 def default_max_len(reference_len: int) -> int:
@@ -464,16 +489,132 @@ def _sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
+def sample_forks(
+    model: RnnModel,
+    trips: Sequence[Sequence[Token]],
+    traffic: Sequence[np.ndarray] | None,
+    forks: Sequence[Fork],
+    record: bool = False,
+) -> list[list]:
+    """Sample every fork's continuations in one batched pass.
+
+    The sequences in ``trips`` (with their windows ``traffic[i]`` for the
+    attention model) are teacher-forced once, up to their longest fork
+    prefix, in one unroll that keeps (h, c) after every position, so callers
+    bound how many they pass. A fork's rows start from the state after its
+    prefix; row i draws its ``max_len - n`` uniforms up front from
+    ``default_rng(seeds[i])`` (the values as many scalar draws give), one
+    per sampled token. Rows then move in lockstep in chunks of at most
+    ``ROW_CAP``, each step one ``_step`` and one ``_sample`` over every live
+    row of the chunk.
+
+    Returns per fork, per row in seed order, the tuple of sampled ids (the
+    last is #end's if it terminated); with ``record``, (ids, probs, alpha):
+    the distribution and attention (None for rnn) after every fed token.
+    """
+    need: dict[int, int] = {}  # sequence -> longest prefix forked from it
+    for fork in forks:
+        if fork.n < 1 or trips[fork.trip][0] != START:
+            raise ValueError("prefix must start with #start")
+        if fork.max_len <= fork.n:
+            raise ValueError("max_len must exceed the prefix length")
+        need[fork.trip] = max(need.get(fork.trip, 0), fork.n)
+    if any(END in trips[trip][:n] for trip, n in need.items()):
+        raise ValueError("prefix must not contain #end")
+    attend = model.kind == "arnn"
+    if attend and traffic is None and need:
+        raise ValueError("traffic tensor required for the attention model")
+
+    out: list[list] = [[] for _ in forks]
+    if not need:
+        return out
+    local = {trip: b for b, trip in enumerate(sorted(need))}
+    x = np.zeros((len(local), max(need.values())), dtype=np.intp)
+    for trip, b in local.items():
+        x[b, : need[trip]] = model.vocab.encode(list(trips[trip][: need[trip]]))
+    windows = np.stack([np.asarray(traffic[t], dtype=float) for t in local]) if attend else None
+    run = _Unroll(model, x, windows, keep=False, cells=True)
+    # rows grouped by sequence, forks in their given order within it
+    order = sorted(range(len(forks)), key=lambda f: forks[f].trip)
+    per_fork = [(f, local[forks[f].trip], forks[f].n, forks[f].max_len - forks[f].n) for f in order]
+    rows = np.repeat(np.array(per_fork, dtype=np.intp), [len(forks[f].seeds) for f in order], axis=0)
+    seeds = [seed for f in order for seed in forks[f].seeds]
+    for lo in range(0, len(rows), ROW_CAP):
+        owner, trip, n, limit = rows[lo : lo + ROW_CAP].T
+        sampled = _lockstep(model, run, trip, n, limit, seeds[lo : lo + ROW_CAP], record)
+        for f, row in zip(owner.tolist(), sampled):
+            out[f].append(row)
+    return out
+
+
+def _lockstep(model, run, trip, n, limit, seeds, record):
+    """Rows forked from ``run``'s state after position n - 1 of sequence
+    ``trip``, sampled together, each for at most ``limit`` tokens."""
+    p, end_id = model.params, model.vocab.end_id
+    n_rows, width = len(trip), int(limit.max())
+    u = np.zeros((n_rows, width))
+    for r, (seed, draws) in enumerate(zip(seeds, limit.tolist())):
+        u[r, :draws] = np.random.default_rng(operator.index(seed)).random(draws)
+    h, c = run.hs[n - 1, trip], run.cs[n - 1, trip]
+    alpha = run.alphas[n - 1, trip] if run.att is not None else None
+    w_token = p["lstm_W"][: model.dims.d_e]
+    tokens = np.empty((n_rows, width), dtype=np.intp)
+    lengths = np.empty(n_rows, dtype=np.intp)
+    if record:  # what each draw used
+        probs_at = np.empty((width, n_rows, len(model.vocab)))
+        alpha_at = np.empty((width,) + alpha.shape) if alpha is not None else None
+    live = np.arange(n_rows)
+    for s in range(width):
+        probs = softmax(h @ p["dec_W"] + p["dec_b"])
+        if record:
+            probs_at[s, live] = probs
+            if alpha is not None:
+                alpha_at[s, live] = alpha
+        tids = _sample(probs, u[live, s])
+        tokens[live, s] = tids
+        lengths[live] = s + 1
+        more = (tids != end_id) & (limit[live] > s + 1)
+        live, h, c = live[more], h[more], c[more]
+        if not live.size:
+            break
+        h, c, alpha = _step_rows(model, run, trip[live], p["embed"][tids[more]] @ w_token + p["lstm_b"], h, c)
+
+    ids = [tuple(row[:k]) for row, k in zip(tokens.tolist(), lengths.tolist())]
+    if not record:
+        return ids
+    lead = softmax(run.hs @ p["dec_W"] + p["dec_b"])  # after each prefix token
+    return [
+        (row, np.concatenate([lead[: n[r] - 1, trip[r]], probs_at[: len(row), r]]),
+         None if alpha is None else np.concatenate([run.alphas[: n[r] - 1, trip[r]], alpha_at[: len(row), r]]))
+        for r, row in enumerate(ids)
+    ]
+
+
+def _step_rows(model, run, trip, xw, h, c):
+    """``_step`` for rows grouped by sequence ``trip``: the attention model
+    steps each group against its own sequence's features, so that no row
+    holds a copy of them. Returns h', c' and alpha (None for rnn)."""
+    if run.att is None:
+        return _step(model, xw, h, c, None)[:2] + (None,)
+    bounds = [0, *(np.flatnonzero(np.diff(trip)) + 1).tolist(), len(trip)]
+    steps = [
+        _step(model, xw[lo:hi], h[lo:hi], c[lo:hi], (run.att[0][trip[lo]], run.att[1][trip[lo]]) + run.att[2:])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return tuple(np.concatenate(part) for part in zip(*((h2, c2, cache[1]) for h2, c2, cache in steps)))
+
+
 def generate(
     model: RnnModel,
     prefix: Sequence[Token],
-    seed: int | np.random.Generator,
+    seed: int,
     max_len: int,
     traffic: np.ndarray | None = None,
 ) -> GenerationResult:
     """Consume the prefix, then sample tokens until #end or max_len.
 
-    Deterministic for a given seed: one uniform draw per sampled token.
+    Deterministic for a given int seed: the stream ``default_rng(seed)``
+    gives one uniform per sampled token.
     """
     return generate_batch(model, prefix, [seed], max_len, traffic=traffic)[0]
 
@@ -481,75 +622,28 @@ def generate(
 def generate_batch(
     model: RnnModel,
     prefix: Sequence[Token],
-    seeds: Sequence[int | np.random.Generator],
+    seeds: Sequence[int],
     max_len: int,
     traffic: np.ndarray | None = None,
 ) -> list[GenerationResult]:
-    """Sample several continuations of one prefix, one RNG stream each.
-
-    Candidate i consumes uniforms exactly as a lone ``generate`` call with
-    ``seeds[i]`` would, so batched and sequential evaluation agree. Each
-    step draws one uniform per live candidate and picks all their next
-    tokens at once with ``_sample``.
+    """Sample several continuations of one prefix, one RNG stream per int
+    seed: the one-fork case of ``sample_forks``, keeping every step's
+    distribution (and attention). Candidate i consumes uniforms exactly as a
+    lone ``generate`` call with ``seeds[i]`` would, so batched and sequential
+    evaluation agree.
     """
     prefix = list(prefix)
-    if not prefix or prefix[0] != START:
-        raise ValueError("prefix must start with #start")
-    if END in prefix:
-        raise ValueError("prefix must not contain #end")
-    if max_len <= len(prefix):
-        raise ValueError("max_len must exceed the prefix length")
-    ids = model.vocab.encode(prefix)
-    k = len(seeds)
-    rngs = [s if isinstance(s, np.random.Generator) else np.random.default_rng(s) for s in seeds]
-    p = model.params
+    fork = Fork(0, len(prefix), seeds, max_len)
+    rows = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork], record=True)[0]
     end_id = model.vocab.end_id
-    h, c, att = _start(model, traffic, k)
-
-    # Alive candidates move in lockstep: step s feeds the token at position s
-    # of each and writes its distribution (and attention) at [s, candidate].
-    out = np.empty((k, max_len), dtype=np.intp)
-    out[:, : len(ids)] = ids
-    lengths = np.full(k, len(ids))
-    step_probs = np.empty((max_len, k, len(model.vocab)))
-    attn = np.empty((max_len, k, att[0].shape[0])) if att is not None else None
-    w_token = p["lstm_W"][: model.dims.d_e]
-
-    def step(s: int, sel: np.ndarray) -> None:
-        xw = p["embed"][out[sel, s]] @ w_token + p["lstm_b"]
-        h_new, c_new, (_, alpha, _, _) = _step(model, xw, h[sel], c[sel], att)
-        h[sel] = h_new
-        c[sel] = c_new
-        step_probs[s, sel] = softmax(h_new @ p["dec_W"] + p["dec_b"])
-        if attn is not None:
-            attn[s, sel] = alpha
-
-    # teacher-forced pass over the prefix
-    sel = np.arange(k)
-    for s in range(len(ids)):
-        step(s, sel)
-
-    # sampling loop: one uniform per alive candidate, in candidate order
-    pos = len(ids)
-    while True:
-        u = np.array([rngs[cand].random() for cand in sel])
-        tids = _sample(step_probs[pos - 1, sel], u)
-        out[sel, pos] = tids
-        lengths[sel] = pos + 1
-        pos += 1
-        sel = sel[tids != end_id] if pos < max_len else sel[:0]
-        if not sel.size:
-            break
-        step(pos - 1, sel)
-
     return [
         GenerationResult(
-            tokens=model.vocab.decode(out[cand, :n].tolist()),
-            step_probs=list(step_probs[: n - 1, cand]),
-            attention=list(attn[: n - 1, cand]) if attn is not None else None,
-            terminated=bool(out[cand, n - 1] == end_id),
+            tokens=prefix + model.vocab.decode(ids),
+            step_probs=list(probs),
+            attention=None if alpha is None else list(alpha),
+            terminated=ids[-1] == end_id,
         )
-        for cand, n in enumerate(lengths.tolist())
+        for ids, probs, alpha in rows
     ]
 
 

@@ -95,6 +95,22 @@ def test_evaluate_manifest_counts_distinct_candidates(pipeline):
         assert diag["alignment_fallbacks"] == 0
 
 
+def test_evaluate_manifest_times_generation_and_scoring(pipeline, tmp_path):
+    acc = ["--accumulation", str(pipeline / "acc" / "accumulation.tsv")]
+    for name, extra in (("eval_rnn", []), ("eval_arnn", acc)):
+        timings = json.loads((pipeline / name / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"generate_s", "score_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        # a re-run times differently but writes the same scores
+        out = tmp_path / name
+        ckpt = pipeline / name.replace("eval_", "") / "model.ckpt"
+        assert main(["evaluate", "--ckpt", str(ckpt), "--sequences", str(pipeline / "disc" / "sequences.tsv"),
+                     "--split", "test", *extra, "--k", "3", "--limit", "10", "--seed", "9", "--out", str(out)]) == 0
+        assert (out / "scores.tsv").read_bytes() == (pipeline / name / "scores.tsv").read_bytes()
+        again = json.loads((out / "manifest.json").read_text())
+        assert again["diagnostics"] == json.loads((pipeline / name / "manifest.json").read_text())["diagnostics"]
+
+
 def test_score_file_has_expected_header(pipeline):
     header = (pipeline / "eval_rnn" / "scores.tsv").read_text().splitlines()[0]
     assert header == "trip_id\tg\tm\tbleu1\tbleu2\tbleu3\tbleu4\tmeteor"
@@ -182,6 +198,26 @@ def test_stage_failure_exits_1(tmp_path, capsys):
     rc = main(["discretize", "--in", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_stage_failure_reraises_under_debug(tmp_path, capsys):
+    args = ["discretize", "--in", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o")]
+    with pytest.raises(FileNotFoundError):
+        main(["--debug", *args])
+    assert "error:" not in capsys.readouterr().err
+    assert main(args) == 1
+
+
+def test_debug_flag_is_not_a_run_parameter(pipeline, tmp_path):
+    outs = []
+    for flags in ([], ["--debug"]):
+        out = tmp_path / f"eval{len(flags)}"
+        assert main([*flags, "evaluate", "--ckpt", str(pipeline / "rnn" / "model.ckpt"),
+                     "--sequences", str(pipeline / "disc" / "sequences.tsv"),
+                     "--k", "2", "--limit", "3", "--seed", "9", "--out", str(out)]) == 0
+        outs.append(json.loads((out / "manifest.json").read_text()))
+    assert "debug" not in outs[1]["params"]
+    assert outs[0]["config_hash"] == outs[1]["config_hash"]
 
 
 def test_hypersearch_command(pipeline, tmp_path):

@@ -21,8 +21,8 @@ from cellseq.evaluation import (
     write_scores,
 )
 from cellseq.metrics import ScoreVector, score_vector
-from cellseq.models import ModelDims, RnnModel, generate, make_example
-from cellseq.tokens import END, START, Vocab
+from cellseq.models import ArnnModel, ModelDims, RnnModel, generate, make_example
+from cellseq.tokens import END, START, Vocab, strip_virtual
 
 
 def record(trip_id, cells, start=600.0 * 60):
@@ -149,6 +149,93 @@ def test_evaluate_records_counts_candidates(memorized_model):
     assert diag.distinct_candidates == sum(r.distinct for r in out)
     assert len(out) <= diag.distinct_candidates <= diag.candidates
     assert diag.alignment_fallbacks == sum(r.alignment_fallbacks for r in out) == 0
+
+
+class FixedWindows:
+    """Traffic lookup stand-in: one fixed random [N, 10] window per start time."""
+
+    def __init__(self, n_cells):
+        self.n_cells = n_cells
+
+    def window(self, start_time):
+        return np.random.default_rng(int(start_time)).random((self.n_cells, 10))
+
+
+def reference_task(task, model, lookup, master_seed):
+    """One task as ``run_task`` scored it before generation was batched: its
+    own ``generate_batch`` call over k rows, every candidate scored."""
+    prefix = list(task.tokens[: task.g + 1])
+    reference = list(task.tokens[task.g + 1 : -1])
+    traffic = lookup.window(task.start_time) if lookup is not None else None
+    seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(task.k)]
+    results = models.generate_batch(model, prefix, seeds, models.default_max_len(len(task.tokens)), traffic=traffic)
+    raw = tuple(score_vector(strip_virtual(r.tokens[len(prefix) :]), reference) for r in results)
+    return raw, sum(not r.terminated for r in results)
+
+
+@pytest.fixture(scope="module")
+def loose_models():
+    """Untrained models over 6 cells whose #end is unlikely, so that some
+    candidates run to ``default_max_len``. Weights are scaled up so that the
+    state, and for the attention model each sequence's traffic window,
+    changes what they sample."""
+    vocab = Vocab(range(1, 7))
+    out = {}
+    for cls in (RnnModel, ArnnModel):
+        model = cls.init(vocab, ModelDims(d_e=4, d_h=5), seed=3)
+        for name in ("embed", "lstm_U", "dec_W"):
+            model.params[name] *= 3.0
+        model.params["dec_b"][vocab.end_id] = -2.5
+        if cls is ArnnModel:
+            model.params["traffic_W"] *= 8.0
+            model.params["lstm_W"][4:] *= 8.0
+        out[cls.kind] = model
+    return out
+
+
+SPLIT_RECORDS = [  # m = 2, 3, 5 and 6: g = 1 .. m - 1 for each
+    record("a", [1, 2], start=601.0 * 60),
+    record("b", [3, 1, 4], start=602.0 * 60),
+    record("c", [2, 6, 5, 3, 1], start=603.0 * 60),
+    record("d", [6, 5, 4, 3, 2, 1], start=604.0 * 60),
+]
+
+
+@pytest.mark.parametrize("kind", ["rnn", "arnn"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_evaluate_records_equals_per_task_generation(loose_models, monkeypatch, kind, k):
+    model = loose_models[kind]
+    lookup = FixedWindows(len(model.vocab.cells)) if kind == "arnn" else None
+    tasks = sorted(make_tasks(SPLIT_RECORDS, k=k)[0], key=lambda t: (t.trip_id, t.g))
+    expect = [reference_task(task, model, lookup, master_seed=8) for task in tasks]
+    assert {t.g for t in tasks if t.trip_id == "d"} == {1, 2, 3, 4, 5}
+    assert sum(unterminated for _, unterminated in expect) > 0  # some candidates hit the cap
+    # row caps of 1, of 7 (chunks that cross tasks and sequences) and of 3
+    # (at k = 5 the rows of task ("a", 1) split 3 + 2), with the sequences
+    # teacher-forced alone or in pairs
+    for row_cap, trips_per_unroll in ((1, 32), (7, 32), (3, 2), (models.ROW_CAP, 1)):
+        monkeypatch.setattr(models, "ROW_CAP", row_cap)
+        monkeypatch.setattr(models, "MEAN_LOSS_CHUNK", trips_per_unroll)
+        out, diag = evaluate_records(SPLIT_RECORDS, model, lookup, master_seed=8, k=k)
+        assert [(r.trip_id, r.g) for r in out] == [(t.trip_id, t.g) for t in tasks]
+        assert [r.raw for r in out] == [raw for raw, _ in expect], (row_cap, trips_per_unroll)
+        assert [r.unterminated for r in out] == [unterminated for _, unterminated in expect]
+        assert diag.unterminated == sum(unterminated for _, unterminated in expect)
+
+
+def test_evaluate_records_times_generation_and_scoring(memorized_model):
+    records = [record("a", [1, 2, 3]), record("b", [1, 2, 3, 4])]
+    out, diag = evaluate_records(records, memorized_model, None, master_seed=1, k=4)
+    assert diag.generate_s >= 0.0 and diag.score_s >= 0.0
+    assert out == evaluate_records(records, memorized_model, None, master_seed=1, k=4)[0]
+    empty, diag = evaluate_records([], memorized_model, None, master_seed=1, k=4)
+    assert empty == [] and diag.generate_s >= 0.0 and diag.score_s >= 0.0
+
+
+def test_evaluate_records_without_tasks_needs_no_lookup():
+    model = models.ArnnModel.init(Vocab([1, 2]), ModelDims(d_e=2, d_h=2), seed=0)
+    out, diag = evaluate_records([record("short", [1])], model, None, master_seed=0, k=3)
+    assert out == [] and diag.skipped_short == 1
 
 
 def test_run_task_arnn_requires_lookup():

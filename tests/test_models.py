@@ -431,6 +431,70 @@ def test_generate_batch_keeps_one_distribution_per_fed_token():
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
+def test_generate_follows_teacher_forced_forward(cls):
+    # the sampled rows fork from the prefix state, so their distributions are
+    # those of a teacher-forced pass over the finished sequence, and token j
+    # after the prefix is the scalar draw of the j-th uniform of the stream
+    vocab = Vocab(range(1, 6))
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=5)  # untrained: some candidates reach max_len
+    traffic = random_traffic(5, seed=2)
+    prefix, max_len = [START, 3, 1], 9
+    capped = 0
+    for seed in range(16):
+        res = generate(model, prefix, seed, max_len, traffic=traffic if cls is ArnnModel else None)
+        if cls is ArnnModel:
+            probs, alpha = arnn_forward(res.tokens[:-1], traffic, model)
+            np.testing.assert_allclose(np.vstack(res.attention), alpha, rtol=0, atol=1e-12)
+        else:
+            probs = rnn_forward(res.tokens[:-1], model)
+        np.testing.assert_allclose(np.vstack(res.step_probs), probs, rtol=0, atol=1e-12)
+        sampled = vocab.encode(res.tokens[len(prefix) :])
+        stream = np.random.default_rng(seed)
+        u = [stream.random() for _ in sampled]
+        assert sampled == [_scalar_sample(row, x) for row, x in zip(res.step_probs[len(prefix) - 1 :], u)]
+        assert res.terminated == (sampled[-1] == vocab.end_id)
+        assert res.terminated or len(res.tokens) == max_len
+        capped += not res.terminated
+    assert 0 < capped < 16
+
+
+@pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
+def test_sample_forks_matches_one_prefix_at_a_time(cls, monkeypatch):
+    vocab = Vocab(range(1, 6))
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
+    trips = [[START, 1, 2, 3, 4, END], [START, 5], [START, 4, 4, 2, 1, 3, END]]
+    windows = [random_traffic(5, seed=s) for s in range(3)] if cls is ArnnModel else None
+    forks = [models.Fork(2, 4, [7, 8, 9], 12), models.Fork(0, 1, [1], 6), models.Fork(1, 2, [4, 5], 8),
+             models.Fork(2, 1, [6, 6], 20), models.Fork(0, 3, [2, 3, 11, 12], 7)]
+    expect = [
+        generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
+                       traffic=windows[f.trip] if windows else None)
+        for f in forks
+    ]
+    for row_cap in (1, 3, 64):
+        monkeypatch.setattr(models, "ROW_CAP", row_cap)
+        got = models.sample_forks(model, trips, windows, forks, record=True)
+        for fork, rows, results in zip(forks, got, expect):
+            assert len(rows) == len(fork.seeds)
+            for (ids, probs, alpha), res in zip(rows, results):
+                assert trips[fork.trip][: fork.n] + vocab.decode(ids) == res.tokens
+                np.testing.assert_allclose(probs, np.vstack(res.step_probs), rtol=0, atol=1e-12)
+                if cls is ArnnModel:
+                    np.testing.assert_allclose(alpha, np.vstack(res.attention), rtol=0, atol=1e-12)
+        plain = models.sample_forks(model, trips, windows, forks)
+        assert plain == [[ids for ids, _, _ in rows] for rows in got]
+
+
+def test_generate_takes_int_seeds_only(overfit_model):
+    with pytest.raises(TypeError):
+        generate(overfit_model, [START], np.random.default_rng(0), max_len=10)
+    with pytest.raises(TypeError):
+        generate_batch(overfit_model, [START], [1, np.random.default_rng(0)], max_len=10)
+    assert generate(overfit_model, [START], np.int64(42), max_len=10).tokens == \
+        generate(overfit_model, [START], 42, max_len=10).tokens
+
+
 def test_generate_max_len_cap():
     assert models.default_max_len(5) == 20
     assert models.default_max_len(60) == 100
