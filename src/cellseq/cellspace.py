@@ -209,10 +209,10 @@ def header_fields(
 def load_cellmap(path: str | Path) -> CellMap:
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise ValueError("empty cell map file")
+        raise ValueError(f"{path}:1: empty cell map file")
     header = lines[0].split("\t")
     if not header or header[0] != CELLMAP_VERSION:
-        raise ValueError(f"unsupported cell map version: {lines[0]!r}")
+        raise ValueError(f"{path}:1: unsupported cell map version: {lines[0]!r}")
     fields = header_fields(path, header[1:], {"radius": float, "n": int})
     radius, n = fields["radius"], fields["n"]
     cents = np.zeros((n, 2))

@@ -182,9 +182,8 @@ def cmd_generate(args) -> int:
         raise ValueError("--start-time is required for the arnn model")
     lookup = _traffic_lookup(args, model.kind, model.vocab.cells)
     traffic = lookup.window(args.start_time) if lookup is not None else None
-    for i in range(args.n):
-        seed = evaluation.derive_seed(args.seed, "generate", 0, i)
-        result = models.generate(model, prefix, seed, max_len=args.max_len, traffic=traffic)
+    seeds = [evaluation.derive_seed(args.seed, "generate", 0, i) for i in range(args.n)]
+    for result in models.generate_batch(model, prefix, seeds, max_len=args.max_len, traffic=traffic):
         print(" ".join(str(t) for t in result.tokens))
     return 0
 

@@ -62,11 +62,12 @@ def read_trajectory_rows(path: str | Path) -> list[Row]:
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ValueError(f"malformed row at line {lineno}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"{path}:{lineno}: malformed row at line {lineno}: "
+                                 f"expected 4 fields, got {len(parts)}")
             try:
                 rows.append((parts[0], float(parts[1]), float(parts[2]), float(parts[3])))
             except ValueError:
-                raise ValueError(f"malformed row at line {lineno}: non-numeric field") from None
+                raise ValueError(f"{path}:{lineno}: malformed row at line {lineno}: non-numeric field") from None
     return rows
 
 
@@ -335,7 +336,7 @@ def load_accumulation(path: str | Path) -> AccumulationSeries:
     lines = Path(path).read_text().splitlines()
     header = lines[0].split("\t") if lines else [""]
     if header[0] != ACCUMULATION_VERSION:
-        raise ValueError(f"unsupported accumulation version: {header[0]!r}")
+        raise ValueError(f"{path}:1: unsupported accumulation version: {header[0]!r}")
     fields = header_fields(path, header[1:], {"kind": str, "n": int, "minute0": int, "minutes": int,
                                               "clamped": int}, defaults={"clamped": "0"})
     normalized = fields["kind"] == "normalized"
@@ -387,7 +388,7 @@ def load_sequences(path: str | Path) -> Dataset:
 
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != SEQUENCES_VERSION:
-        raise ValueError("unsupported sequences file")
+        raise ValueError(f"{path}:1: unsupported sequences file")
     buckets: dict[str, list[SequenceRecord]] = {"train": [], "validation": [], "test": []}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -7,13 +7,15 @@ five scores. ``evaluate_records`` takes the sequences in blocks of
 ``models.MEAN_LOSS_CHUNK``; it generates the candidates of all tasks of a
 block in one batched pass (``models.sample_forks``: each sequence
 teacher-forced once, every task's k rows forked from the state after its
-prefix, all rows sampled in lockstep under ``models.ROW_CAP``), and only
-then scores them. ``run_task`` is the one-task case. Trained models repeat
-candidates within a task, so each distinct continuation is scored once and
-its scores are reused for its repeats; the per-candidate scores and their
-mean are the same as scoring every candidate. Aggregations by original
-sequence length m and the attention-vs-baseline improvement ratio per
-(g, m) mirror how the models are compared.
+prefix, all rows sampled in lockstep, in task order, under
+``models.ROW_CAP``, each attention row against its own sequence's
+features), and only then scores them. ``run_task`` is the one-task case.
+Trained models repeat candidates within a task, so each distinct
+continuation is scored once and its scores are reused for its repeats; the
+per-candidate scores and their mean are the same as scoring every
+candidate. Aggregations by original sequence length m and the
+attention-vs-baseline improvement ratio per (g, m) mirror how the models
+are compared.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .models import Fork, RnnModel, default_max_len, sample_forks
 from .tokens import Token, Vocab, strip_virtual
 
 SEED_MIXING = "blake2b64(master:trip_id:g:candidate)"
-SCORES_VERSION = "scores-v1"
 SCORE_NAMES = ScoreVector.NAMES
 
 
@@ -348,7 +349,7 @@ def read_scores(path: str | Path) -> list[ScoreRecord]:
     lines = Path(path).read_text().splitlines()
     expected = "trip_id\tg\tm\t" + "\t".join(SCORE_NAMES)
     if not lines or lines[0] != expected:
-        raise ValueError("unsupported score file header")
+        raise ValueError(f"{path}:1: unsupported score file header")
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -357,9 +358,10 @@ def read_scores(path: str | Path) -> list[ScoreRecord]:
         if len(parts) != 3 + len(SCORE_NAMES):
             raise ValueError(f"{path}:{lineno}: expected {3 + len(SCORE_NAMES)} tab-separated fields, "
                              f"got {len(parts)}")
-        trip_id, g, m = parts[0], int(parts[1]), int(parts[2])
-        values = [float(v) for v in parts[3:]]
-        out.append(ScoreRecord(trip_id, g, m, ScoreVector(*values)))
+        try:
+            out.append(ScoreRecord(parts[0], int(parts[1]), int(parts[2]), ScoreVector(*map(float, parts[3:]))))
+        except ValueError as exc:  # a non-numeric field or a score out of range
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

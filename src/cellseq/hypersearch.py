@@ -330,7 +330,7 @@ def search(
         )
         return value
 
-    result = minimize(objective, dim=space.dim, budget=budget_trials, seed=seed)
+    minimize(objective, dim=space.dim, budget=budget_trials, seed=seed)
     best_trial = min(
         (t for t in trials if np.isfinite(t.objective)), key=lambda t: t.objective
     )

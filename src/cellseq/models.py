@@ -13,8 +13,11 @@ validation runs the unroll forward-only in fixed-size chunks. Generation
 samples the next token from the emitted multinomial until #end, in one
 batched pass (``sample_forks``): each source sequence is teacher-forced once,
 every fork's candidates start from the state after its prefix, and all rows
-are sampled in lockstep, at most ``ROW_CAP`` at a time. ``generate`` and
-``generate_batch`` are its one-prefix case.
+are sampled in lockstep, in fork order, at most ``ROW_CAP`` at a time, each
+attention row against its own sequence's features. ``generate`` and
+``generate_batch`` are its one-prefix case; they take the distributions
+after every fed token from one teacher-forced unroll of the finished
+candidates, as ``rnn_forward`` and ``arnn_forward`` do for one sequence.
 """
 from __future__ import annotations
 
@@ -151,7 +154,8 @@ def attention_step(s_prev: np.ndarray, features: np.ndarray, model: ArnnModel) -
 def _attend(model, s_w, features, fu):
     """``attention_step`` for projected states s_w = s @ W_a [B, d_a];
     features and fu = features @ U_a are [N, ...] or [B, N, ...]."""
-    alpha = softmax(np.tanh(s_w[:, None, :] + fu) @ model.params["attn_v"])
+    pre = s_w[:, None, :] + fu  # tanh in place: one [B, N, d_a] temporary per step, not two
+    alpha = softmax(np.tanh(pre, out=pre) @ model.params["attn_v"])
     return alpha, (alpha[:, None, :] @ features)[:, 0]
 
 
@@ -192,12 +196,11 @@ def _step(model, xw, h, c, att):
 class _Unroll:
     """Teacher-forced forward pass over right-padded ids [B, T] (and traffic
     [B, N, 10]), then ``loss`` and ``backward``; arrays are time-major. The
-    embedding gather and input projection run once, outside the time loop;
-    ``keep`` keeps each step's cell cache and h @ W_a for ``backward``, and
-    ``cells`` each step's cell state c, for sampling to fork from."""
+    embedding gather and input projection run once, outside the time loop.
+    Every step's h and c are kept, c for sampling to fork from; ``keep``
+    also keeps each step's cell cache and h @ W_a for ``backward``."""
 
-    def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool,
-                 cells: bool = False):
+    def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
         if traffic is not None and np.ndim(traffic) != 3:
             raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
         p, d_e = model.params, model.dims.d_e
@@ -208,15 +211,13 @@ class _Unroll:
         self.h0, self.c0, self.att = _start(model, traffic, n_rows)
         h, c = self.h0, self.c0
         self.hs = np.empty((n_steps, n_rows, model.dims.d_h))
-        self.cs = np.empty_like(self.hs) if cells else None
+        self.cs = np.empty_like(self.hs)
         if self.att is not None:
             self.alphas = np.empty((n_steps, n_rows, self.att[0].shape[1]))
             self.contexts = np.empty((n_steps, n_rows, self.att[0].shape[2]))
         for t in range(n_steps):
             h, c, cache = _step(model, xw[t], h, c, self.att)
-            self.hs[t] = h
-            if cells:
-                self.cs[t] = c
+            self.hs[t], self.cs[t] = h, c
             if self.att is not None:
                 self.alphas[t], self.contexts[t] = cache[1], cache[3]
             if keep:
@@ -290,23 +291,29 @@ class _Unroll:
         return grads
 
 
-def _probs(model: RnnModel, x: Sequence[Token], traffic: np.ndarray | None):
-    ids = np.asarray(model.vocab.encode(list(x)), dtype=np.intp)
-    run = _Unroll(model, ids[None], None if traffic is None else np.asarray(traffic, dtype=float)[None], False)
-    return softmax(run.hs[:, 0] @ model.params["dec_W"] + model.params["dec_b"]), run
+def _forward(model: RnnModel, seqs: Sequence[Sequence[int]], traffic: np.ndarray | None):
+    """Per sequence of ids, the distributions [len, V] after each of its
+    tokens and the attention maps [len, N] (None for rnn), from one
+    right-padded teacher-forced unroll with the window repeated per row."""
+    examples = [TrainingExample(np.asarray(ids), np.asarray(ids), traffic) for ids in seqs]  # no loss: y unused
+    ((x_ids, _, real, windows),) = _batches(model, examples, len(examples))
+    run = _Unroll(model, x_ids, windows, keep=False)
+    bounds = np.cumsum(real.sum(axis=1))[:-1]
+    probs = np.split(softmax(run.hs.transpose(1, 0, 2)[real] @ model.params["dec_W"] + model.params["dec_b"]), bounds)
+    return probs, [None] * len(seqs) if run.att is None else np.split(run.alphas.transpose(1, 0, 2)[real], bounds)
 
 
 def rnn_forward(x: Sequence[Token], model: RnnModel) -> np.ndarray:
     """Per-step next-token probability vectors, shape [len(x), V]."""
-    return _probs(model, x, None)[0]
+    return _forward(model, [model.vocab.encode(list(x))], None)[0][0]
 
 
 def arnn_forward(
     x: Sequence[Token], traffic: np.ndarray, model: ArnnModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability vectors [len(x), V] and attention map [len(x), N]."""
-    probs, run = _probs(model, x, traffic)
-    return probs, run.alphas[:, 0]
+    probs, alphas = _forward(model, [model.vocab.encode(list(x))], traffic)
+    return probs[0], alphas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +399,6 @@ def train(
     epochs: int,
     seed: int = 0,
     clip_norm: float | None = 5.0,
-    shuffle: bool = True,
     batch_size: int = 1,
 ) -> TrainResult:
     """Teacher-forced training: one Adam update per batch of sequences.
@@ -400,8 +406,8 @@ def train(
     Each batch runs as one unroll over its sequences, right-padded to the
     longest, with loss and gradients summed over the real steps; a batch
     size of 1 (the default) is plain per-sequence SGD.
-    ``clip_norm=None`` disables gradient clipping. Order of sequences is
-    reshuffled each epoch from the given seed.
+    ``clip_norm=None`` disables gradient clipping. The order of sequences is
+    reshuffled every epoch from the given seed.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -410,10 +416,8 @@ def train(
     state = nncore.AdamState.zeros_like(model.params)
     rng = np.random.default_rng(seed)
     result = TrainResult()
-    order = np.arange(len(examples))
     for epoch in range(epochs):
-        if shuffle:
-            order = rng.permutation(len(examples))
+        order = rng.permutation(len(examples))
         total, steps = 0.0, 0
         for start in range(0, len(order), batch_size):
             batch = [examples[idx] for idx in order[start : start + batch_size]]
@@ -458,10 +462,6 @@ class GenerationResult:
     attention: list[np.ndarray] | None
     terminated: bool
 
-    @property
-    def cells(self) -> list[int]:
-        return [t for t in self.tokens if isinstance(t, int)]
-
 
 @dataclass(frozen=True)
 class Fork:
@@ -494,60 +494,54 @@ def sample_forks(
     trips: Sequence[Sequence[Token]],
     traffic: Sequence[np.ndarray] | None,
     forks: Sequence[Fork],
-    record: bool = False,
-) -> list[list]:
+) -> list[list[tuple[int, ...]]]:
     """Sample every fork's continuations in one batched pass.
 
-    The sequences in ``trips`` (with their windows ``traffic[i]`` for the
-    attention model) are teacher-forced once, up to their longest fork
-    prefix, in one unroll that keeps (h, c) after every position, so callers
-    bound how many they pass. A fork's rows start from the state after its
-    prefix; row i draws its ``max_len - n`` uniforms up front from
-    ``default_rng(seeds[i])`` (the values as many scalar draws give), one
-    per sampled token. Rows then move in lockstep in chunks of at most
-    ``ROW_CAP``, each step one ``_step`` and one ``_sample`` over every live
-    row of the chunk.
+    Every sequence in ``trips`` (with its window ``traffic[i]`` for the
+    attention model) is teacher-forced once, up to its longest fork prefix,
+    in one unroll that keeps (h, c) after every position, so callers bound
+    how many they pass. A fork's rows start from the state after its prefix;
+    row i draws its ``max_len - n`` uniforms up front from
+    ``default_rng(seeds[i])`` (the values as many scalar draws give), one per
+    sampled token. Rows keep the order of the forks and, within a fork, of
+    its seeds; they move in lockstep in chunks of at most ``ROW_CAP``, each
+    attention row against its own sequence's features, and each step is one
+    ``_step`` and one ``_sample`` over every live row of the chunk.
 
     Returns per fork, per row in seed order, the tuple of sampled ids (the
-    last is #end's if it terminated); with ``record``, (ids, probs, alpha):
-    the distribution and attention (None for rnn) after every fed token.
+    last is #end's if it terminated).
     """
-    need: dict[int, int] = {}  # sequence -> longest prefix forked from it
+    need = [0] * len(trips)  # longest prefix forked from each sequence
     for fork in forks:
         if fork.n < 1 or trips[fork.trip][0] != START:
             raise ValueError("prefix must start with #start")
         if fork.max_len <= fork.n:
             raise ValueError("max_len must exceed the prefix length")
-        need[fork.trip] = max(need.get(fork.trip, 0), fork.n)
-    if any(END in trips[trip][:n] for trip, n in need.items()):
+        need[fork.trip] = max(need[fork.trip], fork.n)
+    if any(END in trip[:n] for trip, n in zip(trips, need)):
         raise ValueError("prefix must not contain #end")
+    if not forks:
+        return []
     attend = model.kind == "arnn"
-    if attend and traffic is None and need:
+    if attend and traffic is None:
         raise ValueError("traffic tensor required for the attention model")
 
-    out: list[list] = [[] for _ in forks]
-    if not need:
-        return out
-    local = {trip: b for b, trip in enumerate(sorted(need))}
-    x = np.zeros((len(local), max(need.values())), dtype=np.intp)
-    for trip, b in local.items():
-        x[b, : need[trip]] = model.vocab.encode(list(trips[trip][: need[trip]]))
-    windows = np.stack([np.asarray(traffic[t], dtype=float) for t in local]) if attend else None
-    run = _Unroll(model, x, windows, keep=False, cells=True)
-    # rows grouped by sequence, forks in their given order within it
-    order = sorted(range(len(forks)), key=lambda f: forks[f].trip)
-    per_fork = [(f, local[forks[f].trip], forks[f].n, forks[f].max_len - forks[f].n) for f in order]
-    rows = np.repeat(np.array(per_fork, dtype=np.intp), [len(forks[f].seeds) for f in order], axis=0)
-    seeds = [seed for f in order for seed in forks[f].seeds]
-    for lo in range(0, len(rows), ROW_CAP):
-        owner, trip, n, limit = rows[lo : lo + ROW_CAP].T
-        sampled = _lockstep(model, run, trip, n, limit, seeds[lo : lo + ROW_CAP], record)
-        for f, row in zip(owner.tolist(), sampled):
-            out[f].append(row)
-    return out
+    x = np.zeros((len(trips), max(need)), dtype=np.intp)
+    for b, (trip, n) in enumerate(zip(trips, need)):
+        x[b, :n] = model.vocab.encode(list(trip[:n]))
+    windows = np.stack([np.asarray(w, dtype=float) for w in traffic]) if attend else None
+    run = _Unroll(model, x, windows, keep=False)
+    per_fork = np.array([(f.trip, f.n, f.max_len - f.n) for f in forks], dtype=np.intp)
+    rows = np.repeat(per_fork, [len(f.seeds) for f in forks], axis=0)
+    seeds = [seed for f in forks for seed in f.seeds]
+    sampled = iter([
+        ids for lo in range(0, len(rows), ROW_CAP)
+        for ids in _lockstep(model, run, *rows[lo : lo + ROW_CAP].T, seeds[lo : lo + ROW_CAP])
+    ])
+    return [list(itertools.islice(sampled, len(f.seeds))) for f in forks]
 
 
-def _lockstep(model, run, trip, n, limit, seeds, record):
+def _lockstep(model, run, trip, n, limit, seeds):
     """Rows forked from ``run``'s state after position n - 1 of sequence
     ``trip``, sampled together, each for at most ``limit`` tokens."""
     p, end_id = model.params, model.vocab.end_id
@@ -556,52 +550,25 @@ def _lockstep(model, run, trip, n, limit, seeds, record):
     for r, (seed, draws) in enumerate(zip(seeds, limit.tolist())):
         u[r, :draws] = np.random.default_rng(operator.index(seed)).random(draws)
     h, c = run.hs[n - 1, trip], run.cs[n - 1, trip]
-    alpha = run.alphas[n - 1, trip] if run.att is not None else None
+    att = None if run.att is None else (run.att[0][trip], run.att[1][trip]) + run.att[2:]
     w_token = p["lstm_W"][: model.dims.d_e]
     tokens = np.empty((n_rows, width), dtype=np.intp)
     lengths = np.empty(n_rows, dtype=np.intp)
-    if record:  # what each draw used
-        probs_at = np.empty((width, n_rows, len(model.vocab)))
-        alpha_at = np.empty((width,) + alpha.shape) if alpha is not None else None
     live = np.arange(n_rows)
     for s in range(width):
-        probs = softmax(h @ p["dec_W"] + p["dec_b"])
-        if record:
-            probs_at[s, live] = probs
-            if alpha is not None:
-                alpha_at[s, live] = alpha
-        tids = _sample(probs, u[live, s])
+        tids = _sample(softmax(h @ p["dec_W"] + p["dec_b"]), u[live, s])
         tokens[live, s] = tids
         lengths[live] = s + 1
         more = (tids != end_id) & (limit[live] > s + 1)
         live, h, c = live[more], h[more], c[more]
         if not live.size:
             break
-        h, c, alpha = _step_rows(model, run, trip[live], p["embed"][tids[more]] @ w_token + p["lstm_b"], h, c)
-
-    ids = [tuple(row[:k]) for row, k in zip(tokens.tolist(), lengths.tolist())]
-    if not record:
-        return ids
-    lead = softmax(run.hs @ p["dec_W"] + p["dec_b"])  # after each prefix token
-    return [
-        (row, np.concatenate([lead[: n[r] - 1, trip[r]], probs_at[: len(row), r]]),
-         None if alpha is None else np.concatenate([run.alphas[: n[r] - 1, trip[r]], alpha_at[: len(row), r]]))
-        for r, row in enumerate(ids)
-    ]
-
-
-def _step_rows(model, run, trip, xw, h, c):
-    """``_step`` for rows grouped by sequence ``trip``: the attention model
-    steps each group against its own sequence's features, so that no row
-    holds a copy of them. Returns h', c' and alpha (None for rnn)."""
-    if run.att is None:
-        return _step(model, xw, h, c, None)[:2] + (None,)
-    bounds = [0, *(np.flatnonzero(np.diff(trip)) + 1).tolist(), len(trip)]
-    steps = [
-        _step(model, xw[lo:hi], h[lo:hi], c[lo:hi], (run.att[0][trip[lo]], run.att[1][trip[lo]]) + run.att[2:])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return tuple(np.concatenate(part) for part in zip(*((h2, c2, cache[1]) for h2, c2, cache in steps)))
+        if att is not None:  # compacted in place: a fresh copy every step costs page faults as the heap regrows
+            for rows_of in att[:2]:
+                rows_of[: live.size] = rows_of[: more.size][more]
+        h, c, _ = _step(model, p["embed"][tids[more]] @ w_token + p["lstm_b"], h, c,
+                        None if att is None else (att[0][: live.size], att[1][: live.size]) + att[2:])
+    return [tuple(row[:k]) for row, k in zip(tokens.tolist(), lengths.tolist())]
 
 
 def generate(
@@ -627,23 +594,26 @@ def generate_batch(
     traffic: np.ndarray | None = None,
 ) -> list[GenerationResult]:
     """Sample several continuations of one prefix, one RNG stream per int
-    seed: the one-fork case of ``sample_forks``, keeping every step's
-    distribution (and attention). Candidate i consumes uniforms exactly as a
-    lone ``generate`` call with ``seeds[i]`` would, so batched and sequential
-    evaluation agree.
+    seed: the one-fork case of ``sample_forks``. Candidate i consumes
+    uniforms exactly as a lone ``generate`` call with ``seeds[i]`` would, so
+    batched and sequential evaluation agree. The finished candidates are
+    then teacher-forced together, in one padded unroll, for the distribution
+    (and attention) after every fed token.
     """
     prefix = list(prefix)
     fork = Fork(0, len(prefix), seeds, max_len)
-    rows = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork], record=True)[0]
-    end_id = model.vocab.end_id
+    (rows,) = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
+    if not rows:
+        return []
+    probs, alphas = _forward(model, [model.vocab.encode(prefix) + list(ids[:-1]) for ids in rows], traffic)
     return [
         GenerationResult(
             tokens=prefix + model.vocab.decode(ids),
-            step_probs=list(probs),
+            step_probs=list(step_probs),
             attention=None if alpha is None else list(alpha),
-            terminated=ids[-1] == end_id,
+            terminated=ids[-1] == model.vocab.end_id,
         )
-        for ids, probs, alpha in rows
+        for ids, step_probs, alpha in zip(rows, probs, alphas)
     ]
 
 

@@ -166,8 +166,16 @@ def save_world(path: str | Path, world: World) -> None:
 
 
 def load_world(path: str | Path) -> World:
-    data = json.loads(Path(path).read_text())
-    if data.pop("version", None) != WORLD_VERSION:
-        raise ValueError("unsupported world file version")
-    data["load_levels"] = np.asarray(data["load_levels"], dtype=float)
-    return World(**data)
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: not a world file: {exc.msg}") from None
+    if not isinstance(data, dict) or data.pop("version", None) != WORLD_VERSION:
+        raise ValueError(f"{path}: unsupported world file version")
+    try:
+        data["load_levels"] = np.asarray(data["load_levels"], dtype=float)
+        return World(**data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: world file has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:  # a missing or unknown field, or a malformed value
+        raise ValueError(f"{path}: {exc}") from None

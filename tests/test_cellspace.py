@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,18 @@ def test_cellmap_load_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "cells.tsv"
     path.write_text("\n".join(["cellmap-v1\tradius=100.0\tn=3", *rows]) + "\n")
     with pytest.raises(ValueError, match=f"{path}{message}"):
+        load_cellmap(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty cell map file"), ("cellmap-v0\tradius=100.0\tn=1\n1\t0.0\t0.0\n", "unsupported cell map version")],
+    ids=["empty", "foreign-version"],
+)
+def test_cellmap_load_rejects_foreign_file_naming_it(tmp_path, text, message):
+    path = tmp_path / "cells.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
         load_cellmap(path)
 
 

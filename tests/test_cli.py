@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from cellseq import corpus, models
+from cellseq import corpus, evaluation, models
 from cellseq.cellspace import save_cellmap
 from cellseq.cli import _apply_config, build_parser, main
+from cellseq.tokens import START
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +143,11 @@ def test_generate_command(pipeline, capsys):
                  "--prefix", "", "--n", "3", "--max-len", "20", "--seed", "4"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3
-    for line in out:
+    model, _ = models.load_model(pipeline / "rnn" / "model.ckpt")
+    for i, line in enumerate(out):
         assert line.startswith("#start")
+        expect = models.generate(model, [START], evaluation.derive_seed(4, "generate", 0, i), max_len=20)
+        assert line == " ".join(str(t) for t in expect.tokens)
 
 
 def test_config_file_overrides_flags(pipeline, tmp_path, capsys):

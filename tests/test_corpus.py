@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,17 @@ def test_malformed_row_reports_line(tmp_path):
     path = tmp_path / "trips.tsv"
     path.write_text("d1\t0\t0\t0\nd1\t10\toops\t0\n")
     with pytest.raises(ValueError, match="line 2"):
+        read_trajectory_rows(path)
+
+
+@pytest.mark.parametrize(
+    "row, message", [("d1\t0\t0", "expected 4 fields, got 3"), ("d1\t0\tx\t0", "non-numeric field")],
+    ids=["short-row", "non-numeric"],
+)
+def test_malformed_row_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "trips.tsv"
+    path.write_text(row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed row at line 1: {message}")):
         read_trajectory_rows(path)
 
 
@@ -334,6 +347,16 @@ def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
     path.write_text("\n".join(lines[:3] + ["0.5\tnan?"] + lines[4:]) + "\n")
     with pytest.raises(ValueError, match=f"{path}:4: non-numeric count in '0.5"):
         load_accumulation(path)
+
+
+@pytest.mark.parametrize("text", ["", "cellmap-v1\tradius=1.0\tn=1\n"], ids=["empty", "foreign"])
+def test_loaders_reject_foreign_first_line_naming_file(tmp_path, text):
+    path = tmp_path / "other.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported accumulation version")):
+        load_accumulation(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported sequences file")):
+        load_sequences(path)
 
 
 def test_sequences_io_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -366,6 +367,35 @@ def test_score_file_rejects_wrong_field_count(tmp_path, fields):
     row = "\t".join((row.split("\t") + ["0.5"])[:fields])
     path.write_text(f"{header}\n{row}\n")
     with pytest.raises(ValueError, match=f"{path}:2: expected 8 tab-separated fields, got {fields}"):
+        read_scores(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (1, "two", "invalid literal for int()"),
+        (2, "3.5", "invalid literal for int()"),
+        (3, "high", "could not convert string to float"),
+        (7, "1.5", "score out of range: 1.5"),
+    ],
+    ids=["non-numeric-g", "non-integer-m", "non-numeric-score", "score-out-of-range"],
+)
+def test_score_file_rejects_bad_value_naming_file_and_line(tmp_path, field, value, message):
+    path = tmp_path / "scores.tsv"
+    write_scores(path, [make_score_record("a", 1, 3, 0.5)])
+    header, row = path.read_text().splitlines()
+    bad = row.split("\t")
+    bad[field] = value
+    path.write_text(f"{header}\n{row}\n" + "\t".join(bad) + "\n")  # the bad row on line 3
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        read_scores(path)
+
+
+@pytest.mark.parametrize("text", ["", "trip_id\tg\tm\n"], ids=["empty", "foreign-header"])
+def test_score_file_rejects_foreign_header_naming_file(tmp_path, text):
+    path = tmp_path / "scores.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported score file header")):
         read_scores(path)
 
 

@@ -463,27 +463,24 @@ def test_generate_follows_teacher_forced_forward(cls):
 def test_sample_forks_matches_one_prefix_at_a_time(cls, monkeypatch):
     vocab = Vocab(range(1, 6))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
-    trips = [[START, 1, 2, 3, 4, END], [START, 5], [START, 4, 4, 2, 1, 3, END]]
-    windows = [random_traffic(5, seed=s) for s in range(3)] if cls is ArnnModel else None
+    # sequence 3 has no fork; the last four forks alternate between sequences
+    # 0 and 1, which have different windows, so that a chunk interleaves
+    # rows that attend over different features
+    trips = [[START, 1, 2, 3, 4, END], [START, 5], [START, 4, 4, 2, 1, 3, END], [START, 3, 3, END]]
+    windows = [random_traffic(5, seed=s) for s in range(4)] if cls is ArnnModel else None
     forks = [models.Fork(2, 4, [7, 8, 9], 12), models.Fork(0, 1, [1], 6), models.Fork(1, 2, [4, 5], 8),
-             models.Fork(2, 1, [6, 6], 20), models.Fork(0, 3, [2, 3, 11, 12], 7)]
+             models.Fork(2, 1, [6, 6], 20), models.Fork(0, 3, [2, 3, 11, 12], 7),
+             models.Fork(0, 2, [13, 14, 15], 16), models.Fork(1, 1, [16, 17, 18], 16),
+             models.Fork(0, 1, [19, 20], 16), models.Fork(1, 2, [21, 22, 23], 16)]
     expect = [
-        generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
-                       traffic=windows[f.trip] if windows else None)
+        [res.tokens for res in generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
+                                              traffic=windows[f.trip] if windows else None)]
         for f in forks
     ]
     for row_cap in (1, 3, 64):
         monkeypatch.setattr(models, "ROW_CAP", row_cap)
-        got = models.sample_forks(model, trips, windows, forks, record=True)
-        for fork, rows, results in zip(forks, got, expect):
-            assert len(rows) == len(fork.seeds)
-            for (ids, probs, alpha), res in zip(rows, results):
-                assert trips[fork.trip][: fork.n] + vocab.decode(ids) == res.tokens
-                np.testing.assert_allclose(probs, np.vstack(res.step_probs), rtol=0, atol=1e-12)
-                if cls is ArnnModel:
-                    np.testing.assert_allclose(alpha, np.vstack(res.attention), rtol=0, atol=1e-12)
-        plain = models.sample_forks(model, trips, windows, forks)
-        assert plain == [[ids for ids, _, _ in rows] for rows in got]
+        got = models.sample_forks(model, trips, windows, forks)
+        assert [[trips[f.trip][: f.n] + vocab.decode(ids) for ids in rows] for f, rows in zip(forks, got)] == expect
 
 
 def test_generate_takes_int_seeds_only(overfit_model):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,26 @@ def test_world_io_roundtrip(tmp_path):
     assert loaded.rows == world.rows
     assert loaded.epsilon == world.epsilon
     np.testing.assert_array_equal(loaded.load_levels, world.load_levels)
+
+
+def _without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[: len(text) // 2], r":\d+: not a world file"),
+        (_without("load_levels"), ": world file has no 'load_levels' field"),
+        (_without("seed"), ": .*missing 1 required positional argument: 'seed'"),
+        (lambda text: json.dumps({**json.loads(text), "version": "world-v0"}), ": unsupported world file version"),
+        (lambda text: "[]", ": unsupported world file version"),
+    ],
+    ids=["truncated", "no-load-levels", "no-seed", "foreign-version", "not-an-object"],
+)
+def test_world_load_rejects_bad_file_naming_it(tmp_path, edit, message):
+    path = tmp_path / "world.json"
+    save_world(path, small_world())
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + message):
+        load_world(path)
