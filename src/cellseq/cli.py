@@ -183,8 +183,10 @@ def cmd_generate(args) -> int:
     lookup = _traffic_lookup(args, model.kind, model.vocab.cells)
     traffic = lookup.window(args.start_time) if lookup is not None else None
     seeds = [evaluation.derive_seed(args.seed, "generate", 0, i) for i in range(args.n)]
-    for result in models.generate_batch(model, prefix, seeds, max_len=args.max_len, traffic=traffic):
-        print(" ".join(str(t) for t in result.tokens))
+    fork = models.Fork(0, len(prefix), seeds, args.max_len)
+    (rows,) = models.sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
+    for ids in rows:
+        print(" ".join(str(t) for t in prefix + model.vocab.decode(ids)))
     return 0
 
 

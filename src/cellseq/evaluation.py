@@ -7,9 +7,10 @@ five scores. ``evaluate_records`` takes the sequences in blocks of
 ``models.MEAN_LOSS_CHUNK``; it generates the candidates of all tasks of a
 block in one batched pass (``models.sample_forks``: each sequence
 teacher-forced once, every task's k rows forked from the state after its
-prefix, all rows sampled in lockstep, in task order, under
-``models.ROW_CAP``, each attention row against its own sequence's
-features), and only then scores them. ``run_task`` is the one-task case.
+prefix and sampled in a pool of at most ``models.ROW_CAP`` slots, refilled
+in task order as rows end, each attention row against its own sequence's
+features and each candidate with the stream of ``default_rng`` of its
+seed), and only then scores them. ``run_task`` is the one-task case.
 Trained models repeat candidates within a task, so each distinct
 continuation is scored once and its scores are reused for its repeats; the
 per-candidate scores and their mean are the same as scoring every

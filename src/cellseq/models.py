@@ -12,9 +12,10 @@ right-padded to [B, T] and run as one masked unroll and one backward pass;
 validation runs the unroll forward-only in fixed-size chunks. Generation
 samples the next token from the emitted multinomial until #end, in one
 batched pass (``sample_forks``): each source sequence is teacher-forced once,
-every fork's candidates start from the state after its prefix, and all rows
-are sampled in lockstep, in fork order, at most ``ROW_CAP`` at a time, each
-attention row against its own sequence's features. ``generate`` and
+every fork's candidates start from the state after its prefix, and the rows
+run in a pool of at most ``ROW_CAP`` slots, refilled in fork order, each
+with its own sequence's features and a stream equal to ``default_rng(seed)``
+(all computed at once by ``_streams``). ``generate`` and
 ``generate_batch`` are its one-prefix case; they take the distributions
 after every fed token from one teacher-forced unroll of the finished
 candidates, as ``rnn_forward`` and ``arnn_forward`` do for one sequence.
@@ -450,7 +451,7 @@ def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
 # generation
 
 
-ROW_CAP = 64  # rows sampled in lockstep at once; bounds the arnn's [rows, N, d] attention temporaries
+ROW_CAP = 64  # slots of the sampling pool; bounds the arnn's [rows, N, d] attention temporaries
 
 
 @dataclass
@@ -500,13 +501,14 @@ def sample_forks(
     Every sequence in ``trips`` (with its window ``traffic[i]`` for the
     attention model) is teacher-forced once, up to its longest fork prefix,
     in one unroll that keeps (h, c) after every position, so callers bound
-    how many they pass. A fork's rows start from the state after its prefix;
-    row i draws its ``max_len - n`` uniforms up front from
-    ``default_rng(seeds[i])`` (the values as many scalar draws give), one per
-    sampled token. Rows keep the order of the forks and, within a fork, of
-    its seeds; they move in lockstep in chunks of at most ``ROW_CAP``, each
-    attention row against its own sequence's features, and each step is one
-    ``_step`` and one ``_sample`` over every live row of the chunk.
+    how many they pass. A fork's rows start from the state after its prefix,
+    and row i draws one uniform per sampled token from the stream of
+    ``default_rng(seeds[i])``. The rows run in a pool of at most ``ROW_CAP``
+    slots, whose arrays are allocated once, in fork order, then seed order.
+    Each step is one ``_sample`` and one ``_step`` over the occupied slots;
+    a slot whose row ended is stepped too, then refilled with the next row's
+    state, stream and features. Once no row is left, the running slots move
+    down in place.
 
     Returns per fork, per row in seed order, the tuple of sampled ids (the
     last is #end's if it terminated).
@@ -525,50 +527,108 @@ def sample_forks(
     attend = model.kind == "arnn"
     if attend and traffic is None:
         raise ValueError("traffic tensor required for the attention model")
-
+    streams = _streams([seed for f in forks for seed in f.seeds])
     x = np.zeros((len(trips), max(need)), dtype=np.intp)
-    for b, (trip, n) in enumerate(zip(trips, need)):
-        x[b, :n] = model.vocab.encode(list(trip[:n]))
+    for b, (seq, k) in enumerate(zip(trips, need)):
+        x[b, :k] = model.vocab.encode(list(seq[:k]))
     windows = np.stack([np.asarray(w, dtype=float) for w in traffic]) if attend else None
     run = _Unroll(model, x, windows, keep=False)
     per_fork = np.array([(f.trip, f.n, f.max_len - f.n) for f in forks], dtype=np.intp)
-    rows = np.repeat(per_fork, [len(f.seeds) for f in forks], axis=0)
-    seeds = [seed for f in forks for seed in f.seeds]
-    sampled = iter([
-        ids for lo in range(0, len(rows), ROW_CAP)
-        for ids in _lockstep(model, run, *rows[lo : lo + ROW_CAP].T, seeds[lo : lo + ROW_CAP])
-    ])
+    trip, n, limit = np.repeat(per_fork, [len(f.seeds) for f in forks], axis=0).T
+    p, end_id, n_rows = model.params, model.vocab.end_id, len(trip)
+    cap = min(ROW_CAP, n_rows)
+    h, c = np.empty((2, cap, model.dims.d_h))
+    pos, lim, row_of = np.empty((3, cap), dtype=np.intp)
+    state, tokens = np.empty((4, cap), dtype=np.uint64), np.empty((cap, limit.max(initial=1)), dtype=np.intp)
+    att = [np.empty((cap,) + a.shape[1:]) for a in run.att[:2]] if attend else []
+    out, taken, live = [None] * n_rows, 0, cap
+    slots = free = np.arange(cap)
+    while live:
+        new = np.arange(taken, taken + free.size)
+        h[free], c[free] = run.hs[n[new] - 1, trip[new]], run.cs[n[new] - 1, trip[new]]
+        for a, src in zip(att, run.att or ()):
+            a[free] = src[trip[new]]
+        state[:, free], pos[free], lim[free], row_of[free] = streams[:, new], 0, limit[new], new
+        taken += free.size
+        tids = _sample(softmax(h[:live] @ p["dec_W"] + p["dec_b"]), _draw(state[:, :live]))
+        tokens[slots[:live], pos[:live]] = tids
+        pos[:live] += 1
+        ended = np.flatnonzero((tids == end_id) | (pos[:live] == lim[:live]))
+        for slot in ended.tolist():
+            out[row_of[slot]] = tuple(tokens[slot, : pos[slot]].tolist())
+        free, vacate = ended[: n_rows - taken], ended[n_rows - taken :]
+        if vacate.size:  # every refilled slot lies below every vacated one, so it keeps its index
+            kept = np.delete(slots[:live], vacate)
+            tids, live = tids[kept], kept.size
+            for a in [h, c, pos, lim, row_of, state.T, tokens] + att:
+                a[:live] = a[kept]
+        if live:
+            xw = p["embed"][tids] @ p["lstm_W"][: model.dims.d_e] + p["lstm_b"]
+            h[:live], c[:live], _ = _step(model, xw, h[:live], c[:live],
+                                          (att[0][:live], att[1][:live]) + run.att[2:] if attend else None)
+    sampled = iter(out)
     return [list(itertools.islice(sampled, len(f.seeds))) for f in forks]
 
 
-def _lockstep(model, run, trip, n, limit, seeds):
-    """Rows forked from ``run``'s state after position n - 1 of sequence
-    ``trip``, sampled together, each for at most ``limit`` tokens."""
-    p, end_id = model.params, model.vocab.end_id
-    n_rows, width = len(trip), int(limit.max())
-    u = np.zeros((n_rows, width))
-    for r, (seed, draws) in enumerate(zip(seeds, limit.tolist())):
-        u[r, :draws] = np.random.default_rng(operator.index(seed)).random(draws)
-    h, c = run.hs[n - 1, trip], run.cs[n - 1, trip]
-    att = None if run.att is None else (run.att[0][trip], run.att[1][trip]) + run.att[2:]
-    w_token = p["lstm_W"][: model.dims.d_e]
-    tokens = np.empty((n_rows, width), dtype=np.intp)
-    lengths = np.empty(n_rows, dtype=np.intp)
-    live = np.arange(n_rows)
-    for s in range(width):
-        tids = _sample(softmax(h @ p["dec_W"] + p["dec_b"]), u[live, s])
-        tokens[live, s] = tids
-        lengths[live] = s + 1
-        more = (tids != end_id) & (limit[live] > s + 1)
-        live, h, c = live[more], h[more], c[more]
-        if not live.size:
-            break
-        if att is not None:  # compacted in place: a fresh copy every step costs page faults as the heap regrows
-            for rows_of in att[:2]:
-                rows_of[: live.size] = rows_of[: more.size][more]
-        h, c, _ = _step(model, p["embed"][tids[more]] @ w_token + p["lstm_b"], h, c,
-                        None if att is None else (att[0][: live.size], att[1][: live.size]) + att[2:])
-    return [tuple(row[:k]) for row, k in zip(tokens.tolist(), lengths.tolist())]
+# default_rng(seed).random() for many int seeds at once, in uint64 array arithmetic:
+# SeedSequence's hashing and generate_state, PCG64's seeding, LCG step and XSL-RR output.
+_M32, _U64 = 0xFFFFFFFF, np.uint64
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & (2**64 - 1))
+_B0, _B1 = _U64(_PCG_MULT & _M32), _U64(_PCG_MULT >> 32 & _M32)  # 32-bit halves of _MULT_LO
+
+
+def _streams(seeds: Sequence[int]) -> np.ndarray:
+    """PCG64 states [4, R] (state high and low word, increment high and low
+    word) of ``default_rng(seed)`` for every int seed, before its first draw."""
+    seeds = [operator.index(seed) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("expected non-negative integer")
+    n_words = max(4, -(-max(seeds, default=0).bit_length() // 32))
+    words = np.array([[seed >> 32 * j & _M32 for seed in seeds] for j in range(n_words)], dtype=_U64)
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(v):  # SeedSequence's on uint32 words (held in uint64), each call with the next hash constant
+        nonlocal const
+        v = v ^ const
+        const = const * mult & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715 & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for j, dst in itertools.product(range(4, n_words), range(4)):  # the words past the fourth of seeds >= 2**128
+        pool[dst] = np.where(words[j:].any(axis=0), mix(pool[dst], hashmix(words[j])), pool[dst])
+    const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64): uint32 words, low first
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    val = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+    st = np.empty((4, len(seeds)), dtype=_U64)
+    st[2], st[3] = val[2] << 1 | val[3] >> 63, val[3] << 1 | 1
+    st[1] = st[3] + val[1]  # state 0 stepped is the increment; add the seed, step again
+    st[0] = st[2] + val[0] + (st[1] < val[1])
+    _draw(st)
+    return st
+
+
+def _draw(st: np.ndarray) -> np.ndarray:
+    """Steps every stream of ``st`` in place, state * mult + inc mod 2**128,
+    and returns its ``Generator.random()`` value."""
+    hi, lo, inc_hi, inc_lo = st
+    a0, a1 = lo & _M32, lo >> 32
+    t = (a0 * _B0 >> 32) + a1 * _B0
+    u = (t & _M32) + a0 * _B1
+    hi *= _MULT_LO
+    hi += lo * _MULT_HI + a1 * _B1 + (t >> 32) + (u >> 32)  # with the high word of lo * _MULT_LO
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    x, rot = hi ^ lo, hi >> 58
+    return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
 
 
 def generate(

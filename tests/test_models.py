@@ -483,6 +483,77 @@ def test_sample_forks_matches_one_prefix_at_a_time(cls, monkeypatch):
         assert [[trips[f.trip][: f.n] + vocab.decode(ids) for ids in rows] for f, rows in zip(forks, got)] == expect
 
 
+@pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
+def test_sample_forks_refills_slots_across_sequences(cls, monkeypatch):
+    # rows of one token next to rows of up to 40, from two sequences with
+    # different windows: short rows end while long ones run, so a slot is
+    # refilled mid-run, often with a row of the other sequence, and the pool
+    # ends by moving its last running rows down
+    vocab = Vocab(range(1, 6))
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=3)
+    model.params["dec_b"][vocab.end_id] = -2.0  # rarer #end: long rows stay long
+    trips = [[START, 1, 2, 3, 4, END], [START, 5, 4, 3]]
+    windows = [random_traffic(5, seed=10), random_traffic(5, seed=11)] if cls is ArnnModel else None
+    forks = [models.Fork(0, 2, range(100, 105), 3), models.Fork(1, 3, range(200, 203), 40),
+             models.Fork(0, 1, range(300, 306), 2), models.Fork(1, 1, [400], 30),
+             models.Fork(0, 4, range(500, 504), 5), models.Fork(1, 2, range(600, 603), 35),
+             models.Fork(0, 3, range(700, 702), 40), models.Fork(1, 1, range(800, 805), 2)]
+    expect = [
+        [res.tokens for res in generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
+                                              traffic=windows[f.trip] if windows else None)]
+        for f in forks
+    ]
+    lengths = [len(tokens) - f.n for f, rows in zip(forks, expect) for tokens in rows]
+    assert min(lengths) == 1 and max(lengths) >= 15
+    for row_cap in (1, 2, 3, 64):
+        monkeypatch.setattr(models, "ROW_CAP", row_cap)
+        got = models.sample_forks(model, trips, windows, forks)
+        assert [[trips[f.trip][: f.n] + vocab.decode(ids) for ids in rows] for f, rows in zip(forks, got)] == expect
+
+
+# The sampler computes numpy's default_rng(seed).random() streams itself, for
+# all rows at once. These tests hold it to numpy's bits, so they are also the
+# ones that fail if a numpy release changes its SeedSequence or PCG64 streams.
+
+STREAM_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5, 2**128 + 1, np.int64(42)]
+
+
+def _stream_draws(seeds, n):
+    streams = models._streams(seeds)
+    return np.stack([models._draw(streams) for _ in range(n)], axis=1)
+
+
+def _numpy_draws(seeds, n):
+    return np.stack([np.random.default_rng(seed).random(n) for seed in seeds])
+
+
+def test_streams_match_numpy_default_rng_on_5000_seeds():
+    seeds = [int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 5000, dtype=np.uint64)]
+    np.testing.assert_array_equal(_stream_draws(seeds, 6).view(np.uint64), _numpy_draws(seeds, 6).view(np.uint64))
+
+
+def test_streams_match_numpy_default_rng_on_edge_seeds():
+    got = _stream_draws(STREAM_EDGE_SEEDS, 20)
+    np.testing.assert_array_equal(got.view(np.uint64), _numpy_draws(STREAM_EDGE_SEEDS, 20).view(np.uint64))
+    for seed, row in zip(STREAM_EDGE_SEEDS, got):  # one seed alone, as a one-row generate would
+        np.testing.assert_array_equal(_stream_draws([seed], 20)[0], row)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seeds=st.lists(st.integers(0, 2**200), min_size=1, max_size=6), n=st.integers(1, 5))
+def test_streams_match_numpy_default_rng_on_any_int_seeds(seeds, n):
+    np.testing.assert_array_equal(_stream_draws(seeds, n).view(np.uint64), _numpy_draws(seeds, n).view(np.uint64))
+
+
+def test_streams_reject_negative_seeds_as_numpy_does(overfit_model):
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        models._streams([3, -1])
+    with pytest.raises(ValueError):
+        generate(overfit_model, [START], -1, max_len=10)
+
+
 def test_generate_takes_int_seeds_only(overfit_model):
     with pytest.raises(TypeError):
         generate(overfit_model, [START], np.random.default_rng(0), max_len=10)
