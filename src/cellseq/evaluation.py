@@ -11,6 +11,8 @@ prefix and sampled in a pool of at most ``models.ROW_CAP`` slots, refilled
 in task order as rows end, each attention row against its own sequence's
 features and each candidate with the stream of ``default_rng`` of its
 seed), and only then scores them. ``run_task`` is the one-task case.
+Each task prepares its reference continuation once (``metrics._Reference``:
+its n-gram counts and cell positions) and scores its candidates against it.
 Trained models repeat candidates within a task, so each distinct
 continuation is scored once and its scores are reused for its repeats; the
 per-candidate scores and their mean are the same as scoring every
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import models
 from .corpus import SequenceRecord, TrafficLookup
-from .metrics import ScoreVector, score_vector
+from .metrics import ScoreVector, _Reference
 from .models import Fork, RnnModel, default_max_len, sample_forks
 from .tokens import Token, Vocab, strip_virtual
 
@@ -153,8 +155,9 @@ def _generate(
 
 
 def _score(task: EvalTask, rows: Sequence[tuple[int, ...]], vocab: Vocab) -> ScoreRecord:
-    """Score one task's candidates (sampled ids, in candidate order)."""
-    reference = list(task.tokens[task.g + 1 : -1])
+    """Score one task's candidates (sampled ids, in candidate order) against
+    its reference, prepared once."""
+    reference = _Reference(strip_virtual(task.tokens[task.g + 1 : -1]))
     scored: dict[tuple[Token, ...], ScoreVector] = {}
     by_ids: dict[tuple[int, ...], ScoreVector] = {}
     raw = []
@@ -163,17 +166,15 @@ def _score(task: EvalTask, rows: Sequence[tuple[int, ...]], vocab: Vocab) -> Sco
         if ids not in by_ids:
             continuation = tuple(strip_virtual(vocab.decode(ids)))
             if continuation not in scored:
-                scored[continuation] = score_vector(continuation, reference)
+                scored[continuation] = reference.score(continuation)
             by_ids[ids] = scored[continuation]
         raw.append(by_ids[ids])
         if ids[-1] != vocab.end_id:
             unterminated += 1
-    mean = ScoreVector(
-        **{
-            name: float(np.mean([getattr(r, name) for r in raw]))
-            for name in SCORE_NAMES
-        }
-    )
+    # one contiguous row per score name: each row is summed in the order in
+    # which np.mean sums a list of that score alone, so the means equal it
+    columns = np.ascontiguousarray(np.array([r.as_tuple() for r in raw]).T)
+    mean = ScoreVector(*columns.mean(axis=1).tolist())
     return ScoreRecord(
         trip_id=task.trip_id,
         g=task.g,
@@ -347,11 +348,14 @@ def write_scores(path: str | Path, records: Sequence[ScoreRecord]) -> None:
 
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:
+    """The rows of a ``write_scores`` file; a malformed row, or a second row
+    for one (trip_id, g), is rejected with its ``path:line``."""
     lines = Path(path).read_text().splitlines()
     expected = "trip_id\tg\tm\t" + "\t".join(SCORE_NAMES)
     if not lines or lines[0] != expected:
         raise ValueError(f"{path}:1: unsupported score file header")
     out = []
+    first_line: dict[tuple[str, int], int] = {}  # (trip_id, g) -> the line that holds it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -360,9 +364,14 @@ def read_scores(path: str | Path) -> list[ScoreRecord]:
             raise ValueError(f"{path}:{lineno}: expected {3 + len(SCORE_NAMES)} tab-separated fields, "
                              f"got {len(parts)}")
         try:
-            out.append(ScoreRecord(parts[0], int(parts[1]), int(parts[2]), ScoreVector(*map(float, parts[3:]))))
+            rec = ScoreRecord(parts[0], int(parts[1]), int(parts[2]), ScoreVector(*map(float, parts[3:])))
         except ValueError as exc:  # a non-numeric field or a score out of range
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        first = first_line.setdefault((rec.trip_id, rec.g), lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated trip_id {rec.trip_id!r} and g {rec.g}, "
+                             f"first on line {first}")
+        out.append(rec)
     return out
 
 

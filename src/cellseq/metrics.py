@@ -13,12 +13,19 @@ and marks it inexact (``Alignment.exact``, ``ScoreVector.meteor_exact``).
 Pairs of random walks on a grid stay well below the budget; long
 sequences that repeat many cells in unrelated orders reach it.
 
+When every cell the two sides share occurs once on each side, the
+alignment is the only one with the most mappings and is returned without
+the search; it is exact.
+
 Virtual #start/#end markers are stripped before scoring; only real cells
-are compared. Each public function strips its inputs and calls a private
-core that takes stripped inputs. ``score_vector`` strips once, computes
-P_1..P_4 once per pair and builds BLEU-1..4 from them through the same
-helper as ``bleu_n``, so its scores equal the single-score functions bit
-for bit.
+are compared. Every public function strips its inputs and scores them
+through one private prepared reference (``_Reference``): the reference's
+n-gram counts for n <= 4 in one dict and its cells' positions, built once,
+against which a candidate's P_1..P_4 take one pass over its n-grams. An
+evaluation task prepares its reference once for all its candidates;
+``score_vector`` is the one-candidate case, and BLEU-1..4 come from the
+same P_1..P_4 through the same helper as ``bleu_n``, so its scores equal
+the single-score functions bit for bit.
 """
 from __future__ import annotations
 
@@ -71,8 +78,45 @@ class ScoreVector:
                 raise ValueError(f"score out of range: {v}")
 
 
-def _ngrams(tokens: Sequence[Token], n: int) -> list[tuple[Token, ...]]:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+def _ngrams(tokens: tuple[Token, ...], orders: int) -> list[tuple[Token, ...]]:
+    """Every n-gram of ``tokens`` for n = 1..orders, as tuples."""
+    size = len(tokens)
+    return [tokens[i:j] for i in range(size) for j in range(i + 1, min(i + orders, size) + 1)]
+
+
+class _Reference:
+    """A reference without markers, prepared once for scoring any number of
+    candidates without markers: its n-gram counts for n = 1..``orders`` in
+    one dict, and the positions of each of its cells. Every public scoring
+    function goes through it, so they all share one code path."""
+
+    def __init__(self, ref: Sequence[Token], orders: int = 4):
+        self.tokens = tuple(ref)
+        self.orders = orders
+        self.grams = Counter(_ngrams(self.tokens, orders))
+        self.positions = _positions(self.tokens)
+
+    def precisions(self, cand: tuple[Token, ...]) -> list[float]:
+        """Clipped precisions P_1..P_orders of ``cand``, from one pass over
+        its n-grams of every order: an n-gram counts while the reference
+        has occurrences of it left, which clips it at the reference count."""
+        clipped, left = [0] * self.orders, dict(self.grams)
+        for gram in _ngrams(cand, self.orders):
+            if left.get(gram):
+                left[gram] -= 1
+                clipped[len(gram) - 1] += 1
+        size = len(cand)
+        return [c / (size - n) if size > n else 0.0 for n, c in enumerate(clipped)]
+
+    def score(self, cand: tuple[Token, ...]) -> ScoreVector:
+        """All five scores of ``cand``: BLEU-n takes the first n of P_1..P_4,
+        so each equals ``bleu_n``/``meteor`` bit for bit."""
+        if not cand or not self.tokens:
+            bleus = [0.0] * 4
+        else:
+            bleus = _bleus(self.precisions(cand), len(cand), len(self.tokens))
+        meteor_score, exact = _meteor(cand, self)
+        return ScoreVector(*bleus, meteor=meteor_score, meteor_exact=exact)
 
 
 def modified_precision(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
@@ -80,42 +124,30 @@ def modified_precision(cand: Sequence[Token], ref: Sequence[Token], n: int) -> f
     reference counts; denominator is the candidate n-gram count."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _precision(strip_virtual(cand), strip_virtual(ref), n)
-
-
-def _precision(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
-    """``modified_precision`` on inputs without markers."""
-    if len(cand) < n:
-        return 0.0
-    counts = Counter(_ngrams(cand, n))
-    ref_counts = Counter(_ngrams(ref, n))
-    clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
-    return clipped / sum(counts.values())
+    return _Reference(strip_virtual(ref), orders=n).precisions(tuple(strip_virtual(cand)))[n - 1]
 
 
 def bleu_n(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
     """Length-ratio brevity penalty times the geometric mean of P_1..P_n."""
     if not 1 <= n <= 4:
         raise ValueError("n must be in 1..4")
-    cand = strip_virtual(cand)
-    ref = strip_virtual(ref)
-    if not cand or not ref:
+    cand = tuple(strip_virtual(cand))
+    ref = _Reference(strip_virtual(ref))
+    if not cand or not ref.tokens:
         return 0.0
-    return _bleu([_precision(cand, ref, i) for i in range(1, n + 1)], len(cand), len(ref))
+    return _bleus(ref.precisions(cand), len(cand), len(ref.tokens))[n - 1]
 
 
-def _bleu(precisions: Sequence[float], cand_len: int, ref_len: int) -> float:
-    """BLEU-n from P_1..P_n (n = len(precisions)) of a non-empty candidate
-    and reference: zero if any precision is, else the brevity penalty times
-    the n-th root of the product."""
-    if any(p == 0.0 for p in precisions):
-        return 0.0
-    geo = 1.0
-    for p in precisions:
-        geo *= p
-    geo **= 1.0 / len(precisions)
+def _bleus(precisions: Sequence[float], cand_len: int, ref_len: int) -> list[float]:
+    """BLEU-1..BLEU-len(precisions) from P_1..P_n of a non-empty candidate
+    and reference: the brevity penalty times the n-th root of the product
+    of P_1..P_n, which a zero precision zeroes."""
     penalty = min(1.0, cand_len / ref_len)
-    return penalty * geo
+    out, product = [], 1.0
+    for n, p in enumerate(precisions, start=1):
+        product *= p
+        out.append(penalty * product ** (1.0 / n))
+    return out
 
 
 def _count_chunks(pairs: Sequence[tuple[int, int]]) -> int:
@@ -140,7 +172,7 @@ def meteor_align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
     stops at ``_SEARCH_BUDGET`` states, the result has the most mappings and
     the fewest crossings found, and ``exact`` is False; see ``_align``.
     """
-    return _align(strip_virtual(cand), strip_virtual(ref))
+    return _align(tuple(strip_virtual(cand)), _Reference(strip_virtual(ref)))
 
 
 def _positions(tokens: Sequence[Token]) -> dict[Token, list[int]]:
@@ -153,7 +185,7 @@ def _positions(tokens: Sequence[Token]) -> dict[Token, list[int]]:
 _SEARCH_BUDGET = 20_000  # states entered per alignment, about 0.1 to 1 s of search
 
 
-def _align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
+def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
     """``meteor_align`` on inputs without markers.
 
     In a fewest-crossing alignment the occurrences of a token pair up in
@@ -167,18 +199,25 @@ def _align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
     The moves from a state are the matches by rising b, then the skip. That
     is the order of the pair lists, so taking the first move at every step
     gives the smallest pair list, the greedy leftmost alignment, which is
-    the answer when it has no crossing. Otherwise a depth-first
-    branch-and-bound takes the moves in that order and keeps a complete
-    alignment only below the best crossings so far, so the last one kept is
-    the smallest pair list of fewest crossings. The best starts one above
-    the crossings of the greedy alignment or of a guided one (at each step
-    the move of least crossings plus bound), whichever has fewer. A state is
-    cut when it was entered before at no higher cost, or when its crossings
-    plus a lower bound reach the best. The bound adds, for each token that
-    still owes matches, the used positions after each of its last free
-    reference positions, and for each two such tokens whose places left lie
-    in one order on the candidate side and in the other on the reference
-    side, every pair of their mappings.
+    the answer when it has no crossing. It is also the answer, whatever its
+    crossings, when every shared cell occurs once on each side: then no
+    step has a second move, and that alignment is the only one with the
+    most mappings, so it is returned at once with its crossings counted as
+    the moves count them. That is the shape of about 96-97% of the
+    distinct benchmark ``evaluate`` pairs (seeds 1 and 3), whose references
+    repeat no cell.
+
+    Otherwise a depth-first branch-and-bound takes the moves in that order
+    and keeps a complete alignment only below the best crossings so far, so
+    the last one kept is the smallest pair list of fewest crossings. The
+    best starts one above the crossings of the greedy alignment or of a
+    guided one (at each step the move of least crossings plus bound),
+    whichever has fewer. A state is cut when it was entered before at no
+    higher cost, or when its crossings plus a lower bound reach the best.
+    The bound adds, for each token that still owes matches, the used
+    positions after each of its last free reference positions, and for each
+    two such tokens whose places left lie in one order on the candidate side
+    and in the other on the reference side, every pair of their mappings.
 
     The benchmark pairs enter at most about 300 states, and 100-step random
     walks on grids of 16 to 100 cells against self-avoiding references at
@@ -188,12 +227,20 @@ def _align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
     after ``_SEARCH_BUDGET`` states and returns the best alignment found,
     marked inexact. Memory is bounded by the budget and the stack.
     """
-    cand_pos, ref_pos = _positions(cand), _positions(ref)
+    cand_pos, ref_pos = _positions(cand), ref.positions
+    shared = [t for t in cand_pos if t in ref_pos]  # by first candidate position
+    if all(len(cand_pos[t]) == 1 == len(ref_pos[t]) for t in shared):
+        pairs, crossings, mask = [], 0, 0
+        for t in shared:
+            b = ref_pos[t][0]
+            pairs.append((cand_pos[t][0], b))
+            crossings += (mask >> b).bit_count()
+            mask |= 1 << b
+        return Alignment(pairs=tuple(pairs), crossings=crossings, chunks=_count_chunks(pairs))
     token = {}  # per shared token: its reference positions, their bits, its matches
-    for t, cs in cand_pos.items():
-        if t in ref_pos:
-            bs = ref_pos[t]
-            token[t] = (bs, sum(1 << b for b in bs), min(len(cs), len(bs)))
+    for t in shared:
+        bs = ref_pos[t]
+        token[t] = (bs, sum(1 << b for b in bs), min(len(cand_pos[t]), len(bs)))
     later = {t: len(cand_pos[t]) for t in token}
     steps = []  # per shared position: a, the token's entry, its occurrences after a
     for a, t in enumerate(cand):
@@ -289,38 +336,31 @@ def _align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
 def meteor(cand: Sequence[Token], ref: Sequence[Token]) -> float:
     """Harmonic-mean score with recall weighted 9:1 over precision, reduced
     by the cubic fragmentation penalty. Zero when nothing matches."""
-    return _meteor(strip_virtual(cand), strip_virtual(ref))[0]
+    return _meteor(tuple(strip_virtual(cand)), _Reference(strip_virtual(ref)))[0]
 
 
-def _meteor(cand: Sequence[Token], ref: Sequence[Token]) -> tuple[float, bool]:
+def _meteor(cand: tuple[Token, ...], ref: _Reference) -> tuple[float, bool]:
     """``meteor`` on inputs without markers, and whether its alignment is
     exact."""
-    if not cand or not ref:
+    if not cand or not ref.tokens:
         return 0.0, True
     alignment = _align(cand, ref)
     matched = alignment.matched
     if matched == 0:
         return 0.0, True
     precision = matched / len(cand)
-    recall = matched / len(ref)
+    recall = matched / len(ref.tokens)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
     penalty = 0.5 * (alignment.chunks / matched) ** 3
     return f_mean * (1.0 - penalty), alignment.exact
 
 
 def score_vector(cand: Sequence[Token], ref: Sequence[Token]) -> ScoreVector:
-    """All five scores for one candidate/reference pair.
+    """All five scores for one candidate/reference pair: the one-candidate
+    case of scoring against a prepared reference.
 
     Strips the virtual markers once and computes P_1..P_4 once; BLEU-n takes
     the first n of them, so each score equals ``bleu_n``/``meteor`` bit for bit.
     ``meteor_exact`` tells whether the METEOR alignment search finished.
     """
-    cand = strip_virtual(cand)
-    ref = strip_virtual(ref)
-    if not cand or not ref:
-        bleus = [0.0] * 4
-    else:
-        precisions = [_precision(cand, ref, n) for n in range(1, 5)]
-        bleus = [_bleu(precisions[:n], len(cand), len(ref)) for n in range(1, 5)]
-    meteor_score, exact = _meteor(cand, ref)
-    return ScoreVector(*bleus, meteor=meteor_score, meteor_exact=exact)
+    return _Reference(strip_virtual(ref)).score(tuple(strip_virtual(cand)))

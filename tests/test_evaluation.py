@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellseq import evaluation, models
+from cellseq import evaluation, metrics, models
 from cellseq.corpus import SequenceRecord
 from cellseq.evaluation import (
     EvalTask,
@@ -111,6 +111,18 @@ def test_run_task_mean_is_mean_of_raws(memorized_model):
         )
 
 
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100])
+def test_score_means_equal_np_mean_bit_for_bit(k):
+    vocab = Vocab(range(1, 10))
+    task = EvalTask("trip", (START, *range(1, 10), END), 0.0, g=1, k=k)
+    rng = np.random.default_rng(k)
+    rows = [(*map(int, rng.integers(2, len(vocab), rng.integers(1, 12))), vocab.end_id) for _ in range(k)]
+    rec = evaluation._score(task, rows, vocab)
+    assert len(rec.raw) == k
+    for name in ScoreVector.NAMES:
+        assert getattr(rec.mean, name).hex() == float(np.mean([getattr(r, name) for r in rec.raw])).hex()
+
+
 def test_run_task_scores_repeated_candidates_like_each_one():
     vocab = Vocab(range(1, 4))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)  # untrained: short repeats
@@ -126,14 +138,15 @@ def test_run_task_scores_repeated_candidates_like_each_one():
 
 def test_run_task_counts_alignment_fallbacks(monkeypatch):
     # mark the METEOR alignment of odd-length continuations as cut at the budget
-    def scored(cand, ref):
-        return dataclasses.replace(score_vector(cand, ref), meteor_exact=len(cand) % 2 == 0)
+    class Marked(metrics._Reference):
+        def score(self, cand):
+            return dataclasses.replace(super().score(cand), meteor_exact=len(cand) % 2 == 0)
 
     vocab = Vocab(range(1, 4))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)
     task = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1, k=40)
     plain = run_task(task, model, None, master_seed=3)
-    monkeypatch.setattr(evaluation, "score_vector", scored)
+    monkeypatch.setattr(evaluation, "_Reference", Marked)
     rec = run_task(task, model, None, master_seed=3)
     seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
     results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(5))
@@ -388,6 +401,17 @@ def test_score_file_rejects_bad_value_naming_file_and_line(tmp_path, field, valu
     bad[field] = value
     path.write_text(f"{header}\n{row}\n" + "\t".join(bad) + "\n")  # the bad row on line 3
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        read_scores(path)
+
+
+def test_score_file_rejects_repeated_task_naming_file_and_line(tmp_path):
+    # improvement_rate would keep only the last such row, aggregate_by_length both
+    path = tmp_path / "scores.tsv"
+    write_scores(path, [make_score_record("a", 1, 3, 0.5), make_score_record("a", 2, 3, 0.25)])
+    header, first, second = path.read_text().splitlines()
+    repeat = first.replace("0.5", "0.75")
+    path.write_text(f"{header}\n{first}\n{second}\n{repeat}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated trip_id 'a' and g 1, first on line 2")):
         read_scores(path)
 
 

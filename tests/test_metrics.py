@@ -12,7 +12,7 @@ from cellseq.metrics import (
     modified_precision,
     score_vector,
 )
-from cellseq.tokens import END, START
+from cellseq.tokens import END, START, strip_virtual
 
 from oracles import best_alignment_by_subsets, best_alignment_oracle, bleu_oracle, crossings_of, meteor_oracle
 
@@ -189,6 +189,29 @@ def test_score_vector_is_bitwise_the_single_scores(cand, ref):
     assert [v.hex() for v in got] == [float(v).hex() for v in expect]
 
 
+@settings(deadline=None, max_examples=200)
+@given(ref=st.lists(st.sampled_from([1, 2, 3, 4, 5, START, END]), max_size=9),
+       cands=st.lists(st.lists(st.sampled_from([1, 2, 3, 4, 5, START, END]), max_size=9), max_size=8))
+@example(ref=[], cands=[[], [START, END], [1, 2]])
+@example(ref=[START, END], cands=[[1], []])
+@example(ref=[START, 1, 2, 1, 3, END], cands=[[1, 2, 1, 2], [START, 3, 1, END], [], [2, 2, 2], [1, 2, 1, 3]])
+@example(ref=[1, 2, 3, 4], cands=[[4, 3, 2, 1], [1, 2, 3, 4], [2, 1, 1, 2], [5]])
+def test_prepared_reference_scores_each_candidate_as_its_pair(ref, cands):
+    # one reference prepared once, then used for many candidates in turn
+    prepared = metrics._Reference(strip_virtual(ref))
+    for cand in cands:
+        stripped = tuple(strip_virtual(cand))
+        got = prepared.score(stripped)
+        expect = (*(bleu_n(cand, ref, n) for n in (1, 2, 3, 4)), meteor(cand, ref))
+        assert [v.hex() for v in got.as_tuple()] == [float(v).hex() for v in expect]
+        assert [p.hex() for p in prepared.precisions(stripped)] == [
+            modified_precision(cand, ref, n).hex() for n in (1, 2, 3, 4)
+        ]
+        alignment = metrics._align(stripped, prepared)
+        assert alignment == meteor_align(cand, ref)
+        assert got.meteor_exact == alignment.exact
+
+
 @settings(deadline=None, max_examples=50)
 @given(seq=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), min_size=4, max_size=8, unique=True))
 def test_identical_sequences_score_high(seq):
@@ -232,6 +255,39 @@ def test_alignment_matches_subset_oracle_longer_reference(cand, ref):
     # the reference often repeats a token more than the candidate does, which
     # leaves the search a choice of reference positions
     assert _as_oracle(meteor_align(cand, ref)) == best_alignment_by_subsets(cand, ref)
+
+
+@st.composite
+def crossing_unique_pairs(draw):
+    """A candidate and a reference whose shared cells occur once on each side
+    in two different orders, so that their alignment crosses; the cells
+    that only one side has may repeat."""
+    shared = draw(st.lists(st.integers(1, 12), min_size=2, max_size=9, unique=True))
+    order = draw(st.permutations(shared))
+    if order == shared:
+        order = order[::-1]
+
+    def pad(cells, others):
+        out = list(cells)
+        for t in draw(st.lists(others, max_size=6)):
+            out.insert(draw(st.integers(0, len(out))), t)
+        return out
+
+    return pad(order, st.integers(13, 16)), pad(shared, st.integers(17, 20))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=crossing_unique_pairs())
+@example(pair=([3, 1, 2], [1, 2, 3]))
+@example(pair=([9, 4, 9, 3, 2, 9, 1], [1, 2, 7, 3, 4, 7]))
+@example(pair=(list(range(12, 0, -1)), list(range(1, 13))))
+def test_unique_shared_cells_alignment_matches_subset_oracle(pair):
+    # the one alignment with the most mappings; pairs without a crossing are
+    # left out, because there the greedy alignment alone is known to be the answer
+    cand, ref = pair
+    expect = best_alignment_by_subsets(cand, ref)
+    assert expect[1] > 0
+    assert _as_oracle(meteor_align(cand, ref)) == expect
 
 
 # Random-walk pairs of the score_revisit benchmark (seeds 2 and 1), with
