@@ -49,7 +49,7 @@ def main() -> int:
         result = models.train(model, models.make_examples(dataset.train, vocab, traffic),
                               lr=args.lr, epochs=args.epochs, seed=5)
         print(f"{kind}: trained {args.epochs} epochs in {time.time() - t1:.0f}s, "
-              f"final loss {result.epoch_losses[-1]:.4f}")
+              f"final loss {result.epoch_losses[-1]:.4f}, gradient norm {result.epoch_grad_norms[-1]:.3f}")
         scores[kind], diag = evaluation.evaluate_records(test_records, model, traffic, master_seed=99, k=args.k)
         print(f"{kind}: evaluated {len(scores[kind])} tasks in {diag.generate_s + diag.score_s:.2f}s "
               f"(generate {diag.generate_s:.2f}s, score {diag.score_s:.2f}s)")

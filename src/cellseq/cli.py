@@ -162,12 +162,14 @@ def cmd_train(args) -> int:
     meta = {
         "epochs": args.epochs,
         "loss_curve": result.epoch_losses,
+        "grad_norm_curve": result.epoch_grad_norms,
         "clip_events": result.clip_events,
         "validation_loss": val_loss,
         "config_hash": _config_hash(args),
     }
     save_model(out / "model.ckpt", model, meta)
     _write_manifest(out, "train", args, {"outputs": ["model.ckpt"], "final_loss": result.epoch_losses[-1],
+                                         "grad_norm_curve": result.epoch_grad_norms,
                                          "validation_loss": val_loss})
     for epoch, loss in enumerate(result.epoch_losses):
         print(f"epoch {epoch}: mean step loss {loss:.4f}")

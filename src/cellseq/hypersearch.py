@@ -34,13 +34,6 @@ class TrialConfig:
     d_h: int
 
 
-# Known-good configurations for full-scale city deployments, kept as presets.
-REFERENCE_CONFIGS = {
-    "rnn": TrialConfig(learning_rate=6.216234e-05, d_e=413, d_h=854),
-    "arnn": TrialConfig(learning_rate=5.842804e-04, d_e=659, d_h=574),
-}
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Log-uniform learning rate, integer embedding and hidden dims."""

@@ -19,6 +19,10 @@ with its own sequence's features and a stream equal to ``default_rng(seed)``
 ``generate_batch`` are its one-prefix case; they take the distributions
 after every fed token from one teacher-forced unroll of the finished
 candidates, as ``rnn_forward`` and ``arnn_forward`` do for one sequence.
+
+A model's parameters are one flat float64 vector, ``model.flat``, and
+``model.params`` maps each name to a view of it; gradients are summed into
+views of one flat vector, which training clips and feeds to Adam whole.
 """
 from __future__ import annotations
 
@@ -70,7 +74,8 @@ class RnnModel:
     def __init__(self, vocab: Vocab, dims: ModelDims, params: Params):
         self.vocab = vocab
         self.dims = dims
-        self.params = params
+        self.flat = np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in params.values()])
+        self.params = nncore.views(self.flat, params)
 
     @property
     def input_dim(self) -> int:
@@ -230,20 +235,24 @@ class _Unroll:
         p, self.real = self.model.params, mask.T
         return nncore.softmax_cross_entropy(self.hs[self.real] @ p["dec_W"] + p["dec_b"], y_ids.T[self.real])
 
-    def backward(self, dlogits: np.ndarray) -> Params:
-        """Gradients of every parameter from those of the real steps' logits.
-        Only state gradients recur; each weight gradient is one matmul or sum
-        over all steps, padded steps adding exact zeros. The attention scores
-        are recomputed and their per-cell gradients summed, not kept per step."""
+    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+        """The gradient, flat like ``model.flat``, from those of the real
+        steps' logits; each parameter's part is written into its view. Only
+        state gradients recur; each weight gradient is one matmul or sum over
+        all steps, padded steps adding exact zeros. The attention scores are
+        recomputed and their per-cell gradients summed, not kept per step."""
         p, real = self.model.params, self.real
+        grad = np.zeros(self.model.flat.size)
+        grads = nncore.views(grad, p)
         d_e, d_h = self.model.dims.d_e, self.model.dims.d_h
         n_steps, n_rows = real.shape
-        grads = {"dec_W": self.hs[real].T @ dlogits, "dec_b": dlogits.sum(axis=0)}
+        np.matmul(self.hs[real].T, dlogits, out=grads["dec_W"])
+        dlogits.sum(axis=0, out=grads["dec_b"])
         d_hs = np.zeros_like(self.hs)
         d_hs[real] = dlogits @ p["dec_W"].T
         dz_all = np.empty((n_steps, n_rows, 4 * d_h))
         dh = dc = np.zeros((n_rows, d_h))
-        derivs = nncore.lstm_cell_derivatives([np.stack(x) for x in zip(*(cell for cell, _ in self.steps))])
+        derivs = nncore.lstm_cell_derivatives([np.array(x) for x in zip(*(cell for cell, _ in self.steps))])
         if self.att is None:
             back_w = p["lstm_U"].T
         else:  # one matmul of dz gives the gradients of h and of the context
@@ -251,7 +260,6 @@ class _Unroll:
             back_w = np.ascontiguousarray(np.vstack([p["lstm_U"], self.att[3]]).T)
             d_ctx_all, d_s_all = np.empty_like(self.contexts), np.empty((n_steps, n_rows, d_a))
             d_fu = np.zeros(features.shape[:2] + (d_a,))
-            grads["attn_v"] = np.zeros(d_a)
         for t in reversed(range(n_steps)):
             dz, dc = nncore.lstm_cell_backward(d_hs[t] + dh, dc, [x[t] for x in derivs])
             dz_all[t] = dz
@@ -270,26 +278,26 @@ class _Unroll:
 
         dz_flat = dz_all.reshape(-1, 4 * d_h)
         hs_prev = np.concatenate([self.h0[None], self.hs[:-1]]).reshape(-1, d_h)
-        grads["lstm_U"] = hs_prev.T @ dz_flat
-        grads["lstm_b"] = dz_flat.sum(axis=0)
-        grads["lstm_W"] = self.emb.reshape(-1, d_e).T @ dz_flat
-        grads["embed"] = np.zeros_like(p["embed"])
+        np.matmul(hs_prev.T, dz_flat, out=grads["lstm_U"])
+        dz_flat.sum(axis=0, out=grads["lstm_b"])
+        np.matmul(self.emb.reshape(-1, d_e).T, dz_flat, out=grads["lstm_W"][:d_e])
         np.add.at(grads["embed"], self.ids[real], dz_all[real] @ p["lstm_W"][:d_e].T)
         if self.att is None:
-            return grads
+            return grad
         d_f = features.shape[2]
-        grads["lstm_W"] = np.vstack([grads["lstm_W"], self.contexts.reshape(-1, d_f).T @ dz_flat])
-        grads["attn_W"] = hs_prev.T @ d_s_all.reshape(-1, d_a)
-        grads["attn_U"] = features.reshape(-1, d_f).T @ d_fu.reshape(-1, d_a)
+        np.matmul(self.contexts.reshape(-1, d_f).T, dz_flat, out=grads["lstm_W"][d_e:])
+        np.matmul(hs_prev.T, d_s_all.reshape(-1, d_a), out=grads["attn_W"])
+        np.matmul(features.reshape(-1, d_f).T, d_fu.reshape(-1, d_a), out=grads["attn_U"])
         d_features = self.alphas.transpose(1, 2, 0) @ d_ctx_all.transpose(1, 0, 2) + d_fu @ p["attn_U"].T
         # initial state: h0, c0 = tanh(mean(features) @ init_W)
         f_mean = features.mean(axis=1)
         d_pre_h, d_pre_c = dh * (1.0 - self.h0 * self.h0), dc * (1.0 - self.c0 * self.c0)
-        grads["init_Wh"], grads["init_Wc"] = f_mean.T @ d_pre_h, f_mean.T @ d_pre_c
+        np.matmul(f_mean.T, d_pre_h, out=grads["init_Wh"])
+        np.matmul(f_mean.T, d_pre_c, out=grads["init_Wc"])
         d_features += (d_pre_h @ p["init_Wh"].T + d_pre_c @ p["init_Wc"].T)[:, None, :] / features.shape[1]
         d_pre_f = d_features * (1.0 - features * features)
-        grads["traffic_W"] = self.traffic.reshape(-1, WINDOW_MINUTES).T @ d_pre_f.reshape(-1, d_f)
-        return grads
+        np.matmul(self.traffic.reshape(-1, WINDOW_MINUTES).T, d_pre_f.reshape(-1, d_f), out=grads["traffic_W"])
+        return grad
 
 
 def _forward(model: RnnModel, seqs: Sequence[Sequence[int]], traffic: np.ndarray | None):
@@ -347,24 +355,24 @@ def _batches(model: RnnModel, examples: Sequence[TrainingExample], size: int):
             yield x_ids, y_ids, mask, traffic
 
 
-def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, Params]:
-    """Summed cross-entropy over a batch of sequences and the summed
-    gradients, from one padded unroll and one backward pass."""
-    loss, grads = 0.0, {}
+def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, np.ndarray]:
+    """Summed cross-entropy over a batch of sequences and its summed gradient,
+    flat like ``model.flat``, from one padded unroll and one backward pass
+    per traffic shape."""
+    loss, grad = 0.0, 0.0
     for x_ids, y_ids, mask, traffic in _batches(model, examples, len(examples)):
         run = _Unroll(model, x_ids, traffic, keep=True)
         part, dlogits = run.loss(y_ids, mask)
-        loss += part
-        for name, g in run.backward(dlogits).items():
-            grads[name] = grads[name] + g if name in grads else g
-    return loss, grads
+        loss, grad = loss + part, grad + run.backward(dlogits)
+    return loss, grad
 
 
 def loss_and_grads(
     model: RnnModel, x_ids: np.ndarray, y_ids: np.ndarray, traffic: np.ndarray | None = None
 ) -> tuple[float, Params]:
-    """Summed cross-entropy over the sequence and gradients for every parameter."""
-    return batch_loss_and_grads(model, [TrainingExample(np.asarray(x_ids), np.asarray(y_ids), traffic)])
+    """Summed cross-entropy over the sequence and the gradient of every parameter, by name."""
+    loss, grad = batch_loss_and_grads(model, [TrainingExample(np.asarray(x_ids), np.asarray(y_ids), traffic)])
+    return loss, nncore.views(grad, model.params)
 
 
 def make_example(vocab: Vocab, tokens: Sequence[Token], traffic: np.ndarray | None = None) -> TrainingExample:
@@ -390,6 +398,7 @@ def make_examples(
 @dataclass
 class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)  # mean per-step loss
+    epoch_grad_norms: list[float] = field(default_factory=list)  # mean pre-clip global norm per batch
     clip_events: int = 0
 
 
@@ -406,31 +415,37 @@ def train(
 
     Each batch runs as one unroll over its sequences, right-padded to the
     longest, with loss and gradients summed over the real steps; a batch
-    size of 1 (the default) is plain per-sequence SGD.
-    ``clip_norm=None`` disables gradient clipping. The order of sequences is
-    reshuffled every epoch from the given seed.
+    size of 1 (the default) is plain per-sequence SGD. Each batch's
+    gradient is clipped to the global norm ``clip_norm``, which must be
+    positive; ``clip_norm=None`` disables clipping. The order of sequences
+    is reshuffled every epoch from the given seed.
     """
     if not examples:
         raise ValueError("no training examples")
     if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if clip_norm is not None and not clip_norm > 0:
+        raise ValueError(f"clip norm must be > 0, got {clip_norm}")
     state = nncore.AdamState.zeros_like(model.params)
     rng = np.random.default_rng(seed)
     result = TrainResult()
     for epoch in range(epochs):
         order = rng.permutation(len(examples))
-        total, steps = 0.0, 0
+        total, steps, norms = 0.0, 0, []
         for start in range(0, len(order), batch_size):
             batch = [examples[idx] for idx in order[start : start + batch_size]]
-            loss, grads = batch_loss_and_grads(model, batch)
+            loss, grad = batch_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"diverged at epoch {epoch} in the batch from step {start}")
             total += loss
             steps += sum(len(ex.x_ids) for ex in batch)
-            if clip_norm is not None and nncore.clip_global_norm(grads, clip_norm):
-                result.clip_events += 1
-            nncore.adam_update(model.params, grads, state, lr)
+            norms.append(nncore.clip_global_norm(grad, clip_norm))
+            result.clip_events += clip_norm is not None and norms[-1] > clip_norm
+            nncore.adam_update(model.flat, grad, state, lr)
         result.epoch_losses.append(total / steps)
+        result.epoch_grad_norms.append(float(np.mean(norms)))
     return result
 
 

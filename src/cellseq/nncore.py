@@ -2,8 +2,9 @@
 cross-entropy, Adam, and a finite-difference gradient checker.
 
 Everything is float64 numpy with hand-written backward passes; the model
-module composes these pieces into full sequence models. Parameters travel
-as plain ``dict[str, np.ndarray]`` maps.
+module composes these pieces into full sequence models. A model's
+parameters live in one flat float64 vector, and ``Params`` maps each name to
+a view of it; gradients and Adam's moments share that layout.
 """
 from __future__ import annotations
 
@@ -108,14 +109,23 @@ def lstm_cell_backward(dh2: np.ndarray, dc2: np.ndarray, derivs) -> tuple[np.nda
     return dz.reshape(dz.shape[:-2] + (-1,)), dc_total * f
 
 
+def views(flat: np.ndarray, layout: Mapping[str, np.ndarray]) -> Params:
+    """Views of ``flat`` with the names and shapes of ``layout``'s arrays, in order."""
+    out, start = {}, 0
+    for name, p in layout.items():
+        out[name] = flat[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return out
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates and the step counter; the moments are
-    flat vectors over all parameters, ``m`` and ``v`` their views by name."""
+    """First/second moment estimates and the step counter, flat like the
+    parameter vector that ``layout`` (its views) names."""
 
-    shapes: dict[str, tuple[int, ...]]
-    m_flat: np.ndarray
-    v_flat: np.ndarray
+    layout: Params
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -124,55 +134,33 @@ class AdamState:
     @classmethod
     def zeros_like(cls, params: Params) -> "AdamState":
         size = sum(p.size for p in params.values())
-        return cls({name: p.shape for name, p in params.items()}, np.zeros(size), np.zeros(size))
-
-    def split(self, flat: np.ndarray) -> Params:
-        """One view per parameter of a flat vector in parameter order."""
-        views, start = {}, 0
-        for name, shape in self.shapes.items():
-            views[name] = flat[start : start + math.prod(shape)].reshape(shape)
-            start += math.prod(shape)
-        return views
-
-    m = property(lambda self: self.split(self.m_flat))
-    v = property(lambda self: self.split(self.v_flat))
+        return cls(params, np.zeros(size), np.zeros(size))
 
 
-def adam_update(params: Params, grads: Params, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step, applied to the parameters in place."""
+def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step on a flat parameter vector, in place."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    g = np.concatenate([grads[name].reshape(-1) for name in state.shapes])
-    if not np.isfinite(g).all():
-        name = next(name for name in state.shapes if not np.isfinite(grads[name]).all())
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in views(grad, state.layout).items() if not np.isfinite(g).all())
         raise FloatingPointError(f"diverged: non-finite gradient for {name!r}")
     state.step += 1
-    t, b1, b2, m, v = state.step, state.beta1, state.beta2, state.m_flat, state.v_flat
+    t, b1, b2, m, v = state.step, state.beta1, state.beta2, state.m, state.v
     m *= b1
-    m += (1.0 - b1) * g
+    m += (1.0 - b1) * grad
     v *= b2
-    v += (1.0 - b2) * g * g
-    step = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
-    for name, delta in state.split(step).items():
-        params[name] -= delta
+    v += (1.0 - b2) * grad * grad
+    flat -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
 
 
-def global_norm(grads: Params) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    return float(np.sqrt(total))
-
-
-def clip_global_norm(grads: Params, max_norm: float) -> bool:
-    """Scale all gradients down to the given global norm. True if clipping fired."""
-    norm = global_norm(grads)
-    if norm <= max_norm or norm == 0.0:
-        return False
-    scale = max_norm / norm
-    for g in grads.values():
-        g *= scale
-    return True
+def clip_global_norm(grad: np.ndarray, max_norm: float | None) -> float:
+    """The global norm of a flat gradient; above ``max_norm`` (None: never),
+    the gradient is scaled down to it in place. Summed by numpy, not by
+    BLAS ``ddot``, which splits long vectors across threads."""
+    norm = math.sqrt((grad * grad).sum())
+    if max_norm is not None and norm > max_norm:
+        grad *= max_norm / norm
+    return norm
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

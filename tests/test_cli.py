@@ -167,6 +167,26 @@ def test_one_train_run_writes_one_config_hash(pipeline):
         assert meta["config_hash"] == manifest["config_hash"]
 
 
+def test_train_records_gradient_norm_per_epoch(pipeline):
+    for name in ("rnn", "arnn"):
+        manifest = json.loads((pipeline / name / "manifest.json").read_text())
+        _, meta = models.load_model(pipeline / name / "model.ckpt")
+        assert len(meta["grad_norm_curve"]) == len(meta["loss_curve"]) == 2
+        assert all(norm > 0.0 for norm in meta["grad_norm_curve"])
+        assert manifest["grad_norm_curve"] == meta["grad_norm_curve"]
+
+
+@pytest.mark.parametrize("flags, message", [(["--clip-norm", "-1"], "clip norm must be > 0, got -1.0"),
+                                            (["--clip-norm", "0"], "clip norm must be > 0, got 0.0"),
+                                            (["--epochs", "0"], "epochs must be >= 1, got 0")])
+def test_train_rejects_bad_clip_norm_and_epochs(pipeline, tmp_path, capsys, flags, message):
+    out = tmp_path / "t"
+    assert main(["train", "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--model", "rnn",
+                 "--d-e", "4", "--d-h", "4", "--lr", "0.05", *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
 def test_config_values_take_the_flag_type(tmp_path):
     # --d-f defaults to None, so the type must come from the flag, not the default
     cfg = tmp_path / "run.ini"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cellseq import hypersearch, models
 from cellseq.hypersearch import (
-    REFERENCE_CONFIGS,
     GaussianProcess,
     SearchSpace,
     TrainValData,
@@ -206,15 +205,6 @@ def test_space_rejects_bad_bounds():
         SearchSpace(learning_rate=(1e-2, 1e-5))
     with pytest.raises(ValueError):
         SearchSpace(d_e=(0, 4))
-
-
-def test_reference_configs_present():
-    assert REFERENCE_CONFIGS["rnn"].learning_rate == pytest.approx(6.216234e-05)
-    assert REFERENCE_CONFIGS["rnn"].d_e == 413
-    assert REFERENCE_CONFIGS["rnn"].d_h == 854
-    assert REFERENCE_CONFIGS["arnn"].learning_rate == pytest.approx(5.842804e-04)
-    assert REFERENCE_CONFIGS["arnn"].d_e == 659
-    assert REFERENCE_CONFIGS["arnn"].d_h == 574
 
 
 @pytest.fixture(scope="module")

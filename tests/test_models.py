@@ -230,7 +230,8 @@ def test_padded_batch_equals_summed_sequences(cls, n_cells):
     vocab = Vocab(range(1, 7))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4, d_f=3, d_a=2), seed=4)
     examples = _ragged_examples(vocab, n_cells, seed=9)
-    loss, grads = models.batch_loss_and_grads(model, examples)
+    loss, grad = models.batch_loss_and_grads(model, examples)
+    grads = nncore.views(grad, model.params)
     singles = [loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic) for ex in examples]
     assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
     assert grads.keys() == model.params.keys()
@@ -261,7 +262,8 @@ def test_batch_splits_where_traffic_shape_changes():
     vocab = Vocab(range(1, 7))
     model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
     examples = _ragged_examples(vocab, 4, seed=1)[:3] + _ragged_examples(vocab, 6, seed=2)[:3]
-    loss, grads = models.batch_loss_and_grads(model, examples)
+    loss, grad = models.batch_loss_and_grads(model, examples)
+    grads = nncore.views(grad, model.params)
     singles = [loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic) for ex in examples]
     assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
     np.testing.assert_allclose(grads["traffic_W"], sum(s[1]["traffic_W"] for s in singles), rtol=1e-10)
@@ -306,6 +308,72 @@ def test_train_with_gradient_accumulation():
     assert result.epoch_losses[-1] < 0.1
     with pytest.raises(ValueError):
         models.train(model, examples, lr=1e-3, epochs=1, batch_size=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [({"clip_norm": -1.0}, "clip norm must be > 0, got -1.0"),
+                                             ({"clip_norm": 0.0}, "clip norm must be > 0, got 0.0"),
+                                             ({"epochs": 0}, "epochs must be >= 1, got 0")])
+def test_train_rejects_bad_clip_norm_and_epochs(kwargs, message):
+    vocab = Vocab(range(1, 6))
+    model = RnnModel.init(vocab, ModelDims(d_e=4, d_h=4), seed=0)
+    before = model.flat.copy()
+    with pytest.raises(ValueError, match=message):
+        models.train(model, [make_example(vocab, (START, 1, 2, END))], lr=0.05, **{"epochs": 1, **kwargs})
+    np.testing.assert_array_equal(model.flat, before)
+
+
+def _assert_params_are_views_of_flat(model, example):
+    assert sum(p.size for p in model.params.values()) == model.flat.size
+    for name, p in model.params.items():
+        assert np.shares_memory(p, model.flat), name
+    before = models.mean_loss(model, [example])
+    model.params["dec_b"][model.vocab.end_id] += 1.0
+    assert models.mean_loss(model, [example]) != before
+
+
+@pytest.mark.parametrize("cls, n_cells", [(RnnModel, 0), (ArnnModel, 5)])
+def test_params_stay_views_of_flat_after_init_load_and_train(cls, n_cells, tmp_path):
+    vocab = Vocab(range(1, 7))
+    example = _ragged_examples(vocab, n_cells, seed=2)[0]
+    model = cls.init(vocab, ModelDims(d_e=3, d_h=4, d_f=3, d_a=2), seed=1)
+    _assert_params_are_views_of_flat(model, example)
+    models.save_model(tmp_path / "m.ckpt", model)
+    loaded, _ = models.load_model(tmp_path / "m.ckpt")
+    _assert_params_are_views_of_flat(loaded, example)
+    models.train(model, [example], lr=0.01, epochs=1)
+    _assert_params_are_views_of_flat(model, example)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("cls, n_cells", [(RnnModel, 0), (ArnnModel, 5)])
+def test_train_matches_per_parameter_adam_loop(cls, n_cells, batch_size):
+    # the reference is the training loop written out per parameter over
+    # batch_loss_and_grads; the flat one must agree bit for bit, and its
+    # mean pre-clip norm per epoch with the per-parameter norm
+    vocab = Vocab(range(1, 7))
+    dims = ModelDims(d_e=3, d_h=4, d_f=3, d_a=2)
+    examples = _ragged_examples(vocab, n_cells, seed=3)  # 6 sequences: 2 batches of 3
+    model, ref = cls.init(vocab, dims, seed=8), cls.init(vocab, dims, seed=8)
+    result = models.train(model, examples, lr=0.01, epochs=2, seed=7, clip_norm=None, batch_size=batch_size)
+    m = {k: np.zeros_like(v) for k, v in ref.params.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.params.items()}
+    rng, t, ref_norms = np.random.default_rng(7), 0, []
+    for epoch in range(2):
+        order, norms = rng.permutation(len(examples)), []
+        for start in range(0, len(order), batch_size):
+            _, grad = models.batch_loss_and_grads(ref, [examples[i] for i in order[start : start + batch_size]])
+            grads = nncore.views(grad, ref.params)
+            norms.append(np.sqrt(sum((g * g).sum() for g in grads.values())))
+            t += 1
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                ref.params[k] -= 0.01 * (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v[k] / (1.0 - 0.999**t)) + 1e-8)
+        ref_norms.append(np.mean(norms))
+    for k in ref.params:
+        np.testing.assert_array_equal(model.params[k], ref.params[k], err_msg=k)
+    assert result.epoch_grad_norms == pytest.approx(ref_norms, rel=1e-12, abs=0)
+    assert result.clip_events == 0
 
 
 def test_make_example_shift():

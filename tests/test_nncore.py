@@ -166,31 +166,37 @@ def test_sigmoid_tanh_form_matches_logistic():
 # Adam
 
 
+def pack(params):
+    """One flat vector holding the arrays, and its views by name."""
+    flat = np.concatenate([p.reshape(-1) for p in params.values()])
+    return flat, nncore.views(flat, params)
+
+
 def test_adam_one_step_hand_computed():
-    params = {"w": np.array([0.0])}
+    flat, params = pack({"w": np.array([0.0])})
     state = AdamState.zeros_like(params)
-    adam_update(params, {"w": np.array([1.0])}, state, lr=0.001)
+    adam_update(flat, np.array([1.0]), state, lr=0.001)
     assert state.step == 1
-    assert state.m["w"][0] == pytest.approx(0.1)
-    assert state.v["w"][0] == pytest.approx(0.001)
+    assert state.m[0] == pytest.approx(0.1)
+    assert state.v[0] == pytest.approx(0.001)
     # bias-corrected m_hat = v_hat = 1 -> step of -lr
     assert params["w"][0] == pytest.approx(-0.001, rel=1e-6)
 
 
 def test_adam_zero_gradient_is_identity():
-    params = {"w": np.array([1.5, -2.0])}
+    flat, params = pack({"w": np.array([1.5, -2.0])})
     state = AdamState.zeros_like(params)
-    adam_update(params, {"w": np.zeros(2)}, state, lr=0.1)
+    adam_update(flat, np.zeros(2), state, lr=0.1)
     np.testing.assert_array_equal(params["w"], [1.5, -2.0])
     assert state.step == 1
 
 
 def test_adam_deterministic():
     def run():
-        params = {"w": np.arange(4, dtype=float)}
+        flat, params = pack({"w": np.arange(4, dtype=float)})
         state = AdamState.zeros_like(params)
         for t in range(5):
-            adam_update(params, {"w": np.sin(np.arange(4) + t)}, state, lr=0.01)
+            adam_update(flat, np.sin(np.arange(4) + t), state, lr=0.01)
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
@@ -200,35 +206,37 @@ def test_adam_flat_moments_match_per_parameter_loop():
     # the reference is the per-parameter update written out; the flat one
     # must agree bit for bit and expose the moments by name and shape
     rng = np.random.default_rng(4)
-    params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "c": rng.normal(size=(1, 1))}
+    flat, params = pack({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "c": rng.normal(size=(1, 1))})
     ref = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
     state = AdamState.zeros_like(params)
     for t in range(1, 4):
         grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        adam_update(params, grads, state, lr=0.01)
+        adam_update(flat, pack(grads)[0], state, lr=0.01)
         for k, g in grads.items():
             ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
             ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
             ref[k] -= 0.01 * (ref_m[k] / (1.0 - 0.9**t)) / (np.sqrt(ref_v[k] / (1.0 - 0.999**t)) + 1e-8)
+    m, v = nncore.views(state.m, state.layout), nncore.views(state.v, state.layout)
     for k in params:
         np.testing.assert_array_equal(params[k], ref[k])
-        np.testing.assert_array_equal(state.m[k], ref_m[k])
-        np.testing.assert_array_equal(state.v[k], ref_v[k])
+        np.testing.assert_array_equal(m[k], ref_m[k])
+        np.testing.assert_array_equal(v[k], ref_v[k])
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = {"w": np.zeros(2)}
+    flat, params = pack({"u": np.zeros(3), "w": np.zeros(2)})
     state = AdamState.zeros_like(params)
-    with pytest.raises(FloatingPointError, match="diverged"):
-        adam_update(params, {"w": np.array([1.0, np.nan])}, state, lr=0.01)
+    with pytest.raises(FloatingPointError, match="diverged: non-finite gradient for 'w'"):
+        adam_update(flat, np.array([0.0, 0.0, 0.0, 1.0, np.nan]), state, lr=0.01)
+    assert state.step == 0 and not flat.any()
 
 
 def test_adam_rejects_bad_lr():
-    params = {"w": np.zeros(1)}
+    flat, params = pack({"w": np.zeros(1)})
     with pytest.raises(ValueError):
-        adam_update(params, {"w": np.zeros(1)}, AdamState.zeros_like(params), lr=0.0)
+        adam_update(flat, np.zeros(1), AdamState.zeros_like(params), lr=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +262,33 @@ def test_grad_check_detects_corruption():
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    fired = clip_global_norm(grads, 10.0)
+    grads = np.array([3.0, 4.0])
+    assert clip_global_norm(grads, 10.0) == 5.0
+    fired = not np.array_equal(grads, [3.0, 4.0])
     assert not fired
-    fired = clip_global_norm(grads, 1.0)
+    assert clip_global_norm(grads, 1.0) == 5.0
+    fired = not np.array_equal(grads, [3.0, 4.0])
     assert fired
-    assert nncore.global_norm(grads) == pytest.approx(1.0)
+    assert clip_global_norm(grads, None) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_flat_clip_matches_per_parameter_norm(seed):
+    # the reference sums each parameter's squares, then the sums; the flat
+    # clip sums all squares in one reduction
+    rng = np.random.default_rng(seed)
+    grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+             for name, shape in (("embed", (62, 16)), ("lstm_W", (32, 64)), ("lstm_b", (64,)), ("v", (1,)))}
+    ref = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
+    flat, _ = pack(grads)
+    kept = flat.copy()
+    norm = clip_global_norm(flat, None)
+    assert norm == pytest.approx(ref, rel=1e-15, abs=0)
+    assert clip_global_norm(flat, norm) == norm
+    np.testing.assert_array_equal(flat, kept)  # at or below max_norm: untouched
+    assert clip_global_norm(flat, ref / 4.0) == pytest.approx(ref, rel=1e-15, abs=0)
+    np.testing.assert_array_equal(flat, kept * ((ref / 4.0) / norm))
+    assert clip_global_norm(flat, None) == pytest.approx(ref / 4.0, rel=1e-14)
 
 
 def test_checkpoint_roundtrip(tmp_path):
