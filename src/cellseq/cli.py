@@ -170,7 +170,9 @@ def cmd_train(args) -> int:
     save_model(out / "model.ckpt", model, meta)
     _write_manifest(out, "train", args, {"outputs": ["model.ckpt"], "final_loss": result.epoch_losses[-1],
                                          "grad_norm_curve": result.epoch_grad_norms,
-                                         "validation_loss": val_loss})
+                                         "validation_loss": val_loss, "validation_sequences": len(val_examples),
+                                         "validation_skipped_unknown_cells":
+                                             len(dataset.validation) - len(val_examples)})
     for epoch, loss in enumerate(result.epoch_losses):
         print(f"epoch {epoch}: mean step loss {loss:.4f}")
     print(f"validation loss {val_loss:.4f}")
@@ -185,10 +187,8 @@ def cmd_generate(args) -> int:
     lookup = _traffic_lookup(args, model.kind, model.vocab.cells)
     traffic = lookup.window(args.start_time) if lookup is not None else None
     seeds = [evaluation.derive_seed(args.seed, "generate", 0, i) for i in range(args.n)]
-    fork = models.Fork(0, len(prefix), seeds, args.max_len)
-    (rows,) = models.sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
-    for ids in rows:
-        print(" ".join(str(t) for t in prefix + model.vocab.decode(ids)))
+    for res in models.generate_batch(model, prefix, seeds, args.max_len, traffic):
+        print(" ".join(str(t) for t in res.tokens))
     return 0
 
 

@@ -15,10 +15,8 @@ batched pass (``sample_forks``): each source sequence is teacher-forced once,
 every fork's candidates start from the state after its prefix, and the rows
 run in a pool of at most ``ROW_CAP`` slots, refilled in fork order, each
 with its own sequence's features and a stream equal to ``default_rng(seed)``
-(all computed at once by ``_streams``). ``generate`` and
-``generate_batch`` are its one-prefix case; they take the distributions
-after every fed token from one teacher-forced unroll of the finished
-candidates, as ``rnn_forward`` and ``arnn_forward`` do for one sequence.
+(all computed at once by ``_streams``). ``generate_batch`` is its
+one-prefix case.
 
 A model's parameters are one flat float64 vector, ``model.flat``, and
 ``model.params`` maps each name to a view of it; gradients are summed into
@@ -146,20 +144,11 @@ def attention_init_state(features: np.ndarray, model: ArnnModel) -> tuple[np.nda
     return h0, c0
 
 
-def attention_step(s_prev: np.ndarray, features: np.ndarray, model: ArnnModel) -> tuple[np.ndarray, np.ndarray]:
-    """Additive attention over cells: weights alpha and context C.
-
-    Scores e_j = v . tanh(s_prev @ W_a + features_j @ U_a); alpha is their
-    softmax and C the alpha-weighted sum of features.
-    """
-    p = model.params
-    alpha, context = _attend(model, s_prev[None] @ p["attn_W"], features, features @ p["attn_U"])
-    return alpha[0], context[0]
-
-
 def _attend(model, s_w, features, fu):
-    """``attention_step`` for projected states s_w = s @ W_a [B, d_a];
-    features and fu = features @ U_a are [N, ...] or [B, N, ...]."""
+    """Additive attention over cells for projected states s_w = s @ W_a
+    [B, d_a]: weights alpha = softmax(e), e_j = v . tanh(s_w + fu_j), and
+    context alpha @ features; features and fu = features @ U_a are [N, ...]
+    or [B, N, ...]."""
     pre = s_w[:, None, :] + fu  # tanh in place: one [B, N, d_a] temporary per step, not two
     alpha = softmax(np.tanh(pre, out=pre) @ model.params["attn_v"])
     return alpha, (alpha[:, None, :] @ features)[:, 0]
@@ -248,7 +237,7 @@ class _Unroll:
         n_steps, n_rows = real.shape
         np.matmul(self.hs[real].T, dlogits, out=grads["dec_W"])
         dlogits.sum(axis=0, out=grads["dec_b"])
-        d_hs = np.zeros_like(self.hs)
+        d_hs = np.zeros(self.hs.shape)
         d_hs[real] = dlogits @ p["dec_W"].T
         dz_all = np.empty((n_steps, n_rows, 4 * d_h))
         dh = dc = np.zeros((n_rows, d_h))
@@ -298,31 +287,6 @@ class _Unroll:
         d_pre_f = d_features * (1.0 - features * features)
         np.matmul(self.traffic.reshape(-1, WINDOW_MINUTES).T, d_pre_f.reshape(-1, d_f), out=grads["traffic_W"])
         return grad
-
-
-def _forward(model: RnnModel, seqs: Sequence[Sequence[int]], traffic: np.ndarray | None):
-    """Per sequence of ids, the distributions [len, V] after each of its
-    tokens and the attention maps [len, N] (None for rnn), from one
-    right-padded teacher-forced unroll with the window repeated per row."""
-    examples = [TrainingExample(np.asarray(ids), np.asarray(ids), traffic) for ids in seqs]  # no loss: y unused
-    ((x_ids, _, real, windows),) = _batches(model, examples, len(examples))
-    run = _Unroll(model, x_ids, windows, keep=False)
-    bounds = np.cumsum(real.sum(axis=1))[:-1]
-    probs = np.split(softmax(run.hs.transpose(1, 0, 2)[real] @ model.params["dec_W"] + model.params["dec_b"]), bounds)
-    return probs, [None] * len(seqs) if run.att is None else np.split(run.alphas.transpose(1, 0, 2)[real], bounds)
-
-
-def rnn_forward(x: Sequence[Token], model: RnnModel) -> np.ndarray:
-    """Per-step next-token probability vectors, shape [len(x), V]."""
-    return _forward(model, [model.vocab.encode(list(x))], None)[0][0]
-
-
-def arnn_forward(
-    x: Sequence[Token], traffic: np.ndarray, model: ArnnModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probability vectors [len(x), V] and attention map [len(x), N]."""
-    probs, alphas = _forward(model, [model.vocab.encode(list(x))], traffic)
-    return probs[0], alphas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +381,9 @@ def train(
     longest, with loss and gradients summed over the real steps; a batch
     size of 1 (the default) is plain per-sequence SGD. Each batch's
     gradient is clipped to the global norm ``clip_norm``, which must be
-    positive; ``clip_norm=None`` disables clipping. The order of sequences
-    is reshuffled every epoch from the given seed.
+    positive; ``clip_norm=None`` disables clipping. ``lr`` must be finite
+    and positive. The order of sequences is reshuffled every epoch from the
+    given seed.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -428,6 +393,8 @@ def train(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if clip_norm is not None and not clip_norm > 0:
         raise ValueError(f"clip norm must be > 0, got {clip_norm}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     state = nncore.AdamState.zeros_like(model.params)
     rng = np.random.default_rng(seed)
     result = TrainResult()
@@ -471,11 +438,9 @@ ROW_CAP = 64  # slots of the sampling pool; bounds the arnn's [rows, N, d] atten
 
 @dataclass
 class GenerationResult:
-    """Sampled continuation plus the per-step distributions that produced it."""
+    """A sampled sequence, prefix included, and whether it ended at #end."""
 
     tokens: list[Token]
-    step_probs: list[np.ndarray]
-    attention: list[np.ndarray] | None
     terminated: bool
 
 
@@ -646,21 +611,6 @@ def _draw(st: np.ndarray) -> np.ndarray:
     return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
 
 
-def generate(
-    model: RnnModel,
-    prefix: Sequence[Token],
-    seed: int,
-    max_len: int,
-    traffic: np.ndarray | None = None,
-) -> GenerationResult:
-    """Consume the prefix, then sample tokens until #end or max_len.
-
-    Deterministic for a given int seed: the stream ``default_rng(seed)``
-    gives one uniform per sampled token.
-    """
-    return generate_batch(model, prefix, [seed], max_len, traffic=traffic)[0]
-
-
 def generate_batch(
     model: RnnModel,
     prefix: Sequence[Token],
@@ -668,28 +618,12 @@ def generate_batch(
     max_len: int,
     traffic: np.ndarray | None = None,
 ) -> list[GenerationResult]:
-    """Sample several continuations of one prefix, one RNG stream per int
-    seed: the one-fork case of ``sample_forks``. Candidate i consumes
-    uniforms exactly as a lone ``generate`` call with ``seeds[i]`` would, so
-    batched and sequential evaluation agree. The finished candidates are
-    then teacher-forced together, in one padded unroll, for the distribution
-    (and attention) after every fed token.
-    """
+    """Continuations of one prefix, one ``default_rng(seed)`` stream per int
+    seed: the one-fork case of ``sample_forks``."""
     prefix = list(prefix)
     fork = Fork(0, len(prefix), seeds, max_len)
     (rows,) = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
-    if not rows:
-        return []
-    probs, alphas = _forward(model, [model.vocab.encode(prefix) + list(ids[:-1]) for ids in rows], traffic)
-    return [
-        GenerationResult(
-            tokens=prefix + model.vocab.decode(ids),
-            step_probs=list(step_probs),
-            attention=None if alpha is None else list(alpha),
-            terminated=ids[-1] == model.vocab.end_id,
-        )
-        for ids, step_probs, alpha in zip(rows, probs, alphas)
-    ]
+    return [GenerationResult(prefix + model.vocab.decode(ids), ids[-1] == model.vocab.end_id) for ids in rows]
 
 
 # ---------------------------------------------------------------------------

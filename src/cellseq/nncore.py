@@ -1,5 +1,5 @@
 """Minimal neural numeric core: LSTM cell and its backward step, softmax
-cross-entropy, Adam, and a finite-difference gradient checker.
+cross-entropy, Adam with global-norm clipping, and checkpoint files.
 
 Everything is float64 numpy with hand-written backward passes; the model
 module composes these pieces into full sequence models. A model's
@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -54,24 +54,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def lstm_step(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step: gates i, f, o sigmoid, candidate g tanh,
-    c' = f*c + i*g, h' = o*tanh(c').
-
-    Accepts either vectors or [batch, dim] matrices. ``W`` is
-    [input_dim, 4*d_h], ``U`` is [d_h, 4*d_h], gate order i, f, o, g.
-    """
-    d = h.shape[-1]
-    if W.shape != (x.shape[-1], 4 * d) or U.shape != (d, 4 * d) or b.shape != (4 * d,):
-        raise ValueError(f"inconsistent LSTM shapes: x{x.shape} h{h.shape} W{W.shape} U{U.shape} b{b.shape}")
-    if c.shape != h.shape:
-        raise ValueError("hidden and cell state shapes must match")
-    h2, c2, _ = lstm_cell(x @ W + h @ U + b, c)
-    return h2, c2
-
-
 def lstm_cell(z: np.ndarray, c: np.ndarray):
     """The LSTM cell from its gate pre-activations z = x @ W + h @ U + b:
     (h', c', cache), the cache holding gates i|f|o, candidate g, c, tanh(c')."""
@@ -92,7 +74,7 @@ def lstm_cell_derivatives(cache):
     ifo, g, c, tanh_c2 = cache
     d = c.shape[-1]
     slope = np.concatenate([ifo * (1.0 - ifo), 1.0 - g * g], axis=-1)
-    via_c = np.concatenate([g, c, np.zeros_like(c), ifo[..., :d]], axis=-1) * slope
+    via_c = np.concatenate([g, c, np.zeros(c.shape), ifo[..., :d]], axis=-1) * slope
     via_h = tanh_c2 * slope[..., 2 * d : 3 * d]
     h_to_c = ifo[..., 2 * d :] * (1.0 - tanh_c2 * tanh_c2)
     return via_c.reshape(via_c.shape[:-1] + (4, d)), via_h, h_to_c, ifo[..., d : 2 * d]
@@ -166,34 +148,6 @@ def clip_global_norm(grad: np.ndarray, max_norm: float | None) -> float:
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     s = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-s, s, size=shape)
-
-
-LossAndGrads = Callable[[Params], tuple[float, Params]]
-
-
-def grad_check(fn: LossAndGrads, params: Params, eps: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    ``fn`` maps parameters to (scalar loss, gradient dict). The relative
-    error per coordinate is |a - n| / max(1e-8, |a| + |n|).
-    """
-    _, analytic = fn(params)
-    worst = 0.0
-    for name, p in params.items():
-        a = analytic[name]
-        flat = p.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            plus, _ = fn(params)
-            flat[idx] = orig - eps
-            minus, _ = fn(params)
-            flat[idx] = orig
-            numeric = (plus - minus) / (2.0 * eps)
-            ai = float(a.reshape(-1)[idx])
-            err = abs(ai - numeric) / max(1e-8, abs(ai) + abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 def save_checkpoint(path: str | Path, params: Params, meta: Mapping) -> None:

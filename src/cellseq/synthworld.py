@@ -11,7 +11,7 @@ pre-trip accumulation pattern reveals the schedule phase.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,11 +103,6 @@ def generate_world(
         congested_speed=float(congested_speed),
         seed=seed,
     )
-
-
-def flipped_schedule(world: World) -> World:
-    """The same world with the two corridors' load levels exchanged."""
-    return replace(world, load_levels=world.load_levels[::-1].copy())
 
 
 def route_cells(world: World, corridor: int, dest_col: int) -> list[tuple[int, int]]:

@@ -1,13 +1,19 @@
 """Independent brute-force references used to check the fast implementations.
 
-These deliberately avoid sharing code with the package: n-gram counting is
-done by direct list scans, and alignments are found by exhaustive recursion
-over candidate positions, or, for inputs too large for that, by enumerating
-every choice of occurrences per token.
+These deliberately avoid sharing code with the package and import nothing
+from it: n-gram counting is done by direct list scans, and alignments are
+found by exhaustive recursion over candidate positions, or, for inputs too
+large for that, by enumerating every choice of occurrences per token. The
+model references run one step, one vector and, for attention, one cell at a
+time; they read only a model's ``params``, ``kind``, ``dims`` and ``vocab``.
+Gradients are checked by central differences.
 """
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 
 def ngram_precision_oracle(cand, ref, n):
@@ -142,3 +148,100 @@ def best_alignment_by_subsets(cand, ref):
     recurse(0, [], 0)
     crossings, pairs = best
     return pairs, crossings, chunks_of(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the generators: one step, one vector and, for attention, one cell at a time
+
+
+def softmax_oracle(scores):
+    top = max(scores)
+    weights = [math.exp(s - top) for s in scores]
+    return np.array([w / sum(weights) for w in weights])
+
+
+def lstm_oracle(x, h, c, W, U, b):
+    """One LSTM step of one input vector: gates i, f, o and candidate g, in
+    that column order of W, U and b; c' = f*c + i*g, h' = o*tanh(c')."""
+    d, z = len(h), x @ W + h @ U + b
+    i, f, o = (1.0 / (1.0 + np.exp(-z[k * d : (k + 1) * d])) for k in range(3))
+    c2 = f * c + i * np.tanh(z[3 * d :])
+    return o * np.tanh(c2), c2
+
+
+def attention_oracle(s, features, p):
+    """Weights alpha = softmax(e), e_j = v . tanh(s @ W_a + f_j @ U_a) for each
+    cell's feature row f_j, and the context sum_j alpha_j f_j."""
+    alpha = softmax_oracle([float(p["attn_v"] @ np.tanh(s @ p["attn_W"] + f @ p["attn_U"])) for f in features])
+    return alpha, sum(a * f for a, f in zip(alpha, features))
+
+
+def _reader(model, traffic):
+    """A function that reads one token id into the model's state and returns
+    the next-token distribution and the attention row (None for rnn)."""
+    p, attend = model.params, model.kind == "arnn"
+    h = c = np.zeros(model.dims.d_h)
+    if attend:
+        features = np.tanh(np.asarray(traffic, dtype=float) @ p["traffic_W"])
+        mean = features.sum(axis=0) / len(features)
+        h, c = np.tanh(mean @ p["init_Wh"]), np.tanh(mean @ p["init_Wc"])
+
+    def read(token_id):
+        nonlocal h, c
+        x, alpha = p["embed"][token_id], None
+        if attend:
+            alpha, context = attention_oracle(h, features, p)
+            x = np.concatenate([x, context])
+        h, c = lstm_oracle(x, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
+        return softmax_oracle(list(h @ p["dec_W"] + p["dec_b"])), alpha
+
+    return read
+
+
+def forward_oracle(model, tokens, traffic=None):
+    """The next-token distributions [len, V] of a teacher-forced token
+    sequence and its attention rows [len, N] (None for rnn)."""
+    probs, alphas = zip(*map(_reader(model, traffic), model.vocab.encode(list(tokens))))
+    return np.array(probs), None if alphas[0] is None else np.array(alphas)
+
+
+def pick_oracle(probs, u):
+    """The first index whose cumulative mass exceeds u times the total
+    (``searchsorted(side="right")``), clamped to the last."""
+    cum = np.cumsum(probs)
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(probs) - 1)
+
+
+def sample_oracle(model, prefix, seed, max_len, traffic=None):
+    """The ids sampled after the prefix until #end or ``max_len`` tokens,
+    prefix included, with one ``default_rng(seed).random()`` per token."""
+    read, rng = _reader(model, traffic), np.random.default_rng(seed)
+    probs = [read(token_id) for token_id in model.vocab.encode(list(prefix))][-1][0]
+    sampled = [pick_oracle(probs, rng.random())]
+    while sampled[-1] != model.vocab.end_id and len(prefix) + len(sampled) < max_len:
+        sampled.append(pick_oracle(read(sampled[-1])[0], rng.random()))
+    return tuple(sampled)
+
+
+def grad_check(fn, params, eps=1e-5):
+    """Max relative error between analytic gradients and central differences.
+
+    ``fn`` maps parameters to (scalar loss, gradient dict); each parameter is
+    perturbed in place. The relative error per coordinate is
+    |a - n| / max(1e-8, |a| + |n|).
+    """
+    _, analytic = fn(params)
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            plus, _ = fn(params)
+            flat[idx] = orig - eps
+            minus, _ = fn(params)
+            flat[idx] = orig
+            numeric = (plus - minus) / (2.0 * eps)
+            ai = float(analytic[name].reshape(-1)[idx])
+            worst = max(worst, abs(ai - numeric) / max(1e-8, abs(ai) + abs(numeric)))
+    return worst

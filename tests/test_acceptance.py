@@ -17,7 +17,7 @@ from cellseq.metrics import bleu_n, meteor, meteor_align, modified_precision
 from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
 from cellseq.tokens import END, START, Vocab
 
-from oracles import bleu_oracle, meteor_oracle
+from oracles import bleu_oracle, grad_check, meteor_oracle
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -103,7 +103,7 @@ def test_gradient_correctness():
         # a coordinate is confirmed if any of the central-difference steps
         # agrees: small steps are noise-limited near zero gradients, large
         # ones truncation-limited elsewhere
-        err = min(nncore.grad_check(fn, model.params, eps=eps) for eps in (1e-3, 5e-4, 2e-4))
+        err = min(grad_check(fn, model.params, eps=eps) for eps in (1e-3, 5e-4, 2e-4))
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
     _report(
@@ -134,12 +134,15 @@ def test_normalization_invariants():
         else:
             model = RnnModel.init(vocab, dims, seed=seed)
             traffic = None
-        res = models.generate(model, [START], seed=seed, max_len=int(rng.integers(3, 15)), traffic=traffic)
-        for probs in res.step_probs:
+        (res,) = models.generate_batch(model, [START], [seed], max_len=int(rng.integers(3, 15)), traffic=traffic)
+        # every fed token's distribution and attention row, from the program's unroll of what it sampled
+        run = models._Unroll(model, np.array([vocab.encode(res.tokens[:-1])]),
+                             None if traffic is None else traffic[None], keep=False)
+        for probs in nncore.softmax(run.hs[:, 0] @ model.params["dec_W"] + model.params["dec_b"]):
             checked_probs += 1
             ok &= abs(float(probs.sum()) - 1.0) <= 1e-9 and bool(np.all(probs >= 0))
-        if res.attention is not None:
-            for alpha in res.attention:
+        if run.att is not None:
+            for alpha in run.alphas[:, 0]:
                 checked_alpha += 1
                 ok &= abs(float(alpha.sum()) - 1.0) <= 1e-9
         if not ok:

@@ -5,7 +5,9 @@ import pytest
 from cellseq import corpus, evaluation, models
 from cellseq.cellspace import save_cellmap
 from cellseq.cli import _apply_config, build_parser, main
-from cellseq.tokens import START
+from cellseq.tokens import END, START
+
+from oracles import sample_oracle
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +148,8 @@ def test_generate_command(pipeline, capsys):
     model, _ = models.load_model(pipeline / "rnn" / "model.ckpt")
     for i, line in enumerate(out):
         assert line.startswith("#start")
-        expect = models.generate(model, [START], evaluation.derive_seed(4, "generate", 0, i), max_len=20)
-        assert line == " ".join(str(t) for t in expect.tokens)
+        ids = sample_oracle(model, [START], evaluation.derive_seed(4, "generate", 0, i), max_len=20)
+        assert line == " ".join(str(t) for t in [START, *model.vocab.decode(list(ids))])
 
 
 def test_config_file_overrides_flags(pipeline, tmp_path, capsys):
@@ -185,6 +187,28 @@ def test_train_rejects_bad_clip_norm_and_epochs(pipeline, tmp_path, capsys, flag
                  "--d-e", "4", "--d-h", "4", "--lr", "0.05", *flags, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+def test_train_rejects_bad_learning_rate(pipeline, tmp_path, capsys, lr):
+    out = tmp_path / "t"
+    assert main(["train", "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--model", "rnn",
+                 "--d-e", "4", "--d-h", "4", "--lr", lr, "--out", str(out)]) == 1
+    assert f"learning rate must be finite and > 0, got {float(lr)}" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_train_manifest_counts_skipped_validation_sequences(tmp_path):
+    def rec(trip, *cells):
+        return corpus.SequenceRecord(trip, 0.0, (START, *cells, END))
+
+    # cell 9, in the second validation sequence, is in no training sequence
+    dataset = corpus.Dataset((rec("a", 1, 2, 3), rec("b", 3, 2)), (rec("c", 2, 3), rec("d", 2, 9, 3)), (rec("e", 1),))
+    corpus.save_sequences(tmp_path / "sequences.tsv", dataset)
+    assert main(["train", "--sequences", str(tmp_path / "sequences.tsv"), "--model", "rnn",
+                 "--d-e", "4", "--d-h", "4", "--epochs", "1", "--out", str(tmp_path / "t")]) == 0
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+    assert (manifest["validation_sequences"], manifest["validation_skipped_unknown_cells"]) == (1, 1)
 
 
 def test_config_values_take_the_flag_type(tmp_path):

@@ -22,8 +22,10 @@ from cellseq.evaluation import (
     write_scores,
 )
 from cellseq.metrics import ScoreVector, score_vector
-from cellseq.models import ArnnModel, ModelDims, RnnModel, generate, make_example
+from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
 from cellseq.tokens import END, START, Vocab, strip_virtual
+
+from oracles import sample_oracle
 
 
 def record(trip_id, cells, start=600.0 * 60):
@@ -81,8 +83,8 @@ def test_run_task_k1_equals_single_generate(memorized_model):
     task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=2, k=1)
     rec = run_task(task, memorized_model, None, master_seed=77)
     seed = derive_seed(77, "trip", 2, 0)
-    res = generate(memorized_model, [START, 1, 2], seed, models.default_max_len(6))
-    cells = [t for t in res.tokens[3:] if isinstance(t, int)]
+    ids = sample_oracle(memorized_model, [START, 1, 2], seed, models.default_max_len(6))
+    cells = [t for t in memorized_model.vocab.decode(list(ids)) if isinstance(t, int)]
     expect = score_vector(cells, [3, 4])
     assert rec.mean == expect
     assert rec.raw == (expect,)

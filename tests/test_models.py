@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,16 @@ from cellseq.models import (
     ArnnModel,
     ModelDims,
     RnnModel,
-    arnn_forward,
     attention_init_state,
-    attention_step,
     encode_traffic,
-    generate,
     generate_batch,
     loss_and_grads,
     make_example,
-    rnn_forward,
 )
 from cellseq.nncore import softmax
 from cellseq.tokens import END, START, Vocab
+
+from oracles import forward_oracle, grad_check, pick_oracle, sample_oracle
 
 
 @pytest.fixture
@@ -36,13 +36,29 @@ def random_traffic(n, seed=0):
     return np.random.default_rng(seed).random((n, 10))
 
 
+def unroll(model, tokens, traffic=None):
+    """The program's teacher-forced distributions [len, V] after each token
+    of one sequence and its attention rows [len, N] (None for rnn)."""
+    windows = None if traffic is None else np.asarray(traffic)[None]
+    run = models._Unroll(model, np.array([model.vocab.encode(list(tokens))]), windows, keep=False)
+    probs = softmax(run.hs[:, 0] @ model.params["dec_W"] + model.params["dec_b"])
+    return probs, None if run.att is None else run.alphas[:, 0]
+
+
+def attend(model, s, features):
+    """The program's attention weights and context for one state s."""
+    p = model.params
+    alpha, context = models._attend(model, s[None] @ p["attn_W"], features, features @ p["attn_U"])
+    return alpha[0], context[0]
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
 
 def test_rnn_forward_rows_sum_to_one(small_vocab):
     model = RnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4), seed=0)
-    probs = rnn_forward([START, 3, 1, 5], model)
+    probs, _ = unroll(model, [START, 3, 1, 5])
     assert probs.shape == (4, len(small_vocab))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs >= 0)
@@ -51,12 +67,12 @@ def test_rnn_forward_rows_sum_to_one(small_vocab):
 def test_rnn_forward_output_count_matches_input(tiny_vocab):
     model = RnnModel.init(tiny_vocab, ModelDims(d_e=2, d_h=2), seed=0)
     for x in ([START], [START, 1], [START, 1, 2]):
-        assert rnn_forward(x, model).shape[0] == len(x)
+        assert unroll(model, x)[0].shape[0] == len(x)
 
 
 def test_rnn_fresh_init_near_uniform(tiny_vocab):
     model = RnnModel.init(tiny_vocab, ModelDims(d_e=2, d_h=2), seed=3)
-    probs = rnn_forward([START, 1], model)
+    probs, _ = unroll(model, [START, 1])
     loss = -np.log(probs[0]).mean()
     assert loss == pytest.approx(np.log(4), abs=0.2)
 
@@ -64,7 +80,7 @@ def test_rnn_fresh_init_near_uniform(tiny_vocab):
 def test_rnn_forward_unknown_token(tiny_vocab):
     model = RnnModel.init(tiny_vocab, ModelDims(d_e=2, d_h=2), seed=0)
     with pytest.raises(ValueError, match="unknown token"):
-        rnn_forward([START, 99], model)
+        generate_batch(model, [START, 99], [0], max_len=5)
 
 
 def test_encode_traffic_zeros_and_shape(small_vocab):
@@ -110,7 +126,7 @@ def test_attention_init_state_permutation_invariant(small_vocab):
 def test_attention_step_rows_sum_to_one(small_vocab):
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4, d_f=5, d_a=3), seed=3)
     feats = np.random.default_rng(1).normal(size=(9, 5))
-    alpha, context = attention_step(np.random.default_rng(2).normal(size=4), feats, model)
+    alpha, context = attend(model, np.random.default_rng(2).normal(size=4), feats)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
     assert context.shape == (5,)
 
@@ -118,7 +134,7 @@ def test_attention_step_rows_sum_to_one(small_vocab):
 def test_attention_step_identical_features_uniform(small_vocab):
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4, d_f=5, d_a=3), seed=3)
     feats = np.tile(np.random.default_rng(1).normal(size=5), (8, 1))
-    alpha, _ = attention_step(np.random.default_rng(2).normal(size=4), feats, model)
+    alpha, _ = attend(model, np.random.default_rng(2).normal(size=4), feats)
     np.testing.assert_allclose(alpha, 1.0 / 8.0, atol=1e-12)
 
 
@@ -130,38 +146,29 @@ def test_attention_step_hand_set_weights(small_vocab):
     model.params["attn_U"][:] = 1.0
     model.params["attn_v"][:] = np.log(3.0) / np.tanh(1.0)
     feats = np.array([[0.0], [1.0]])
-    alpha, context = attention_step(np.zeros(3), feats, model)
+    alpha, context = attend(model, np.zeros(3), feats)
     np.testing.assert_allclose(alpha, [0.25, 0.75], atol=1e-12)
     np.testing.assert_allclose(context, 0.25 * feats[0] + 0.75 * feats[1], atol=1e-12)
 
 
 def test_arnn_forward_zero_traffic_rows_sum_to_one(small_vocab):
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4), seed=4)
-    probs, alphas = arnn_forward([START, 2, 4], np.zeros((5, 10)), model)
+    probs, alphas = unroll(model, [START, 2, 4], np.zeros((5, 10)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert alphas.shape == (3, 5)
     np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_arnn_forward_matches_hand_rolled_composition(small_vocab):
-    # the forward pass must equal the composition of its published pieces
+    # the batched unroll must equal the oracle's one step, one cell at a time
     dims = ModelDims(d_e=3, d_h=4, d_f=2, d_a=2)
     model = ArnnModel.init(small_vocab, dims, seed=5)
     traffic = random_traffic(2, seed=6)
     x = [START, 1, 3]
-    probs, alphas = arnn_forward(x, traffic, model)
-
-    p = model.params
-    feats = encode_traffic(traffic, model)
-    h, c = attention_init_state(feats, model)
-    ids = model.vocab.encode(x)
-    for i, tid in enumerate(ids):
-        alpha, context = attention_step(h, feats, model)
-        x_in = np.concatenate([p["embed"][tid], context])
-        h, c = nncore.lstm_step(x_in, h, c, p["lstm_W"], p["lstm_U"], p["lstm_b"])
-        expect = softmax(h @ p["dec_W"] + p["dec_b"])
-        np.testing.assert_allclose(probs[i], expect, atol=1e-12)
-        np.testing.assert_allclose(alphas[i], alpha, atol=1e-12)
+    probs, alphas = unroll(model, x, traffic)
+    expect, expect_alphas = forward_oracle(model, x, traffic)
+    np.testing.assert_allclose(probs, expect, atol=1e-12)
+    np.testing.assert_allclose(alphas, expect_alphas, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
@@ -170,9 +177,9 @@ def test_arnn_permutation_equivariance(seed, n):
     vocab = Vocab(range(1, 5))
     model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=seed)
     traffic = np.random.default_rng(seed).random((n, 10))
-    probs, alphas = arnn_forward([START, 2], traffic, model)
+    probs, alphas = unroll(model, [START, 2], traffic)
     perm = np.random.default_rng(seed + 1).permutation(n)
-    probs_p, alphas_p = arnn_forward([START, 2], traffic[perm], model)
+    probs_p, alphas_p = unroll(model, [START, 2], traffic[perm])
     np.testing.assert_allclose(probs_p, probs, atol=1e-9)
     np.testing.assert_allclose(alphas_p, alphas[:, perm], atol=1e-9)
 
@@ -190,7 +197,7 @@ def test_rnn_gradient_check_toy():
     def fn(_):
         return loss_and_grads(model, x_ids, y_ids)
 
-    assert nncore.grad_check(fn, model.params) < 1e-4
+    assert grad_check(fn, model.params) < 1e-4
 
 
 def test_arnn_gradient_check_toy():
@@ -203,7 +210,7 @@ def test_arnn_gradient_check_toy():
     def fn(_):
         return loss_and_grads(model, x_ids, y_ids, traffic)
 
-    assert nncore.grad_check(fn, model.params) < 1e-4
+    assert grad_check(fn, model.params) < 1e-4
 
 
 def test_arnn_requires_traffic():
@@ -252,7 +259,7 @@ def test_chunked_mean_loss_equals_per_sequence_mean(cls, n_cells):
     total = steps = 0
     for ex in examples:
         tokens = vocab.decode(list(ex.x_ids))
-        probs = arnn_forward(tokens, ex.traffic, model)[0] if n_cells else rnn_forward(tokens, model)
+        probs, _ = forward_oracle(model, tokens, ex.traffic)
         total += -np.log(probs[np.arange(len(ex.y_ids)), ex.y_ids]).sum()
         steps += len(ex.y_ids)
     assert models.mean_loss(model, examples) == pytest.approx(total / steps, rel=1e-12)
@@ -320,6 +327,15 @@ def test_train_rejects_bad_clip_norm_and_epochs(kwargs, message):
     with pytest.raises(ValueError, match=message):
         models.train(model, [make_example(vocab, (START, 1, 2, END))], lr=0.05, **{"epochs": 1, **kwargs})
     np.testing.assert_array_equal(model.flat, before)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_train_rejects_bad_learning_rate_before_any_pass(lr, monkeypatch):
+    vocab = Vocab(range(1, 6))
+    model = RnnModel.init(vocab, ModelDims(d_e=4, d_h=4), seed=0)
+    monkeypatch.setattr(models, "batch_loss_and_grads", mock.Mock(side_effect=AssertionError("a pass ran")))
+    with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
+        models.train(model, [make_example(vocab, (START, 1, 2, END))], lr=lr, epochs=1)
 
 
 def _assert_params_are_views_of_flat(model, example):
@@ -397,15 +413,15 @@ def overfit_model():
 
 
 def test_generate_starts_with_prefix(overfit_model):
-    res = generate(overfit_model, [START, 1], seed=0, max_len=10)
+    (res,) = generate_batch(overfit_model, [START, 1], [0], max_len=10)
     assert res.tokens[:2] == [START, 1]
 
 
 def test_generate_seed_contract(overfit_model):
-    a = generate(overfit_model, [START], seed=42, max_len=10)
-    b = generate(overfit_model, [START], seed=42, max_len=10)
+    (a,) = generate_batch(overfit_model, [START], [42], max_len=10)
+    (b,) = generate_batch(overfit_model, [START], [42], max_len=10)
     assert a.tokens == b.tokens
-    outcomes = {tuple(generate(overfit_model, [START], seed=s, max_len=10).tokens) for s in range(200)}
+    outcomes = {tuple(res.tokens) for res in generate_batch(overfit_model, [START], range(200), max_len=10)}
     assert len(outcomes) >= 1  # different seeds may differ; same seed never does
 
 
@@ -420,45 +436,23 @@ def test_generate_overfit_reproduces_continuation(overfit_model):
 
 def test_generate_validation(overfit_model):
     with pytest.raises(ValueError, match="#start"):
-        generate(overfit_model, [1, 2], seed=0, max_len=10)
+        generate_batch(overfit_model, [1, 2], [0], max_len=10)
     with pytest.raises(ValueError, match="#end"):
-        generate(overfit_model, [START, 1, END], seed=0, max_len=10)
+        generate_batch(overfit_model, [START, 1, END], [0], max_len=10)
     with pytest.raises(ValueError, match="max_len"):
-        generate(overfit_model, [START, 1], seed=0, max_len=2)
+        generate_batch(overfit_model, [START, 1], [0], max_len=2)
 
 
 def test_generate_terminates_and_stays_in_vocab():
     vocab = Vocab(range(1, 8))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=9)  # untrained: near-uniform
-    for seed in range(20):
-        res = generate(model, [START], seed=seed, max_len=12)
+    for res in generate_batch(model, [START], range(20), max_len=12):
         assert len(res.tokens) <= 12
         assert all(t in vocab for t in res.tokens)
         if res.terminated:
             assert res.tokens[-1] == END
-        for probs in res.step_probs:
+        for probs in unroll(model, res.tokens[:-1])[0]:
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_generate_batch_equals_sequential():
-    vocab = Vocab(range(1, 6))
-    dims = ModelDims(d_e=3, d_h=4)
-    for cls, traffic in ((RnnModel, None), (ArnnModel, random_traffic(4, seed=8))):
-        model = cls.init(vocab, dims, seed=7)
-        seeds = [11, 22, 33, 44]
-        batch = generate_batch(model, [START, 2], seeds, max_len=12, traffic=traffic)
-        singles = [generate(model, [START, 2], s, max_len=12, traffic=traffic) for s in seeds]
-        for b, s in zip(batch, singles):
-            assert b.tokens == s.tokens
-            assert b.terminated == s.terminated
-            # matrix-batched and single-row matmuls agree to rounding only
-            np.testing.assert_allclose(np.vstack(b.step_probs), np.vstack(s.step_probs), atol=1e-12)
-
-
-def _scalar_sample(row, u):
-    # the one-row rule: cumsum, then searchsorted(side="right"), clamped
-    cum = np.cumsum(row)
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), row.shape[0] - 1)
 
 
 def test_row_sampler_matches_scalar_rule_on_edge_rows():
@@ -474,7 +468,7 @@ def test_row_sampler_matches_scalar_rule_on_edge_rows():
     for u in (0.0, np.nextafter(1.0, 0.0), 0.5, 0.2, 0.6):
         us = np.full(len(rows), u)
         got = models._sample(rows, us)
-        assert got.tolist() == [_scalar_sample(r, u) for r in rows]
+        assert got.tolist() == [pick_oracle(r, u) for r in rows]
 
 
 @settings(deadline=None, max_examples=200)
@@ -486,97 +480,78 @@ def test_row_sampler_matches_scalar_rule(data, n_rows, v):
     unit = st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0.0)), st.floats(0.0, 1.0, exclude_max=True))
     us = np.array(data.draw(st.lists(unit, min_size=n_rows, max_size=n_rows)))
     got = models._sample(rows, us)
-    assert got.tolist() == [_scalar_sample(r, u) for r, u in zip(rows, us)]
-
-
-def test_generate_batch_keeps_one_distribution_per_fed_token():
-    vocab = Vocab(range(1, 6))
-    model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=7)
-    for res in generate_batch(model, [START, 2], range(6), max_len=9, traffic=random_traffic(4, seed=8)):
-        assert len(res.step_probs) == len(res.attention) == len(res.tokens) - 1
-        for probs, alpha in zip(res.step_probs, res.attention):
-            assert probs.shape == (len(vocab),) and alpha.shape == (4,)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert got.tolist() == [pick_oracle(r, u) for r, u in zip(rows, us)]
 
 
 @pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
 def test_generate_follows_teacher_forced_forward(cls):
-    # the sampled rows fork from the prefix state, so their distributions are
-    # those of a teacher-forced pass over the finished sequence, and token j
-    # after the prefix is the scalar draw of the j-th uniform of the stream
+    # each candidate is the oracle's: a teacher-forced pass over the prefix,
+    # then token j after it drawn with the j-th uniform of default_rng(seed)
     vocab = Vocab(range(1, 6))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=5)  # untrained: some candidates reach max_len
-    traffic = random_traffic(5, seed=2)
+    traffic = random_traffic(5, seed=2) if cls is ArnnModel else None
     prefix, max_len = [START, 3, 1], 9
     capped = 0
-    for seed in range(16):
-        res = generate(model, prefix, seed, max_len, traffic=traffic if cls is ArnnModel else None)
-        if cls is ArnnModel:
-            probs, alpha = arnn_forward(res.tokens[:-1], traffic, model)
-            np.testing.assert_allclose(np.vstack(res.attention), alpha, rtol=0, atol=1e-12)
-        else:
-            probs = rnn_forward(res.tokens[:-1], model)
-        np.testing.assert_allclose(np.vstack(res.step_probs), probs, rtol=0, atol=1e-12)
+    for seed, res in enumerate(generate_batch(model, prefix, range(16), max_len, traffic=traffic)):
         sampled = vocab.encode(res.tokens[len(prefix) :])
-        stream = np.random.default_rng(seed)
-        u = [stream.random() for _ in sampled]
-        assert sampled == [_scalar_sample(row, x) for row, x in zip(res.step_probs[len(prefix) - 1 :], u)]
+        assert tuple(sampled) == sample_oracle(model, prefix, seed, max_len, traffic)
         assert res.terminated == (sampled[-1] == vocab.end_id)
         assert res.terminated or len(res.tokens) == max_len
         capped += not res.terminated
     assert 0 < capped < 16
 
 
-@pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
-def test_sample_forks_matches_one_prefix_at_a_time(cls, monkeypatch):
-    vocab = Vocab(range(1, 6))
-    model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
-    # sequence 3 has no fork; the last four forks alternate between sequences
-    # 0 and 1, which have different windows, so that a chunk interleaves
-    # rows that attend over different features
-    trips = [[START, 1, 2, 3, 4, END], [START, 5], [START, 4, 4, 2, 1, 3, END], [START, 3, 3, END]]
-    windows = [random_traffic(5, seed=s) for s in range(4)] if cls is ArnnModel else None
-    forks = [models.Fork(2, 4, [7, 8, 9], 12), models.Fork(0, 1, [1], 6), models.Fork(1, 2, [4, 5], 8),
-             models.Fork(2, 1, [6, 6], 20), models.Fork(0, 3, [2, 3, 11, 12], 7),
-             models.Fork(0, 2, [13, 14, 15], 16), models.Fork(1, 1, [16, 17, 18], 16),
-             models.Fork(0, 1, [19, 20], 16), models.Fork(1, 2, [21, 22, 23], 16)]
-    expect = [
-        [res.tokens for res in generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
-                                              traffic=windows[f.trip] if windows else None)]
-        for f in forks
-    ]
-    for row_cap in (1, 3, 64):
-        monkeypatch.setattr(models, "ROW_CAP", row_cap)
-        got = models.sample_forks(model, trips, windows, forks)
-        assert [[trips[f.trip][: f.n] + vocab.decode(ids) for ids in rows] for f, rows in zip(forks, got)] == expect
+def _oracle_rows(model, trips, windows, forks):
+    return [[sample_oracle(model, trips[f.trip][: f.n], seed, f.max_len, windows[f.trip] if windows else None)
+             for seed in f.seeds] for f in forks]
 
 
 @pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
 def test_sample_forks_refills_slots_across_sequences(cls, monkeypatch):
     # rows of one token next to rows of up to 40, from two sequences with
-    # different windows: short rows end while long ones run, so a slot is
-    # refilled mid-run, often with a row of the other sequence, and the pool
-    # ends by moving its last running rows down
+    # different windows (a third has no fork): short rows end while long ones
+    # run, so a slot is refilled mid-run, often with a row of the other
+    # sequence, and the pool ends by moving its last running rows down
     vocab = Vocab(range(1, 6))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=3)
     model.params["dec_b"][vocab.end_id] = -2.0  # rarer #end: long rows stay long
-    trips = [[START, 1, 2, 3, 4, END], [START, 5, 4, 3]]
-    windows = [random_traffic(5, seed=10), random_traffic(5, seed=11)] if cls is ArnnModel else None
+    trips = [[START, 1, 2, 3, 4, END], [START, 5, 4, 3], [START, 2, 2, END]]
+    windows = [random_traffic(5, seed=s) for s in (10, 11, 12)] if cls is ArnnModel else None
     forks = [models.Fork(0, 2, range(100, 105), 3), models.Fork(1, 3, range(200, 203), 40),
              models.Fork(0, 1, range(300, 306), 2), models.Fork(1, 1, [400], 30),
              models.Fork(0, 4, range(500, 504), 5), models.Fork(1, 2, range(600, 603), 35),
              models.Fork(0, 3, range(700, 702), 40), models.Fork(1, 1, range(800, 805), 2)]
-    expect = [
-        [res.tokens for res in generate_batch(model, trips[f.trip][: f.n], f.seeds, f.max_len,
-                                              traffic=windows[f.trip] if windows else None)]
-        for f in forks
-    ]
-    lengths = [len(tokens) - f.n for f, rows in zip(forks, expect) for tokens in rows]
+    expect = _oracle_rows(model, trips, windows, forks)
+    lengths = [len(ids) for rows in expect for ids in rows]
     assert min(lengths) == 1 and max(lengths) >= 15
     for row_cap in (1, 2, 3, 64):
         monkeypatch.setattr(models, "ROW_CAP", row_cap)
-        got = models.sample_forks(model, trips, windows, forks)
-        assert [[trips[f.trip][: f.n] + vocab.decode(ids) for ids in rows] for f, rows in zip(forks, got)] == expect
+        assert models.sample_forks(model, trips, windows, forks) == expect
+
+
+@pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), n_cells=st.integers(2, 5), d_e=st.integers(1, 4), d_h=st.integers(1, 4),
+       init_seed=st.integers(0, 9999), end_bias=st.sampled_from([0.0, -2.0]), n_window=st.integers(1, 4))
+def test_sample_forks_matches_one_prefix_at_a_time(cls, data, n_cells, d_e, d_h, init_seed, end_bias, n_window):
+    # forks over 2-3 sequences with their own windows, each row against the
+    # oracle sampling its prefix alone, at several pool sizes
+    vocab = Vocab(range(1, n_cells + 1))
+    model = cls.init(vocab, ModelDims(d_e=d_e, d_h=d_h), seed=init_seed)
+    model.params["dec_b"][vocab.end_id] += end_bias
+    cells, ending = st.lists(st.integers(1, n_cells), max_size=5), st.sampled_from([[], [END]])
+    trips = [[START, *data.draw(cells), *data.draw(ending)] for _ in range(data.draw(st.integers(2, 3)))]
+    windows = [random_traffic(n_window, seed=init_seed + b) for b in range(len(trips))] if cls is ArnnModel else None
+    forks = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        trip = data.draw(st.integers(0, len(trips) - 1))
+        n = data.draw(st.integers(1, len(trips[trip]) - (trips[trip][-1] == END)))
+        seeds = data.draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=4))
+        forks.append(models.Fork(trip, n, seeds, n + data.draw(st.integers(1, 12))))
+    expect = _oracle_rows(model, trips, windows, forks)
+    for row_cap in (1, 3, 64):
+        with mock.patch.object(models, "ROW_CAP", row_cap):
+            assert models.sample_forks(model, trips, windows, forks) == expect
 
 
 # The sampler computes numpy's default_rng(seed).random() streams itself, for
@@ -603,7 +578,7 @@ def test_streams_match_numpy_default_rng_on_5000_seeds():
 def test_streams_match_numpy_default_rng_on_edge_seeds():
     got = _stream_draws(STREAM_EDGE_SEEDS, 20)
     np.testing.assert_array_equal(got.view(np.uint64), _numpy_draws(STREAM_EDGE_SEEDS, 20).view(np.uint64))
-    for seed, row in zip(STREAM_EDGE_SEEDS, got):  # one seed alone, as a one-row generate would
+    for seed, row in zip(STREAM_EDGE_SEEDS, got):  # one seed alone, as a one-row generate_batch would
         np.testing.assert_array_equal(_stream_draws([seed], 20)[0], row)
 
 
@@ -619,16 +594,16 @@ def test_streams_reject_negative_seeds_as_numpy_does(overfit_model):
     with pytest.raises(ValueError):
         models._streams([3, -1])
     with pytest.raises(ValueError):
-        generate(overfit_model, [START], -1, max_len=10)
+        generate_batch(overfit_model, [START], [-1], max_len=10)
 
 
 def test_generate_takes_int_seeds_only(overfit_model):
     with pytest.raises(TypeError):
-        generate(overfit_model, [START], np.random.default_rng(0), max_len=10)
+        generate_batch(overfit_model, [START], [np.random.default_rng(0)], max_len=10)
     with pytest.raises(TypeError):
         generate_batch(overfit_model, [START], [1, np.random.default_rng(0)], max_len=10)
-    assert generate(overfit_model, [START], np.int64(42), max_len=10).tokens == \
-        generate(overfit_model, [START], 42, max_len=10).tokens
+    assert generate_batch(overfit_model, [START], [np.int64(42)], max_len=10)[0].tokens == \
+        generate_batch(overfit_model, [START], [42], max_len=10)[0].tokens
 
 
 def test_generate_max_len_cap():
@@ -650,6 +625,6 @@ def test_model_checkpoint_roundtrip(tmp_path, small_vocab):
     assert meta["epoch"] == 3
     assert loaded.vocab == model.vocab
     traffic = random_traffic(3, seed=1)
-    a, _ = arnn_forward([START, 2], traffic, model)
-    b, _ = arnn_forward([START, 2], traffic, loaded)
+    a, _ = unroll(model, [START, 2], traffic)
+    b, _ = unroll(loaded, [START, 2], traffic)
     np.testing.assert_array_equal(a, b)

@@ -11,16 +11,16 @@ from cellseq.nncore import (
     AdamState,
     adam_update,
     clip_global_norm,
-    grad_check,
     load_checkpoint,
     lstm_cell,
     lstm_cell_backward,
     lstm_cell_derivatives,
-    lstm_step,
     save_checkpoint,
     softmax,
     softmax_cross_entropy,
 )
+
+from oracles import grad_check, lstm_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -28,14 +28,15 @@ from cellseq.nncore import (
 
 
 def test_lstm_all_zero_weights_zero_state():
-    h, c = lstm_step(np.ones(2), np.zeros(3), np.zeros(3), np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
+    # x @ W + h @ U + b is zero for all-zero weights
+    h, c, _ = lstm_cell(np.zeros(12), np.zeros(3))
     np.testing.assert_allclose(h, 0.0)
     np.testing.assert_allclose(c, 0.0)
 
 
 def test_lstm_zero_weights_unit_cell_state():
     # gates all 0.5; c' = 0.5 * 1 = 0.5; h' = 0.5 * tanh(0.5)
-    h, c = lstm_step(np.ones(1), np.zeros(1), np.ones(1), np.zeros((1, 4)), np.zeros((1, 4)), np.zeros(4))
+    h, c, _ = lstm_cell(np.zeros(4), np.ones(1))
     np.testing.assert_allclose(c, 0.5)
     np.testing.assert_allclose(h, 0.5 * np.tanh(0.5))
     assert h[0] == pytest.approx(0.2311, abs=1e-4)
@@ -44,23 +45,21 @@ def test_lstm_zero_weights_unit_cell_state():
 @settings(deadline=None, max_examples=50)
 @given(d=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=9999))
 def test_lstm_shapes_and_hidden_bound(d, seed):
+    # a batch of rows through the cell, each row against the oracle's gates
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=3)
-    h = rng.normal(size=d)
-    c = rng.normal(size=d)
+    x = rng.normal(size=(2, 3))
+    h = rng.normal(size=(2, d))
+    c = rng.normal(size=(2, d))
     W = rng.normal(size=(3, 4 * d))
     U = rng.normal(size=(d, 4 * d))
     b = rng.normal(size=4 * d)
-    h2, c2 = lstm_step(x, h, c, W, U, b)
+    h2, c2, _ = lstm_cell(x @ W + h @ U + b, c)
     assert h2.shape == h.shape and c2.shape == c.shape
     assert np.all(np.abs(h2) < 1.0)  # o < 1 and |tanh| < 1
-
-
-def test_lstm_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        lstm_step(np.ones(2), np.zeros(3), np.zeros(3), np.zeros((5, 12)), np.zeros((3, 12)), np.zeros(12))
-    with pytest.raises(ValueError):
-        lstm_step(np.ones(2), np.zeros(3), np.zeros(2), np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
+    for row in range(2):
+        expect_h, expect_c = lstm_oracle(x[row], h[row], c[row], W, U, b)
+        np.testing.assert_allclose(h2[row], expect_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c2[row], expect_c, rtol=0, atol=1e-12)
 
 
 def test_lstm_backward_matches_finite_differences():
