@@ -2,7 +2,7 @@
 
 Every command writes a ``manifest.json`` beside its outputs with the
 resolved parameters, seeds, and a config hash, so any stage can be re-run
-identically. A ``--config`` INI file (section named after the subcommand)
+identically, and the software environment it ran in. A ``--config`` INI file (section named after the subcommand)
 overrides command-line flags.
 """
 from __future__ import annotations
@@ -11,8 +11,12 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, corpus, evaluation, hypersearch, models, synthworld
 from .cellspace import load_cellmap, save_cellmap
@@ -42,6 +46,27 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's bytes may depend on besides its parameters: the Python,
+    numpy and cellseq versions, the BLAS numpy was built with, and the BLAS
+    thread settings (null where unset). Manifests only; checkpoint meta
+    leaves it out, so that checkpoints stay byte-stable across machines."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cellseq": __version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace, extra: dict | None = None) -> None:
     manifest = {
         "package": "cellseq",
@@ -49,6 +74,7 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace, extra:
         "command": command,
         "params": _run_params(args),
         "config_hash": _config_hash(args),
+        "environment": _environment(),
     }
     if extra:
         manifest.update(extra)
@@ -170,6 +196,7 @@ def cmd_train(args) -> int:
     save_model(out / "model.ckpt", model, meta)
     _write_manifest(out, "train", args, {"outputs": ["model.ckpt"], "final_loss": result.epoch_losses[-1],
                                          "grad_norm_curve": result.epoch_grad_norms,
+                                         "epoch_seconds": result.epoch_seconds,
                                          "validation_loss": val_loss, "validation_sequences": len(val_examples),
                                          "validation_skipped_unknown_cells":
                                              len(dataset.validation) - len(val_examples)})

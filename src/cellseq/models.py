@@ -8,24 +8,31 @@ vector is concatenated to the token embedding at the LSTM input.
 
 Both run one recurrence step, ``_step``, in training, validation and
 generation. Training is teacher-forced with Adam, each batch of sequences
-right-padded to [B, T] and run as one masked unroll and one backward pass;
-validation runs the unroll forward-only in fixed-size chunks. Generation
-samples the next token from the emitted multinomial until #end, in one
-batched pass (``sample_forks``): each source sequence is teacher-forced once,
-every fork's candidates start from the state after its prefix, and the rows
-run in a pool of at most ``ROW_CAP`` slots, refilled in fork order, each
-with its own sequence's features and a stream equal to ``default_rng(seed)``
-(all computed at once by ``_streams``). ``generate_batch`` is its
-one-prefix case.
+right-padded to [B, T] and run as one masked unroll and one backward pass,
+whose time loop carries only the recurrent gradients; a batch whose
+sequences are all of one length (every batch of one) needs no mask, and
+its ids enter and leave the unroll by reshapes. Token ids are range-checked
+once where examples enter (``batch_loss_and_grads``, ``mean_loss``,
+``train``). Validation runs the unroll forward-only in fixed-size chunks.
+Generation samples the next token from the emitted multinomial until #end,
+in one batched pass (``sample_forks``): each source sequence is
+teacher-forced once, every fork's candidates start from the state after its
+prefix, and the rows run in a pool of at most ``ROW_CAP`` slots, refilled
+in fork order, each with its own sequence's features and a stream equal to
+``default_rng(seed)`` (all computed at once by ``_streams``).
+``generate_batch`` is its one-prefix case.
 
 A model's parameters are one flat float64 vector, ``model.flat``, and
-``model.params`` maps each name to a view of it; gradients are summed into
-views of one flat vector, which training clips and feeds to Adam whole.
+``model.params`` maps each name to a view of it; the backward pass writes
+into views of one work vector laid out the same way, built once per model,
+and returns a copy, which training clips and feeds to Adam whole.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -74,6 +81,9 @@ class RnnModel:
         self.dims = dims
         self.flat = np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in params.values()])
         self.params = nncore.views(self.flat, params)
+        # the backward pass's work space, laid out like flat; each pass returns a copy
+        self._grads_flat = np.zeros_like(self.flat)
+        self._grads = nncore.views(self._grads_flat, params)
 
     @property
     def input_dim(self) -> int:
@@ -138,24 +148,26 @@ def encode_traffic(traffic: np.ndarray, model: ArnnModel) -> np.ndarray:
 
 def attention_init_state(features: np.ndarray, model: ArnnModel) -> tuple[np.ndarray, np.ndarray]:
     """Initial (hidden, cell) state: tanh maps of the mean-pooled features."""
-    f_mean = features.mean(axis=-2)
+    f_mean = features.sum(axis=-2) / features.shape[-2]  # features.mean, without its Python wrapper
     h0 = np.tanh(f_mean @ model.params["init_Wh"])
     c0 = np.tanh(f_mean @ model.params["init_Wc"])
     return h0, c0
 
 
-def _attend(model, s_w, features, fu):
+def _attend(model, s_w, features, fu, out=None):
     """Additive attention over cells for projected states s_w = s @ W_a
     [B, d_a]: weights alpha = softmax(e), e_j = v . tanh(s_w + fu_j), and
     context alpha @ features; features and fu = features @ U_a are [N, ...]
-    or [B, N, ...]."""
-    pre = s_w[:, None, :] + fu  # tanh in place: one [B, N, d_a] temporary per step, not two
+    or [B, N, ...]. The [B, N, d_a] tanh matrix goes to ``out`` if given
+    (a backward pass reuses it), else to a temporary."""
+    pre = np.add(s_w[:, None, :], fu, out=out)  # tanh in place: one [B, N, d_a] array per step, not two
     alpha = softmax(np.tanh(pre, out=pre) @ model.params["attn_v"])
     return alpha, (alpha[:, None, :] @ features)[:, 0]
 
 
 def _start(model: RnnModel, traffic: np.ndarray | None, n_rows: int):
-    """Initial (h, c) for n_rows and, for the attention model, what its steps
+    """Initial (h, c), n_rows of zeros for the baseline and one row per
+    traffic window for the attention model, and for the latter what its steps
     reuse: features, fu = features @ U_a, [lstm_U | W_a] (one matmul of the
     state serves gates and scores) and the context rows of lstm_W."""
     p, d_h = model.params, model.dims.d_h
@@ -165,27 +177,27 @@ def _start(model: RnnModel, traffic: np.ndarray | None, n_rows: int):
         raise ValueError("traffic tensor required for the attention model")
     features = encode_traffic(traffic, model)
     h0, c0 = attention_init_state(features, model)
-    att = (features, features @ p["attn_U"], np.hstack([p["lstm_U"], p["attn_W"]]),
+    att = (features, features @ p["attn_U"], np.concatenate([p["lstm_U"], p["attn_W"]], axis=1),
            p["lstm_W"][model.dims.d_e :])
-    return np.broadcast_to(h0, (n_rows, d_h)).copy(), np.broadcast_to(c0, (n_rows, d_h)).copy(), att
+    return h0, c0, att
 
 
-def _step(model, xw, h, c, att):
+def _step(model, xw, h, c, att, tanh_out=None):
     """The one recurrence step, for a batch of rows, of training, validation
     and generation. ``xw`` is the token half of the gate pre-activations,
-    embed @ W + b; ``att`` comes from ``_start``. Returns h', c' and
-    (cell cache, alpha, projected state h @ W_a, context)."""
+    embed @ W + b; ``att`` comes from ``_start``, and ``tanh_out`` receives
+    the attention's tanh matrix. Returns h', c' and (cell cache, alpha,
+    context)."""
     if att is None:
-        alpha = s_w = context = None
+        alpha = context = None
         z = xw + h @ model.params["lstm_U"]
     else:
         features, fu, u_attn, w_ctx = att
         hz = h @ u_attn
-        s_w = hz[:, xw.shape[1] :]
-        alpha, context = _attend(model, s_w, features, fu)
+        alpha, context = _attend(model, hz[:, xw.shape[1] :], features, fu, tanh_out)
         z = xw + hz[:, : xw.shape[1]] + context @ w_ctx
     h2, c2, cell = nncore.lstm_cell(z, c)
-    return h2, c2, (cell, alpha, s_w, context)
+    return h2, c2, (cell, alpha, context)
 
 
 class _Unroll:
@@ -193,100 +205,126 @@ class _Unroll:
     [B, N, 10]), then ``loss`` and ``backward``; arrays are time-major. The
     embedding gather and input projection run once, outside the time loop.
     Every step's h and c are kept, c for sampling to fork from; ``keep``
-    also keeps each step's cell cache and h @ W_a for ``backward``."""
+    also keeps each step's cell cache and attention tanh matrix for
+    ``backward``."""
 
     def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
         if traffic is not None and np.ndim(traffic) != 3:
             raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
         p, d_e = model.params, model.dims.d_e
-        self.model, self.ids, self.traffic, self.steps = model, ids.T, traffic, []
+        self.model, self.ids, self.traffic, self.cells = model, ids.T, traffic, []
         n_steps, n_rows = self.ids.shape
         self.emb = p["embed"][self.ids]
-        xw = self.emb @ p["lstm_W"][:d_e] + p["lstm_b"]
+        xw = (self.emb.reshape(-1, d_e) @ p["lstm_W"][:d_e] + p["lstm_b"]).reshape(n_steps, n_rows, -1)
         self.h0, self.c0, self.att = _start(model, traffic, n_rows)
         h, c = self.h0, self.c0
         self.hs = np.empty((n_steps, n_rows, model.dims.d_h))
         self.cs = np.empty_like(self.hs)
+        tanhs = [None] * n_steps
         if self.att is not None:
             self.alphas = np.empty((n_steps, n_rows, self.att[0].shape[1]))
             self.contexts = np.empty((n_steps, n_rows, self.att[0].shape[2]))
+            if keep:
+                self.tanhs = tanhs = np.empty((n_steps,) + self.att[1].shape)
         for t in range(n_steps):
-            h, c, cache = _step(model, xw[t], h, c, self.att)
+            h, c, (cell, alpha, context) = _step(model, xw[t], h, c, self.att, tanhs[t])
             self.hs[t], self.cs[t] = h, c
             if self.att is not None:
-                self.alphas[t], self.contexts[t] = cache[1], cache[3]
+                self.alphas[t], self.contexts[t] = alpha, context
             if keep:
-                self.steps.append((cache[0], cache[2]))
+                self.cells.append(cell)
 
-    def loss(self, y_ids: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        """Summed softmax-CE over the real steps (``mask`` [B, T]), all in
-        one matmul, and its gradient wrt their logits."""
-        p, self.real = self.model.params, mask.T
-        return nncore.softmax_cross_entropy(self.hs[self.real] @ p["dec_W"] + p["dec_b"], y_ids.T[self.real])
+    def loss(self, y_ids: np.ndarray, mask: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """Summed softmax-CE over the real steps (``mask`` [B, T]; None when
+        every step is real), all in one matmul, and its gradient wrt their
+        logits. The ids were range-checked where the examples entered."""
+        p, d_h = self.model.params, self.model.dims.d_h
+        self.real = None if mask is None else mask.T.reshape(-1)
+        self.hs_real, labels = self.hs.reshape(-1, d_h), y_ids.T.reshape(-1)
+        if self.real is not None:
+            self.hs_real, labels = self.hs_real[self.real], labels[self.real]
+        return nncore.softmax_cross_entropy(self.hs_real @ p["dec_W"] + p["dec_b"], labels)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """The gradient, flat like ``model.flat``, from those of the real
-        steps' logits; each parameter's part is written into its view. Only
-        state gradients recur; each weight gradient is one matmul or sum over
-        all steps, padded steps adding exact zeros. The attention scores are
-        recomputed and their per-cell gradients summed, not kept per step."""
-        p, real = self.model.params, self.real
-        grad = np.zeros(self.model.flat.size)
-        grads = nncore.views(grad, p)
+        steps' logits.
+
+        The time loop carries only what recurs: dh and dc, and for the
+        attention model the step back from the scores to dh, (de @ (1 -
+        tanh^2)) @ (v . W_a^T), with the tanh matrix the forward pass kept
+        and v . W_a^T formed once; its one [B, N, d_a] work array is all the
+        loop adds to the kept matrices. Every weight gradient, and the
+        context and attention-input gradients, is one matmul or sum over all
+        steps after it, padded steps adding exact zeros. The pass consumes
+        the forward's per-step caches and turns the tanh matrices into
+        1 - tanh^2 in place, so a run takes one backward pass.
+        Each parameter's part is written into its view of the model's work
+        space, which is returned as a copy."""
+        p, real, grads = self.model.params, self.real, self.model._grads
         d_e, d_h = self.model.dims.d_e, self.model.dims.d_h
-        n_steps, n_rows = real.shape
-        np.matmul(self.hs[real].T, dlogits, out=grads["dec_W"])
+        n_steps, n_rows = self.ids.shape
+        np.matmul(self.hs_real.T, dlogits, out=grads["dec_W"])
         dlogits.sum(axis=0, out=grads["dec_b"])
-        d_hs = np.zeros(self.hs.shape)
-        d_hs[real] = dlogits @ p["dec_W"].T
-        dz_all = np.empty((n_steps, n_rows, 4 * d_h))
+        if real is None:
+            d_hs = (dlogits @ p["dec_W"].T).reshape(self.hs.shape)
+        else:
+            d_hs = np.zeros(self.hs.shape)
+            d_hs.reshape(-1, d_h)[real] = dlogits @ p["dec_W"].T
+        dz_all = np.empty((n_steps, n_rows, 4, d_h))
         dh = dc = np.zeros((n_rows, d_h))
-        derivs = nncore.lstm_cell_derivatives([np.array(x) for x in zip(*(cell for cell, _ in self.steps))])
+        derivs = list(zip(*nncore.lstm_cell_derivatives([np.array(x) for x in zip(*self.cells)])))
+        self.cells.clear()  # the stacked copies replace the per-step caches
         if self.att is None:
             back_w = p["lstm_U"].T
         else:  # one matmul of dz gives the gradients of h and of the context
-            features, d_a = self.att[0], p["attn_v"].shape[0]
-            back_w = np.ascontiguousarray(np.vstack([p["lstm_U"], self.att[3]]).T)
-            d_ctx_all, d_s_all = np.empty_like(self.contexts), np.empty((n_steps, n_rows, d_a))
-            d_fu = np.zeros(features.shape[:2] + (d_a,))
+            features, _, _, w_ctx = self.att
+            back_w = np.concatenate([p["lstm_U"], w_ctx]).T
+            v_wa = p["attn_v"][:, None] * p["attn_W"].T
+            de_all, d_s_all = np.empty(self.alphas.shape), np.empty((n_steps, n_rows, v_wa.shape[0]))
+            sech2 = np.empty(self.tanhs.shape[1:])  # one step's 1 - tanh^2
         for t in reversed(range(n_steps)):
-            dz, dc = nncore.lstm_cell_backward(d_hs[t] + dh, dc, [x[t] for x in derivs])
-            dz_all[t] = dz
+            dz, dc = nncore.lstm_cell_backward(d_hs[t] + dh, dc, derivs[t], out=dz_all[t])
             dh = dz @ back_w
             if self.att is not None:
-                # context = alpha @ features, alpha = softmax(v . tanh(s @ W_a + fu))
-                t_mat, alpha = np.tanh(self.steps[t][1][:, None, :] + self.att[1]), self.alphas[t]
-                d_ctx_all[t] = d_ctx = dh[:, d_h:]
-                d_alpha = (features @ d_ctx[:, :, None])[:, :, 0]
-                de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
-                grads["attn_v"] += de.reshape(-1) @ t_mat.reshape(-1, d_a)
-                d_pre = (de[:, :, None] * p["attn_v"]) * (1.0 - t_mat * t_mat)
-                d_fu += d_pre
-                d_s_all[t] = d_s = d_pre.sum(axis=1)
-                dh = dh[:, :d_h] + d_s @ p["attn_W"].T
+                # context = alpha @ features, alpha = softmax(e), e = v . tanh(h @ W_a + fu)
+                alpha = self.alphas[t]
+                d_alpha = (features @ dh[:, d_h:, None])[:, :, 0]
+                de_all[t] = de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
+                tanh = self.tanhs[t]
+                np.subtract(1.0, np.multiply(tanh, tanh, out=sech2), out=sech2)
+                d_s_all[t] = d_s = (de[:, None, :] @ sech2)[:, 0]  # d score / d(h @ W_a), per unit of v
+                dh = dh[:, :d_h] + d_s @ v_wa
+        del derivs  # before the sums after the loop, which set the peak memory of a large batch
 
         dz_flat = dz_all.reshape(-1, 4 * d_h)
         hs_prev = np.concatenate([self.h0[None], self.hs[:-1]]).reshape(-1, d_h)
         np.matmul(hs_prev.T, dz_flat, out=grads["lstm_U"])
         dz_flat.sum(axis=0, out=grads["lstm_b"])
         np.matmul(self.emb.reshape(-1, d_e).T, dz_flat, out=grads["lstm_W"][:d_e])
-        np.add.at(grads["embed"], self.ids[real], dz_all[real] @ p["lstm_W"][:d_e].T)
+        grads["embed"].fill(0.0)
+        np.add.at(grads["embed"], self.ids.reshape(-1), dz_flat @ p["lstm_W"][:d_e].T)
         if self.att is None:
-            return grad
-        d_f = features.shape[2]
+            return self.model._grads_flat.copy()
+        d_f, v = features.shape[2], p["attn_v"]
         np.matmul(self.contexts.reshape(-1, d_f).T, dz_flat, out=grads["lstm_W"][d_e:])
-        np.matmul(hs_prev.T, d_s_all.reshape(-1, d_a), out=grads["attn_W"])
-        np.matmul(features.reshape(-1, d_f).T, d_fu.reshape(-1, d_a), out=grads["attn_U"])
+        np.matmul(de_all.reshape(1, -1), self.tanhs.reshape(-1, v.size), out=grads["attn_v"][None])
+        sech2 = np.subtract(1.0, np.multiply(self.tanhs, self.tanhs, out=self.tanhs), out=self.tanhs)
+        # d e / d(h @ W_a + fu) = de * v * (1 - tanh^2), summed over cells for h and over steps for fu
+        d_s_all *= v
+        d_fu = (de_all.transpose(1, 2, 0)[:, :, None, :] @ sech2.transpose(1, 2, 0, 3))[:, :, 0, :] * v
+        np.matmul(hs_prev.T, d_s_all.reshape(-1, v.size), out=grads["attn_W"])
+        np.matmul(features.reshape(-1, d_f).T, d_fu.reshape(-1, v.size), out=grads["attn_U"])
+        d_ctx_all = (dz_flat @ w_ctx.T).reshape(n_steps, n_rows, d_f)
         d_features = self.alphas.transpose(1, 2, 0) @ d_ctx_all.transpose(1, 0, 2) + d_fu @ p["attn_U"].T
         # initial state: h0, c0 = tanh(mean(features) @ init_W)
-        f_mean = features.mean(axis=1)
+        f_mean = features.sum(axis=1) / features.shape[1]
         d_pre_h, d_pre_c = dh * (1.0 - self.h0 * self.h0), dc * (1.0 - self.c0 * self.c0)
         np.matmul(f_mean.T, d_pre_h, out=grads["init_Wh"])
         np.matmul(f_mean.T, d_pre_c, out=grads["init_Wc"])
         d_features += (d_pre_h @ p["init_Wh"].T + d_pre_c @ p["init_Wc"].T)[:, None, :] / features.shape[1]
         d_pre_f = d_features * (1.0 - features * features)
         np.matmul(self.traffic.reshape(-1, WINDOW_MINUTES).T, d_pre_f.reshape(-1, d_f), out=grads["traffic_W"])
-        return grad
+        return self.model._grads_flat.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -301,34 +339,60 @@ class TrainingExample:
 
 
 def _batches(model: RnnModel, examples: Sequence[TrainingExample], size: int):
-    """Consecutive examples right-padded to [B, T], as (x_ids, y_ids, mask,
-    traffic), at most ``size`` a batch; for the attention model a batch also
-    ends where the traffic shape changes, so that it stacks."""
+    """Consecutive examples as (x_ids, y_ids, mask, traffic), at most
+    ``size`` a batch, the ids [B, T] right-padded to the longest and
+    ``mask`` marking the real steps, or None when every step is real (as
+    in a batch of one); for the attention model a batch also ends where the
+    traffic shape changes, so that it stacks."""
     attend = model.kind == "arnn"
-    for _, same in itertools.groupby(examples, lambda ex: np.shape(ex.traffic) if attend else None):
-        same = list(same)
-        for group in (same[i : i + size] for i in range(0, len(same), size)):
-            lengths = np.array([len(ex.x_ids) for ex in group])
-            mask = np.arange(lengths.max()) < lengths[:, None]
+    start = 0
+    while start < len(examples):
+        group = examples[start : start + size]
+        if attend:
+            if any(ex.traffic is None for ex in group):
+                raise ValueError("traffic tensor required for the attention model")
+            shape = np.shape(group[0].traffic)
+            group = list(itertools.takewhile(lambda ex: np.shape(ex.traffic) == shape, group))
+        start += len(group)
+        lengths = [len(ex.x_ids) for ex in group]
+        if min(lengths) == max(lengths):
+            mask = None
+            x_ids = np.array([ex.x_ids for ex in group], dtype=np.intp)
+            y_ids = np.array([ex.y_ids for ex in group], dtype=np.intp)
+        else:
+            mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
             x_ids, y_ids = np.zeros((2,) + mask.shape, dtype=np.intp)
             x_ids[mask] = np.concatenate([ex.x_ids for ex in group])
             y_ids[mask] = np.concatenate([ex.y_ids for ex in group])
-            if attend and any(ex.traffic is None for ex in group):
-                raise ValueError("traffic tensor required for the attention model")
-            traffic = np.stack([np.asarray(ex.traffic, dtype=float) for ex in group]) if attend else None
-            yield x_ids, y_ids, mask, traffic
+        traffic = np.array([ex.traffic for ex in group], dtype=float) if attend else None
+        yield x_ids, y_ids, mask, traffic
+
+
+def _check_ids(model: RnnModel, examples: Sequence[TrainingExample]) -> None:
+    """ValueError unless every input and target id of ``examples`` indexes
+    the vocabulary: the one range check, made where examples enter."""
+    if examples:
+        nncore.check_labels(np.concatenate([ex.x_ids for ex in examples] + [ex.y_ids for ex in examples]),
+                            len(model.vocab))
+
+
+def _summed_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, np.ndarray]:
+    """``batch_loss_and_grads`` without the id check, for callers that made it once."""
+    loss, grad = 0.0, None
+    for x_ids, y_ids, mask, traffic in _batches(model, examples, len(examples)):
+        run = _Unroll(model, x_ids, traffic, keep=True)
+        part, dlogits = run.loss(y_ids, mask)
+        part_grad = run.backward(dlogits)
+        loss, grad = loss + part, part_grad if grad is None else grad + part_grad
+    return loss, grad
 
 
 def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, np.ndarray]:
     """Summed cross-entropy over a batch of sequences and its summed gradient,
     flat like ``model.flat``, from one padded unroll and one backward pass
-    per traffic shape."""
-    loss, grad = 0.0, 0.0
-    for x_ids, y_ids, mask, traffic in _batches(model, examples, len(examples)):
-        run = _Unroll(model, x_ids, traffic, keep=True)
-        part, dlogits = run.loss(y_ids, mask)
-        loss, grad = loss + part, grad + run.backward(dlogits)
-    return loss, grad
+    per traffic shape. An id outside the vocabulary raises ValueError."""
+    _check_ids(model, examples)
+    return _summed_loss_and_grads(model, examples)
 
 
 def loss_and_grads(
@@ -363,6 +427,7 @@ def make_examples(
 class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)  # mean per-step loss
     epoch_grad_norms: list[float] = field(default_factory=list)  # mean pre-clip global norm per batch
+    epoch_seconds: list[float] = field(default_factory=list)  # wall time; kept out of checkpoint meta
     clip_events: int = 0
 
 
@@ -395,24 +460,27 @@ def train(
         raise ValueError(f"clip norm must be > 0, got {clip_norm}")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+    _check_ids(model, examples)
     state = nncore.AdamState.zeros_like(model.params)
     rng = np.random.default_rng(seed)
     result = TrainResult()
     for epoch in range(epochs):
+        started = time.perf_counter()
         order = rng.permutation(len(examples))
         total, steps, norms = 0.0, 0, []
         for start in range(0, len(order), batch_size):
             batch = [examples[idx] for idx in order[start : start + batch_size]]
-            loss, grad = batch_loss_and_grads(model, batch)
-            if not np.isfinite(loss):
+            loss, grad = _summed_loss_and_grads(model, batch)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(f"diverged at epoch {epoch} in the batch from step {start}")
             total += loss
             steps += sum(len(ex.x_ids) for ex in batch)
             norms.append(nncore.clip_global_norm(grad, clip_norm))
             result.clip_events += clip_norm is not None and norms[-1] > clip_norm
-            nncore.adam_update(model.flat, grad, state, lr)
+            nncore.adam_update(model.flat, grad, state, lr, norms[-1])
         result.epoch_losses.append(total / steps)
         result.epoch_grad_norms.append(float(np.mean(norms)))
+        result.epoch_seconds.append(time.perf_counter() - started)
     return result
 
 
@@ -423,9 +491,10 @@ def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
     """Mean per-step cross-entropy over a set of sequences (no updates), run
     forward-only in padded chunks of ``MEAN_LOSS_CHUNK`` sequences."""
     total = steps = 0
+    _check_ids(model, examples)
     for x_ids, y_ids, mask, traffic in _batches(model, examples, MEAN_LOSS_CHUNK):
         total += _Unroll(model, x_ids, traffic, keep=False).loss(y_ids, mask)[0]
-        steps += int(mask.sum())
+        steps += y_ids.size if mask is None else int(mask.sum())
     return total / steps
 
 

@@ -4,13 +4,17 @@ cross-entropy, Adam with global-norm clipping, and checkpoint files.
 Everything is float64 numpy with hand-written backward passes; the model
 module composes these pieces into full sequence models. A model's
 parameters live in one flat float64 vector, and ``Params`` maps each name to
-a view of it; gradients and Adam's moments share that layout.
+a view of it; gradients and Adam's moments share that layout. A clip and
+Adam step passes over that vector a fixed number of times and allocates
+nothing but the norm's squares: Adam works in a scratch vector, folds its
+bias corrections into two scalars and takes its finiteness check from the
+global norm.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -23,29 +27,37 @@ CHECKPOINT_VERSION = "ckpt-v1"
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax over the last axis."""
-    logits = np.asarray(logits)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    logits = np.asarray(logits)  # ufunc reductions below: ndarray.max and .sum without their Python wrappers
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Loss -log softmax(logits)[label], summed over the rows of an [M, V]
     matrix with one label each (or a vector and one label), and its
-    gradient wrt the logits."""
+    gradient wrt the logits. Labels must lie in [0, V): a caller that takes
+    them from outside checks them first with ``check_labels``, once for all
+    its rows (the model does where its examples enter)."""
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
     if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
         raise ValueError("logits must be a vector with one label or a matrix with one label per row")
     labels, n_classes = labels.reshape(-1), logits.shape[-1]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"label out of range for {n_classes} classes")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    grad = np.exp(z)
+    total = np.add.reduce(grad, axis=-1, keepdims=True)
     rows = np.arange(labels.size)
-    loss = float((logsumexp.reshape(-1) - z.reshape(-1, n_classes)[rows, labels]).sum())
-    grad = np.exp(z - logsumexp)
+    loss = float(np.add.reduce(np.log(total).reshape(-1) - z.reshape(-1, n_classes)[rows, labels]))
+    grad /= total
     grad.reshape(-1, n_classes)[rows, labels] -= 1.0
     return loss, grad
+
+
+def check_labels(labels, n_classes: int) -> None:
+    """ValueError unless every label is an index in [0, n_classes)."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"label out of range for {n_classes} classes")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -80,14 +92,17 @@ def lstm_cell_derivatives(cache):
     return via_c.reshape(via_c.shape[:-1] + (4, d)), via_h, h_to_c, ifo[..., d : 2 * d]
 
 
-def lstm_cell_backward(dh2: np.ndarray, dc2: np.ndarray, derivs) -> tuple[np.ndarray, np.ndarray]:
+def lstm_cell_backward(
+    dh2: np.ndarray, dc2: np.ndarray, derivs, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward through one ``lstm_cell`` step from the gradients of h' and
     c' and the step's ``lstm_cell_derivatives``: the gradients of z (which
-    the caller turns into those of W, U, b, x and h) and of the previous c."""
+    the caller turns into those of W, U, b, x and h), written to ``out``
+    [..., 4, d] if given, and of the previous c."""
     via_c, via_h, h_to_c, f = derivs
     dc_total = dc2 + dh2 * h_to_c
-    dz = dc_total[..., None, :] * via_c
-    dz[..., 2, :] = dh2 * via_h
+    dz = np.multiply(dc_total[..., None, :], via_c, out=out)
+    np.multiply(dh2, via_h, out=dz[..., 2, :])
     return dz.reshape(dz.shape[:-2] + (-1,)), dc_total * f
 
 
@@ -103,7 +118,8 @@ def views(flat: np.ndarray, layout: Mapping[str, np.ndarray]) -> Params:
 @dataclass
 class AdamState:
     """First/second moment estimates and the step counter, flat like the
-    parameter vector that ``layout`` (its views) names."""
+    parameter vector that ``layout`` (its views) names, and one scratch
+    vector of that size, so that a step allocates nothing."""
 
     layout: Params
     m: np.ndarray
@@ -112,6 +128,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def zeros_like(cls, params: Params) -> "AdamState":
@@ -119,20 +139,37 @@ class AdamState:
         return cls(params, np.zeros(size), np.zeros(size))
 
 
-def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step on a flat parameter vector, in place."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    if not np.isfinite(grad).all():
-        name = next(name for name, g in views(grad, state.layout).items() if not np.isfinite(g).all())
-        raise FloatingPointError(f"diverged: non-finite gradient for {name!r}")
+def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, norm: float | None = None) -> None:
+    """One bias-corrected Adam step on a flat parameter vector, in place.
+
+    ``lr`` must be finite and positive. A gradient with a non-finite entry
+    raises FloatingPointError naming its parameter, and nothing changes.
+    Such a gradient has a non-finite global norm, so only then is it
+    scanned by name; ``norm`` is that norm if the caller has it (from
+    ``clip_global_norm``), else it is computed here. The bias corrections
+    are folded into two scalars: lr * m_hat / (sqrt(v_hat) + eps) with
+    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t) is
+    lr * sqrt(1 - beta2^t) / (1 - beta1^t) * m / (sqrt(v) + eps * sqrt(1 - beta2^t)).
+    """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+    if not math.isfinite(clip_global_norm(grad, None) if norm is None else norm):
+        bad = [name for name, g in views(grad, state.layout).items() if not np.isfinite(g).all()]
+        if bad:  # a finite gradient whose squares overflow passes
+            raise FloatingPointError(f"diverged: non-finite gradient for {bad[0]!r}")
     state.step += 1
-    t, b1, b2, m, v = state.step, state.beta1, state.beta2, state.m, state.v
+    t, b1, b2, m, v, buf = state.step, state.beta1, state.beta2, state.m, state.v, state.scratch
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(grad, 1.0 - b1, out=buf)
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    flat -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
+    np.multiply(grad, 1.0 - b2, out=buf)
+    v += np.multiply(buf, grad, out=buf)
+    root_c2 = math.sqrt(1.0 - b2**t)
+    np.sqrt(v, out=buf)
+    buf += state.eps * root_c2
+    np.divide(m, buf, out=buf)
+    buf *= lr * root_c2 / (1.0 - b1**t)
+    flat -= buf
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float | None) -> float:

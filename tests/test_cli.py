@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cellseq import corpus, evaluation, models
+from cellseq import cli, corpus, evaluation, models
 from cellseq.cellspace import save_cellmap
 from cellseq.cli import _apply_config, build_parser, main
 from cellseq.tokens import END, START
@@ -176,6 +176,32 @@ def test_train_records_gradient_norm_per_epoch(pipeline):
         assert len(meta["grad_norm_curve"]) == len(meta["loss_curve"]) == 2
         assert all(norm > 0.0 for norm in meta["grad_norm_curve"])
         assert manifest["grad_norm_curve"] == meta["grad_norm_curve"]
+
+
+def test_train_manifest_times_each_epoch(pipeline):
+    # wall time goes to the manifest only: checkpoint meta stays byte-stable
+    # (test_train_is_byte_reproducible)
+    for name in ("rnn", "arnn"):
+        manifest = json.loads((pipeline / name / "manifest.json").read_text())
+        _, meta = models.load_model(pipeline / name / "model.ckpt")
+        assert len(manifest["epoch_seconds"]) == len(meta["loss_curve"]) == 2
+        assert all(s > 0.0 for s in manifest["epoch_seconds"])
+        assert "epoch_seconds" not in meta
+
+
+def test_manifests_record_the_environment(pipeline, monkeypatch):
+    manifest = json.loads((pipeline / "rnn" / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "cellseq", "blas", "blas_threads"}
+    assert env["python"].count(".") == 2 and env["numpy"] and env["cellseq"] == manifest["version"]
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    _, meta = models.load_model(pipeline / "rnn" / "model.ckpt")
+    assert "environment" not in meta
+    # the thread settings as the process has them, null where unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert cli._environment()["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
 
 
 @pytest.mark.parametrize("flags, message", [(["--clip-norm", "-1"], "clip norm must be > 0, got -1.0"),

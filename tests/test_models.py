@@ -188,29 +188,45 @@ def test_arnn_permutation_equivariance(seed, n):
 # gradients
 
 
-def test_rnn_gradient_check_toy():
+def _toy_sequence(vocab, steps, seed):
+    """x and y ids of a #start-led, #end-terminated sequence of ``steps`` steps."""
+    cells = np.random.default_rng(seed).integers(2, len(vocab), size=steps - 1)
+    return np.array([vocab.start_id, *cells]), np.array([*cells, vocab.end_id])
+
+
+# The backward pass sums over every step after its time loop, so the checks
+# reach past the 2-5 steps of the toy sequences. A 12- or 20-step loss is a
+# sum of more terms, whose round-off in the central difference grows as
+# |loss| / eps, so those use a step of 1e-4 instead of the default 1e-5.
+@pytest.mark.parametrize("steps, eps", [(4, 1e-5), (12, 1e-4), (20, 1e-4)], ids=["4-steps", "12-steps", "20-steps"])
+def test_rnn_gradient_check_toy(steps, eps):
     vocab = Vocab(range(1, 7))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=1)
-    x_ids = np.array([0, 3, 4, 2])
-    y_ids = np.array([3, 4, 2, 1])
+    if steps == 4:
+        x_ids, y_ids = np.array([0, 3, 4, 2]), np.array([3, 4, 2, 1])
+    else:
+        x_ids, y_ids = _toy_sequence(vocab, steps, seed=steps)
 
     def fn(_):
         return loss_and_grads(model, x_ids, y_ids)
 
-    assert grad_check(fn, model.params) < 1e-4
+    assert grad_check(fn, model.params, eps=eps) < 1e-4
 
 
-def test_arnn_gradient_check_toy():
+@pytest.mark.parametrize("steps, eps", [(3, 1e-5), (12, 1e-4), (20, 1e-4)], ids=["3-steps", "12-steps", "20-steps"])
+def test_arnn_gradient_check_toy(steps, eps):
     vocab = Vocab([1, 2, 3])  # 3-cell toy vocabulary
     model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4, d_f=3, d_a=2), seed=2)
     traffic = random_traffic(5, seed=3)
-    x_ids = np.array([0, 2, 3])
-    y_ids = np.array([2, 3, 1])
+    if steps == 3:
+        x_ids, y_ids = np.array([0, 2, 3]), np.array([2, 3, 1])
+    else:
+        x_ids, y_ids = _toy_sequence(vocab, steps, seed=steps)
 
     def fn(_):
         return loss_and_grads(model, x_ids, y_ids, traffic)
 
-    assert grad_check(fn, model.params) < 1e-4
+    assert grad_check(fn, model.params, eps=eps) < 1e-4
 
 
 def test_arnn_requires_traffic():
@@ -333,9 +349,31 @@ def test_train_rejects_bad_clip_norm_and_epochs(kwargs, message):
 def test_train_rejects_bad_learning_rate_before_any_pass(lr, monkeypatch):
     vocab = Vocab(range(1, 6))
     model = RnnModel.init(vocab, ModelDims(d_e=4, d_h=4), seed=0)
-    monkeypatch.setattr(models, "batch_loss_and_grads", mock.Mock(side_effect=AssertionError("a pass ran")))
+    monkeypatch.setattr(models, "_Unroll", mock.Mock(side_effect=AssertionError("a pass ran")))
     with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
         models.train(model, [make_example(vocab, (START, 1, 2, END))], lr=lr, epochs=1)
+
+
+def test_train_times_each_epoch():
+    vocab = Vocab(range(1, 6))
+    model = RnnModel.init(vocab, ModelDims(d_e=4, d_h=4), seed=0)
+    result = models.train(model, [make_example(vocab, (START, 1, 2, 3, END))] * 3, lr=1e-3, epochs=3)
+    assert len(result.epoch_seconds) == len(result.epoch_losses) == 3
+    assert all(s > 0.0 for s in result.epoch_seconds)
+
+
+@pytest.mark.parametrize("x_ids, y_ids", [([0, 3], [3, 7]), ([0, 3], [3, -1]), ([0, 9], [3, 1]), ([-2, 3], [3, 1])])
+def test_ids_outside_the_vocabulary_are_rejected_where_examples_enter(x_ids, y_ids, monkeypatch):
+    # one range check per call of batch_loss_and_grads, mean_loss and train,
+    # made before any pass
+    vocab = Vocab(range(1, 6))  # ids 0..6
+    model = RnnModel.init(vocab, ModelDims(d_e=4, d_h=4), seed=0)
+    example = models.TrainingExample(np.array(x_ids), np.array(y_ids))
+    monkeypatch.setattr(models, "_Unroll", mock.Mock(side_effect=AssertionError("a pass ran")))
+    for call in (lambda: models.batch_loss_and_grads(model, [example]), lambda: models.mean_loss(model, [example]),
+                 lambda: models.train(model, [example], lr=1e-3, epochs=1)):
+        with pytest.raises(ValueError, match="out of range for 7"):
+            call()
 
 
 def _assert_params_are_views_of_flat(model, example):
@@ -364,8 +402,9 @@ def test_params_stay_views_of_flat_after_init_load_and_train(cls, n_cells, tmp_p
 @pytest.mark.parametrize("cls, n_cells", [(RnnModel, 0), (ArnnModel, 5)])
 def test_train_matches_per_parameter_adam_loop(cls, n_cells, batch_size):
     # the reference is the training loop written out per parameter over
-    # batch_loss_and_grads; the flat one must agree bit for bit, and its
-    # mean pre-clip norm per epoch with the per-parameter norm
+    # batch_loss_and_grads, with Adam's bias corrections folded into
+    # scalars; the flat one must agree bit for bit, and its mean pre-clip
+    # norm per epoch with the per-parameter norm
     vocab = Vocab(range(1, 7))
     dims = ModelDims(d_e=3, d_h=4, d_f=3, d_a=2)
     examples = _ragged_examples(vocab, n_cells, seed=3)  # 6 sequences: 2 batches of 3
@@ -384,7 +423,8 @@ def test_train_matches_per_parameter_adam_loop(cls, n_cells, batch_size):
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
-                ref.params[k] -= 0.01 * (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v[k] / (1.0 - 0.999**t)) + 1e-8)
+                root_c2 = np.sqrt(1.0 - 0.999**t)
+                ref.params[k] -= m[k] / (np.sqrt(v[k]) + 1e-8 * root_c2) * (0.01 * root_c2 / (1.0 - 0.9**t))
         ref_norms.append(np.mean(norms))
     for k in ref.params:
         np.testing.assert_array_equal(model.params[k], ref.params[k], err_msg=k)

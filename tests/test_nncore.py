@@ -10,6 +10,7 @@ from cellseq import nncore
 from cellseq.nncore import (
     AdamState,
     adam_update,
+    check_labels,
     clip_global_norm,
     load_checkpoint,
     lstm_cell,
@@ -108,10 +109,16 @@ def test_saturated_correct_label_loss_near_zero():
 
 
 def test_label_out_of_range():
+    # the range check runs once where labels enter (the model checks every
+    # example's ids with it), not in every softmax_cross_entropy call
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), 3)
+        check_labels(3, 3)
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros(3), -1)
+        check_labels(-1, 3)
+    with pytest.raises(ValueError, match="label out of range for 3 classes"):
+        check_labels(np.array([0, 2, 3, 1]), 3)
+    check_labels(np.array([0, 2, 1]), 3)
+    check_labels(np.array([], dtype=np.intp), 3)
 
 
 @settings(deadline=None, max_examples=100)
@@ -202,11 +209,15 @@ def test_adam_deterministic():
 
 
 def test_adam_flat_moments_match_per_parameter_loop():
-    # the reference is the per-parameter update written out; the flat one
-    # must agree bit for bit and expose the moments by name and shape
+    # the reference is the per-parameter update written out, with the bias
+    # corrections folded into scalars (Kingma & Ba 2015, section 2); the
+    # flat one must agree with it bit for bit, with the textbook form
+    # m_hat / (sqrt(v_hat) + eps) to rounding, and expose the moments by
+    # name and shape
     rng = np.random.default_rng(4)
     flat, params = pack({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "c": rng.normal(size=(1, 1))})
     ref = {k: v.copy() for k, v in params.items()}
+    textbook = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
     state = AdamState.zeros_like(params)
@@ -216,10 +227,13 @@ def test_adam_flat_moments_match_per_parameter_loop():
         for k, g in grads.items():
             ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
             ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
-            ref[k] -= 0.01 * (ref_m[k] / (1.0 - 0.9**t)) / (np.sqrt(ref_v[k] / (1.0 - 0.999**t)) + 1e-8)
+            root_c2 = np.sqrt(1.0 - 0.999**t)
+            ref[k] -= ref_m[k] / (np.sqrt(ref_v[k]) + 1e-8 * root_c2) * (0.01 * root_c2 / (1.0 - 0.9**t))
+            textbook[k] -= 0.01 * (ref_m[k] / (1.0 - 0.9**t)) / (np.sqrt(ref_v[k] / (1.0 - 0.999**t)) + 1e-8)
     m, v = nncore.views(state.m, state.layout), nncore.views(state.v, state.layout)
     for k in params:
         np.testing.assert_array_equal(params[k], ref[k])
+        np.testing.assert_allclose(params[k], textbook[k], rtol=1e-14, atol=0)
         np.testing.assert_array_equal(m[k], ref_m[k])
         np.testing.assert_array_equal(v[k], ref_v[k])
 
@@ -236,6 +250,31 @@ def test_adam_rejects_bad_lr():
     flat, params = pack({"w": np.zeros(1)})
     with pytest.raises(ValueError):
         adam_update(flat, np.zeros(1), AdamState.zeros_like(params), lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_adam_rejects_non_finite_or_non_positive_lr(lr):
+    flat, params = pack({"w": np.array([0.5, -1.5])})
+    state = AdamState.zeros_like(params)
+    with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
+        adam_update(flat, np.array([1.0, -2.0]), state, lr=lr)
+    np.testing.assert_array_equal(flat, [0.5, -1.5])
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+
+
+def test_adam_names_non_finite_gradient_from_the_given_norm():
+    # with the norm from clip_global_norm, the scan by name runs only when
+    # it is not finite; a gradient that is finite but whose squares
+    # overflow is not rejected
+    flat, params = pack({"u": np.zeros(2), "w": np.zeros(2)})
+    state = AdamState.zeros_like(params)
+    grad, huge = np.array([0.0, 1.0, np.inf, 0.0]), np.array([1e200, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="diverged: non-finite gradient for 'w'"):
+            adam_update(flat, grad, state, lr=0.01, norm=clip_global_norm(grad, 5.0))
+        assert state.step == 0 and not flat.any()
+        adam_update(flat, huge, state, lr=0.01, norm=clip_global_norm(huge, None))
+    assert state.step == 1 and np.isfinite(flat).all()
 
 
 # ---------------------------------------------------------------------------
