@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._files import atomic_open
 from .tokens import END, START, Token, is_virtual
 
 CELLMAP_VERSION = "cellmap-v1"
@@ -176,7 +177,8 @@ def save_cellmap(path: str | Path, cmap: CellMap) -> None:
     lines = [f"{cmap.version}\tradius={float(cmap.radius)!r}\tn={cmap.n_cells}"]
     for i, (x, y) in enumerate(cmap.centroids, start=1):
         lines.append(f"{i}\t{float(x)!r}\t{float(y)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def header_fields(

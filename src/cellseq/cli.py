@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus, evaluation, hypersearch, models, synthworld
+from ._files import atomic_open
 from .cellspace import load_cellmap, save_cellmap
 from .corpus import (
     TrafficLookup,
@@ -78,7 +79,8 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace, extra:
     }
     if extra:
         manifest.update(extra)
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    with atomic_open(outdir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _outdir(args) -> Path:
@@ -196,6 +198,7 @@ def cmd_train(args) -> int:
     save_model(out / "model.ckpt", model, meta)
     _write_manifest(out, "train", args, {"outputs": ["model.ckpt"], "final_loss": result.epoch_losses[-1],
                                          "grad_norm_curve": result.epoch_grad_norms,
+                                         "epoch_clip_events": result.epoch_clip_events,
                                          "epoch_seconds": result.epoch_seconds,
                                          "validation_loss": val_loss, "validation_sequences": len(val_examples),
                                          "validation_skipped_unknown_cells":

@@ -15,9 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._files import atomic_open
 from .cellspace import (CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory,
                         header_fields)
-from .tokens import Token, Vocab
+from .tokens import END, START, Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
 TRIP_GAP_SECONDS = 3600.0
@@ -62,17 +63,16 @@ def read_trajectory_rows(path: str | Path) -> list[Row]:
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed row at line {lineno}: "
-                                 f"expected 4 fields, got {len(parts)}")
+                raise ValueError(f"{path}:{lineno}: malformed row: expected 4 fields, got {len(parts)}")
             try:
                 rows.append((parts[0], float(parts[1]), float(parts[2]), float(parts[3])))
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row at line {lineno}: non-numeric field") from None
+                raise ValueError(f"{path}:{lineno}: malformed row: non-numeric field") from None
     return rows
 
 
 def write_trajectories(path: str | Path, trips: Iterable[RawTrajectory]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("# trip_id\tt\tx\ty\n")
         for trip in trips:
             for x, y, t in trip.points:
@@ -192,9 +192,6 @@ class AccumulationSeries:
     def n_minutes(self) -> int:
         return self.counts.shape[0]
 
-    def minute_index(self, minute: int) -> int:
-        return minute - self.minute0
-
 
 def compute_accumulation(
     trips: Sequence[RawTrajectory],
@@ -268,44 +265,43 @@ def normalized_accumulation(
     return normalize(compute_accumulation(trips, cmap), maxima=train_series.maxima)
 
 
-def traffic_window(
-    series: AccumulationSeries,
-    trip_start: float,
-    cells: Sequence[int] | None = None,
-) -> np.ndarray:
+def traffic_window(series: AccumulationSeries, trip_start: float, columns: Sequence[int] | None = None) -> np.ndarray:
     """Normalized [N, 10] tensor for the ten minutes before the trip start.
 
-    Rows follow ``cells`` (default: every cell in the series); columns are
-    minutes start-10 .. start-1 in chronological order.
+    Rows are the series' cells at the indices ``columns`` (default: every
+    cell, in series order); a row holds minutes start-10 .. start-1 in
+    chronological order.
     """
     if not series.normalized:
         raise ValueError("traffic window requires a normalized series")
     start_minute = int(np.floor(trip_start / 60.0))
     lo = start_minute - WINDOW_MINUTES - series.minute0
     hi = start_minute - series.minute0
-    if lo < 0:
-        raise ValueError("insufficient history")
-    if hi > series.n_minutes:
+    if lo < 0 or hi > series.n_minutes:
         raise ValueError("insufficient history")
     block = series.counts[lo:hi]  # [10, n_cells]
-    if cells is not None:
-        col = {c: i for i, c in enumerate(series.cells)}
-        sel = [col[c] for c in cells]
-        block = block[:, sel]
+    if columns is not None:
+        block = block[:, columns]
     return block.T.copy()
 
 
 class TrafficLookup:
-    """Window extractor bound to a normalized series and an active-cell order."""
+    """Window extractor bound to a normalized series and an active-cell order.
+    Every cell must have a column in the series."""
 
     def __init__(self, series: AccumulationSeries, cells: Sequence[int] | None = None):
         if not series.normalized:
             raise ValueError("traffic lookup requires a normalized series")
         self.series = series
         self.cells = tuple(cells) if cells is not None else series.cells
+        column = {c: i for i, c in enumerate(series.cells)}
+        missing = [c for c in self.cells if c not in column]
+        if missing:
+            raise ValueError(f"accumulation series has no counts for cells {missing}")
+        self._columns = np.array([column[c] for c in self.cells], dtype=np.intp)
 
     def window(self, trip_start: float) -> np.ndarray:
-        return traffic_window(self.series, trip_start, self.cells)
+        return traffic_window(self.series, trip_start, self._columns)
 
 
 def build(
@@ -329,7 +325,8 @@ def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
     lines.append("maxima\t" + "\t".join(repr(float(v)) for v in series.maxima))
     for row in series.counts:
         lines.append("\t".join(repr(float(v)) if series.normalized else str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_accumulation(path: str | Path) -> AccumulationSeries:
@@ -380,12 +377,11 @@ def save_sequences(path: str | Path, dataset: Dataset) -> None:
         for rec in getattr(dataset, split_name):
             cells = " ".join(str(t) for t in rec.tokens[1:-1])
             lines.append(f"{rec.trip_id}\t{split_name}\t{rec.start_time!r}\t{cells}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_sequences(path: str | Path) -> Dataset:
-    from .tokens import END, START
-
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != SEQUENCES_VERSION:
         raise ValueError(f"{path}:1: unsupported sequences file")

@@ -10,9 +10,9 @@ teacher-forced once, every task's k rows forked from the state after its
 prefix and sampled in a pool of at most ``models.ROW_CAP`` slots, refilled
 in task order as rows end, each attention row against its own sequence's
 features and each candidate with the stream of ``default_rng`` of its
-seed), and only then scores them. ``run_task`` is the one-task case.
-Each task prepares its reference continuation once (``metrics._Reference``:
-its n-gram counts and cell positions) and scores its candidates against it.
+seed), and only then scores them. Each task prepares its reference
+continuation once (``metrics._Reference``: its n-gram counts and cell
+positions) and scores its candidates against it.
 Trained models repeat candidates within a task, so each distinct
 continuation is scored once and its scores are reused for its repeats; the
 per-candidate scores and their mean are the same as scoring every
@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import models
+from ._files import atomic_open
 from .corpus import SequenceRecord, TrafficLookup
 from .metrics import ScoreVector, _Reference
 from .models import Fork, RnnModel, default_max_len, sample_forks
@@ -115,26 +116,6 @@ def derive_seed(master_seed: int, trip_id: str, g: int, candidate: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def run_task(
-    task: EvalTask,
-    model: RnnModel,
-    traffic_lookup: TrafficLookup | None,
-    master_seed: int,
-) -> ScoreRecord:
-    """Generate k candidates and average their scores: the one-task case of
-    ``evaluate_records``'s batched pass.
-
-    The candidate continuation is everything generated after the prefix,
-    virtual tokens removed; candidates that hit the length cap are scored
-    as-is and counted. Each distinct continuation is scored once; ``raw``
-    still holds one score vector per candidate, in candidate order. The
-    distinct continuations whose METEOR alignment search hit its budget
-    are counted too.
-    """
-    (rows,) = _generate([task], model, traffic_lookup, master_seed)
-    return _score(task, rows, model.vocab)
-
-
 def _generate(
     tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int
 ) -> list[list[tuple[int, ...]]]:
@@ -156,7 +137,10 @@ def _generate(
 
 def _score(task: EvalTask, rows: Sequence[tuple[int, ...]], vocab: Vocab) -> ScoreRecord:
     """Score one task's candidates (sampled ids, in candidate order) against
-    its reference, prepared once."""
+    its reference, prepared once. A continuation is everything generated
+    after the prefix, markers removed. Candidates that hit the length cap
+    are scored as-is and counted, and so are the distinct continuations
+    whose METEOR alignment search hit its budget."""
     reference = _Reference(strip_virtual(task.tokens[task.g + 1 : -1]))
     scored: dict[tuple[Token, ...], ScoreVector] = {}
     by_ids: dict[tuple[int, ...], ScoreVector] = {}
@@ -344,7 +328,8 @@ def write_scores(path: str | Path, records: Sequence[ScoreRecord]) -> None:
     for rec in sorted(records, key=lambda r: (r.trip_id, r.g)):
         scores = "\t".join(repr(getattr(rec.mean, name)) for name in SCORE_NAMES)
         lines.append(f"{rec.trip_id}\t{rec.g}\t{rec.m}\t{scores}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:
@@ -383,7 +368,8 @@ def write_aggregates(path: str | Path, agg: dict[int, dict[str, Stats]]) -> None
             lines.append(
                 f"{m}\t{name}\t{s.count}\t{s.mean!r}\t{s.q1!r}\t{s.median!r}\t{s.q3!r}\t{s.min!r}\t{s.max!r}"
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_improvement(path_gm: str | Path, path_m: str | Path, report: ImprovementReport) -> None:
@@ -391,11 +377,13 @@ def write_improvement(path_gm: str | Path, path_m: str | Path, report: Improveme
     for (g, m), per_score in report.per_gm.items():
         vals = "\t".join(repr(per_score[name]) for name in SCORE_NAMES)
         lines.append(f"{g}\t{m}\t{vals}")
-    Path(path_gm).write_text("\n".join(lines) + "\n")
+    with atomic_open(path_gm) as fh:
+        fh.write("\n".join(lines) + "\n")
 
     lines = ["m\tscore\tavg\tmin\tmax"]
     for m, per_score in report.per_m.items():
         for name in SCORE_NAMES:
             avg, mn, mx = per_score[name]
             lines.append(f"{m}\t{name}\t{avg!r}\t{mn!r}\t{mx!r}")
-    Path(path_m).write_text("\n".join(lines) + "\n")
+    with atomic_open(path_m) as fh:
+        fh.write("\n".join(lines) + "\n")

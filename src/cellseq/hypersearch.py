@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
+from ._files import atomic_open
 from .models import ModelDims, TrainingExample, TrainingDiverged
 from .tokens import Vocab
 
@@ -350,4 +351,5 @@ def write_history(path: str | Path, result: SearchResult) -> None:
             f"{t.index}\t{t.config.learning_rate!r}\t{t.config.d_e}\t{t.config.d_h}"
             f"\t{t.objective!r}\t{t.status}\t{t.wall_time:.3f}\t{mark}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

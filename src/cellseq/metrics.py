@@ -18,14 +18,12 @@ alignment is the only one with the most mappings and is returned without
 the search; it is exact.
 
 Virtual #start/#end markers are stripped before scoring; only real cells
-are compared. Every public function strips its inputs and scores them
-through one private prepared reference (``_Reference``): the reference's
-n-gram counts for n <= 4 in one dict and its cells' positions, built once,
-against which a candidate's P_1..P_4 take one pass over its n-grams. An
-evaluation task prepares its reference once for all its candidates;
-``score_vector`` is the one-candidate case, and BLEU-1..4 come from the
-same P_1..P_4 through the same helper as ``bleu_n``, so its scores equal
-the single-score functions bit for bit.
+are compared. ``score_vector`` is the one public scorer. It prepares the
+reference once (``_Reference``: its n-gram counts for n <= 4 in one dict and
+its cells' positions) and scores the candidate against it; an evaluation
+task prepares its reference once for all its candidates. A candidate's
+P_1..P_4 take one pass over its n-grams, and BLEU-n takes the first n of
+them.
 """
 from __future__ import annotations
 
@@ -78,30 +76,32 @@ class ScoreVector:
                 raise ValueError(f"score out of range: {v}")
 
 
-def _ngrams(tokens: tuple[Token, ...], orders: int) -> list[tuple[Token, ...]]:
-    """Every n-gram of ``tokens`` for n = 1..orders, as tuples."""
+_ORDERS = 4  # BLEU-1..BLEU-4
+
+
+def _ngrams(tokens: tuple[Token, ...]) -> list[tuple[Token, ...]]:
+    """Every n-gram of ``tokens`` for n = 1.._ORDERS, as tuples."""
     size = len(tokens)
-    return [tokens[i:j] for i in range(size) for j in range(i + 1, min(i + orders, size) + 1)]
+    return [tokens[i:j] for i in range(size) for j in range(i + 1, min(i + _ORDERS, size) + 1)]
 
 
 class _Reference:
     """A reference without markers, prepared once for scoring any number of
-    candidates without markers: its n-gram counts for n = 1..``orders`` in
-    one dict, and the positions of each of its cells. Every public scoring
-    function goes through it, so they all share one code path."""
+    candidates without markers: its n-gram counts for n = 1.._ORDERS in one
+    dict, and the positions of each of its cells."""
 
-    def __init__(self, ref: Sequence[Token], orders: int = 4):
+    def __init__(self, ref: Sequence[Token]):
         self.tokens = tuple(ref)
-        self.orders = orders
-        self.grams = Counter(_ngrams(self.tokens, orders))
+        self.grams = Counter(_ngrams(self.tokens))
         self.positions = _positions(self.tokens)
 
     def precisions(self, cand: tuple[Token, ...]) -> list[float]:
-        """Clipped precisions P_1..P_orders of ``cand``, from one pass over
-        its n-grams of every order: an n-gram counts while the reference
-        has occurrences of it left, which clips it at the reference count."""
-        clipped, left = [0] * self.orders, dict(self.grams)
-        for gram in _ngrams(cand, self.orders):
+        """Clipped precisions P_1..P_4 of ``cand``, from one pass over its
+        n-grams of every order: an n-gram counts while the reference has
+        occurrences of it left, which clips it at the reference count; the
+        denominator is the candidate's count of n-grams of that order."""
+        clipped, left = [0] * _ORDERS, dict(self.grams)
+        for gram in _ngrams(cand):
             if left.get(gram):
                 left[gram] -= 1
                 clipped[len(gram) - 1] += 1
@@ -109,45 +109,24 @@ class _Reference:
         return [c / (size - n) if size > n else 0.0 for n, c in enumerate(clipped)]
 
     def score(self, cand: tuple[Token, ...]) -> ScoreVector:
-        """All five scores of ``cand``: BLEU-n takes the first n of P_1..P_4,
-        so each equals ``bleu_n``/``meteor`` bit for bit."""
+        """All five scores of ``cand``: each zero when either side is empty,
+        and METEOR zero when nothing matches."""
         if not cand or not self.tokens:
-            bleus = [0.0] * 4
-        else:
-            bleus = _bleus(self.precisions(cand), len(cand), len(self.tokens))
-        meteor_score, exact = _meteor(cand, self)
-        return ScoreVector(*bleus, meteor=meteor_score, meteor_exact=exact)
-
-
-def modified_precision(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
-    """Clipped n-gram precision: counts in the candidate are capped by the
-    reference counts; denominator is the candidate n-gram count."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _Reference(strip_virtual(ref), orders=n).precisions(tuple(strip_virtual(cand)))[n - 1]
-
-
-def bleu_n(cand: Sequence[Token], ref: Sequence[Token], n: int) -> float:
-    """Length-ratio brevity penalty times the geometric mean of P_1..P_n."""
-    if not 1 <= n <= 4:
-        raise ValueError("n must be in 1..4")
-    cand = tuple(strip_virtual(cand))
-    ref = _Reference(strip_virtual(ref))
-    if not cand or not ref.tokens:
-        return 0.0
-    return _bleus(ref.precisions(cand), len(cand), len(ref.tokens))[n - 1]
-
-
-def _bleus(precisions: Sequence[float], cand_len: int, ref_len: int) -> list[float]:
-    """BLEU-1..BLEU-len(precisions) from P_1..P_n of a non-empty candidate
-    and reference: the brevity penalty times the n-th root of the product
-    of P_1..P_n, which a zero precision zeroes."""
-    penalty = min(1.0, cand_len / ref_len)
-    out, product = [], 1.0
-    for n, p in enumerate(precisions, start=1):
-        product *= p
-        out.append(penalty * product ** (1.0 / n))
-    return out
+            return ScoreVector(0.0, 0.0, 0.0, 0.0, 0.0)
+        brevity = min(1.0, len(cand) / len(self.tokens))
+        bleus, product = [], 1.0
+        for n, p in enumerate(self.precisions(cand), start=1):
+            product *= p
+            bleus.append(brevity * product ** (1.0 / n))
+        alignment = _align(cand, self)
+        matched = alignment.matched
+        if matched == 0:
+            return ScoreVector(*bleus, meteor=0.0)
+        precision = matched / len(cand)
+        recall = matched / len(self.tokens)
+        f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+        fragmentation = 0.5 * (alignment.chunks / matched) ** 3
+        return ScoreVector(*bleus, meteor=f_mean * (1.0 - fragmentation), meteor_exact=alignment.exact)
 
 
 def _count_chunks(pairs: Sequence[tuple[int, int]]) -> int:
@@ -162,19 +141,6 @@ def _count_chunks(pairs: Sequence[tuple[int, int]]) -> int:
     return chunks
 
 
-def meteor_align(cand: Sequence[Token], ref: Sequence[Token]) -> Alignment:
-    """Maximum-cardinality exact-match alignment with fewest crossings.
-
-    Each token on both sides is matched min(occurrences in cand, occurrences
-    in ref) times. Of those alignments the one with the fewest crossings is
-    returned, ties broken by the lexicographically smallest pair list
-    (leftmost candidate, then leftmost reference occurrence). If the search
-    stops at ``_SEARCH_BUDGET`` states, the result has the most mappings and
-    the fewest crossings found, and ``exact`` is False; see ``_align``.
-    """
-    return _align(tuple(strip_virtual(cand)), _Reference(strip_virtual(ref)))
-
-
 def _positions(tokens: Sequence[Token]) -> dict[Token, list[int]]:
     pos: dict[Token, list[int]] = {}
     for p, t in enumerate(tokens):
@@ -186,7 +152,11 @@ _SEARCH_BUDGET = 20_000  # states entered per alignment, about 0.1 to 1 s of sea
 
 
 def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
-    """``meteor_align`` on inputs without markers.
+    """The METEOR alignment of a candidate and a reference without markers:
+    each token is matched min(occurrences in cand, occurrences in ref)
+    times, and of those alignments the one with the fewest crossings is
+    returned, ties broken by the lexicographically smallest pair list
+    (leftmost candidate, then leftmost reference occurrence).
 
     In a fewest-crossing alignment the occurrences of a token pair up in
     increasing order on both sides, because uncrossing two same-token
@@ -333,34 +303,9 @@ def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
     return Alignment(pairs=pairs, crossings=crossings, chunks=_count_chunks(pairs), exact=exact)
 
 
-def meteor(cand: Sequence[Token], ref: Sequence[Token]) -> float:
-    """Harmonic-mean score with recall weighted 9:1 over precision, reduced
-    by the cubic fragmentation penalty. Zero when nothing matches."""
-    return _meteor(tuple(strip_virtual(cand)), _Reference(strip_virtual(ref)))[0]
-
-
-def _meteor(cand: tuple[Token, ...], ref: _Reference) -> tuple[float, bool]:
-    """``meteor`` on inputs without markers, and whether its alignment is
-    exact."""
-    if not cand or not ref.tokens:
-        return 0.0, True
-    alignment = _align(cand, ref)
-    matched = alignment.matched
-    if matched == 0:
-        return 0.0, True
-    precision = matched / len(cand)
-    recall = matched / len(ref.tokens)
-    f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
-    penalty = 0.5 * (alignment.chunks / matched) ** 3
-    return f_mean * (1.0 - penalty), alignment.exact
-
-
 def score_vector(cand: Sequence[Token], ref: Sequence[Token]) -> ScoreVector:
-    """All five scores for one candidate/reference pair: the one-candidate
-    case of scoring against a prepared reference.
-
-    Strips the virtual markers once and computes P_1..P_4 once; BLEU-n takes
-    the first n of them, so each score equals ``bleu_n``/``meteor`` bit for bit.
+    """All five scores for one candidate/reference pair, markers stripped:
+    the one-candidate case of scoring against a prepared reference.
     ``meteor_exact`` tells whether the METEOR alignment search finished.
     """
     return _Reference(strip_virtual(ref)).score(tuple(strip_virtual(cand)))

@@ -395,14 +395,6 @@ def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -
     return _summed_loss_and_grads(model, examples)
 
 
-def loss_and_grads(
-    model: RnnModel, x_ids: np.ndarray, y_ids: np.ndarray, traffic: np.ndarray | None = None
-) -> tuple[float, Params]:
-    """Summed cross-entropy over the sequence and the gradient of every parameter, by name."""
-    loss, grad = batch_loss_and_grads(model, [TrainingExample(np.asarray(x_ids), np.asarray(y_ids), traffic)])
-    return loss, nncore.views(grad, model.params)
-
-
 def make_example(vocab: Vocab, tokens: Sequence[Token], traffic: np.ndarray | None = None) -> TrainingExample:
     """Teacher-forcing example from a full #start..#end token sequence."""
     ids = np.asarray(vocab.encode(list(tokens)), dtype=np.intp)
@@ -427,8 +419,12 @@ def make_examples(
 class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)  # mean per-step loss
     epoch_grad_norms: list[float] = field(default_factory=list)  # mean pre-clip global norm per batch
+    epoch_clip_events: list[int] = field(default_factory=list)  # batches whose gradient was clipped
     epoch_seconds: list[float] = field(default_factory=list)  # wall time; kept out of checkpoint meta
-    clip_events: int = 0
+
+    @property
+    def clip_events(self) -> int:
+        return sum(self.epoch_clip_events)
 
 
 def train(
@@ -476,10 +472,10 @@ def train(
             total += loss
             steps += sum(len(ex.x_ids) for ex in batch)
             norms.append(nncore.clip_global_norm(grad, clip_norm))
-            result.clip_events += clip_norm is not None and norms[-1] > clip_norm
             nncore.adam_update(model.flat, grad, state, lr, norms[-1])
         result.epoch_losses.append(total / steps)
         result.epoch_grad_norms.append(float(np.mean(norms)))
+        result.epoch_clip_events.append(0 if clip_norm is None else sum(norm > clip_norm for norm in norms))
         result.epoch_seconds.append(time.perf_counter() - started)
     return result
 

@@ -20,6 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._files import atomic_open
+
 Params = dict[str, np.ndarray]
 
 CHECKPOINT_VERSION = "ckpt-v1"
@@ -200,7 +202,7 @@ def save_checkpoint(path: str | Path, params: Params, meta: Mapping) -> None:
         {"name": name, "shape": list(np.asarray(p).shape)} for name, p in sorted(params.items())
     ]
     header = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"%s\n" % CHECKPOINT_VERSION.encode("ascii"))
         fh.write(len(header).to_bytes(8, "big"))
         fh.write(header)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .cellspace import RawTrajectory
 
 WORLD_VERSION = "world-v1"
@@ -54,10 +55,6 @@ class World:
 
     def centroid(self, row: int, col: int) -> tuple[float, float]:
         return (col * self.spacing, row * self.spacing)
-
-    def grid_centroids(self) -> np.ndarray:
-        pts = [(c * self.spacing, r * self.spacing) for r in range(self.rows) for c in range(self.cols)]
-        return np.asarray(pts, dtype=float)
 
     def loaded_corridor(self, minute: int) -> int:
         return int(np.argmax(self.load_levels[:, minute % self.horizon_minutes]))
@@ -157,7 +154,8 @@ def save_world(path: str | Path, world: World) -> None:
     data = asdict(world)
     data["load_levels"] = world.load_levels.tolist()
     data["version"] = WORLD_VERSION
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def load_world(path: str | Path) -> World:

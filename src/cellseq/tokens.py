@@ -36,10 +36,6 @@ class Vocab:
         self._index: dict[Token, int] = {t: i for i, t in enumerate(self.tokens)}
 
     @property
-    def start_id(self) -> int:
-        return 0
-
-    @property
     def end_id(self) -> int:
         return 1
 

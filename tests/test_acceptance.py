@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from cellseq import cellspace, corpus, evaluation, hypersearch, models, nncore, synthworld
+from cellseq import cellspace, corpus, evaluation, hypersearch, metrics, models, nncore, synthworld
 from cellseq.cellspace import cluster_points, discretize_trajectory
 from cellseq.cli import main as cli_main
-from cellseq.metrics import bleu_n, meteor, meteor_align, modified_precision
+from cellseq.metrics import score_vector
 from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
 from cellseq.tokens import END, START, Vocab
 
@@ -36,22 +36,24 @@ def test_metric_oracle_suite():
     for _ in range(cases):
         cand = list(rng.integers(1, 4, size=rng.integers(0, 7)))
         ref = list(rng.integers(1, 4, size=rng.integers(0, 7)))
+        scores = score_vector(cand, ref).as_tuple()
         for n in (1, 2, 3, 4):
-            worst = max(worst, abs(bleu_n(cand, ref, n) - bleu_oracle(cand, ref, n)))
-        worst = max(worst, abs(meteor(cand, ref) - meteor_oracle(cand, ref)))
+            worst = max(worst, abs(scores[n - 1] - bleu_oracle(cand, ref, n)))
+        worst = max(worst, abs(scores[4] - meteor_oracle(cand, ref)))
         if worst > 1e-12:
             break
 
     # worked examples reproduce exactly
+    crossed = metrics._align(("b", "a"), metrics._Reference(["a", "b"]))
     examples_ok = (
-        modified_precision(["a", "a", "a"], ["a", "b"], 1) == pytest.approx(1 / 3, abs=1e-15)
-        and modified_precision(["a", "b", "c"], ["a", "b", "d"], 2) == 0.5
-        and bleu_n(["a", "b"], ["a", "b", "c", "d"], 1) == 0.5
-        and bleu_n(["a", "b", "c"], ["a", "b", "d"], 2) == pytest.approx((1 / 3) ** 0.5, abs=1e-12)
-        and meteor(["a", "b", "c", "d"], ["a", "b", "c", "d"]) == pytest.approx(0.9921875, abs=1e-12)
-        and meteor(["a", "c", "b"], ["a", "b", "c"]) == pytest.approx(1 - 0.5 * (2 / 3) ** 3, abs=1e-12)
-        and meteor_align(["b", "a"], ["a", "b"]).matched == 2
-        and meteor_align(["b", "a"], ["a", "b"]).crossings == 1
+        metrics._Reference(["a", "b"]).precisions(("a", "a", "a"))[0] == pytest.approx(1 / 3, abs=1e-15)
+        and metrics._Reference(["a", "b", "d"]).precisions(("a", "b", "c"))[1] == 0.5
+        and score_vector(["a", "b"], ["a", "b", "c", "d"]).bleu1 == 0.5
+        and score_vector(["a", "b", "c"], ["a", "b", "d"]).bleu2 == pytest.approx((1 / 3) ** 0.5, abs=1e-12)
+        and score_vector(["a", "b", "c", "d"], ["a", "b", "c", "d"]).meteor == pytest.approx(0.9921875, abs=1e-12)
+        and score_vector(["a", "c", "b"], ["a", "b", "c"]).meteor == pytest.approx(1 - 0.5 * (2 / 3) ** 3, abs=1e-12)
+        and crossed.matched == 2
+        and crossed.crossings == 1
     )
     _report(
         "metric-oracle-suite",
@@ -70,8 +72,8 @@ def _mean_loss_fn(model, x_ids, y_ids, traffic):
     steps = len(x_ids)
 
     def fn(_):
-        loss, grads = models.loss_and_grads(model, x_ids, y_ids, traffic)
-        return loss / steps, {k: g / steps for k, g in grads.items()}
+        loss, grad = models.batch_loss_and_grads(model, [models.TrainingExample(x_ids, y_ids, traffic)])
+        return loss / steps, nncore.views(grad / steps, model.params)
 
     return fn
 

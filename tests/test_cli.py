@@ -176,6 +176,10 @@ def test_train_records_gradient_norm_per_epoch(pipeline):
         assert len(meta["grad_norm_curve"]) == len(meta["loss_curve"]) == 2
         assert all(norm > 0.0 for norm in meta["grad_norm_curve"])
         assert manifest["grad_norm_curve"] == meta["grad_norm_curve"]
+        # clip events per epoch in the manifest; the checkpoint meta keeps their total
+        assert len(manifest["epoch_clip_events"]) == 2
+        assert sum(manifest["epoch_clip_events"]) == meta["clip_events"]
+        assert "epoch_clip_events" not in meta
 
 
 def test_train_manifest_times_each_epoch(pipeline):

@@ -73,7 +73,7 @@ def test_unsorted_inputs_rejected():
 def test_malformed_row_reports_line(tmp_path):
     path = tmp_path / "trips.tsv"
     path.write_text("d1\t0\t0\t0\nd1\t10\toops\t0\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
         read_trajectory_rows(path)
 
 
@@ -84,7 +84,7 @@ def test_malformed_row_reports_line(tmp_path):
 def test_malformed_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "trips.tsv"
     path.write_text(row + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed row at line 1: {message}")):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: malformed row: {message}')}$"):
         read_trajectory_rows(path)
 
 
@@ -143,7 +143,7 @@ def test_stationary_vehicle_counts_each_minute():
     trip = stationary_trip("v1", (0.0, 0.0), 60.0, 360.0)
     series = compute_accumulation([trip], TWO_CELLS)
     for minute in range(1, 7):
-        assert series.counts[series.minute_index(minute), 0] == 1
+        assert series.counts[minute - series.minute0, 0] == 1
     assert series.counts[:, 1].sum() == 0
 
 
@@ -153,8 +153,8 @@ def test_two_overlapping_vehicles_add():
         stationary_trip("v2", (0.0, 0.0), 120.0, 360.0),
     ]
     series = compute_accumulation(trips, TWO_CELLS)
-    assert series.counts[series.minute_index(3), 0] == 2  # overlap at minute 3
-    assert series.counts[series.minute_index(1), 0] == 1
+    assert series.counts[3 - series.minute0, 0] == 2  # overlap at minute 3
+    assert series.counts[1 - series.minute0, 0] == 1
 
 
 def test_crossing_vehicle_last_seen_rule():
@@ -162,11 +162,11 @@ def test_crossing_vehicle_last_seen_rule():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 180.0], [1000.0, 0.0, 200.0], [1000.0, 0.0, 400.0]])
     series = compute_accumulation([RawTrajectory("v1", pts)], TWO_CELLS)
     for minute in (0, 1, 2, 3):  # marks at or before 180 s -> cell 1
-        assert series.counts[series.minute_index(minute), 0] == 1
-        assert series.counts[series.minute_index(minute), 1] == 0
+        assert series.counts[minute - series.minute0, 0] == 1
+        assert series.counts[minute - series.minute0, 1] == 0
     for minute in (4, 5, 6):  # marks after the 200 s detection -> cell 2
-        assert series.counts[series.minute_index(minute), 0] == 0
-        assert series.counts[series.minute_index(minute), 1] == 1
+        assert series.counts[minute - series.minute0, 0] == 0
+        assert series.counts[minute - series.minute0, 1] == 1
 
 
 @settings(deadline=None, max_examples=30)
@@ -184,7 +184,7 @@ def test_conservation_of_vehicles(seed, n_trips):
     for minute in range(series.minute0, series.minute0 + series.n_minutes):
         mark = minute * 60.0
         active = sum(1 for t in trips if t.times[0] <= mark <= t.times[-1])
-        assert series.counts[series.minute_index(minute)].sum() == active
+        assert series.counts[minute - series.minute0].sum() == active
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,12 @@ def test_traffic_lookup_selects_cells():
     assert window.shape == (2, 10)
     np.testing.assert_allclose(window[0], 1.0)
     np.testing.assert_allclose(window[1], 0.0)
+
+
+def test_traffic_lookup_rejects_cells_the_series_lacks():
+    series = normalize(make_series(np.zeros((20, 3), dtype=np.int64)))  # cells 1, 2, 3
+    with pytest.raises(ValueError, match=re.escape("accumulation series has no counts for cells [9, 4]")):
+        TrafficLookup(series, cells=[1, 9, 2, 4])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from cellseq.evaluation import (
     improvement_rate,
     make_tasks,
     read_scores,
-    run_task,
     summarize,
     write_scores,
 )
@@ -76,7 +75,15 @@ def test_g_policy_filtering():
 
 
 # ---------------------------------------------------------------------------
-# run_task
+# one task
+
+
+def run_task(task, model, lookup, master_seed):
+    """The score record of one task: ``evaluate_records`` on its sequence
+    alone, at its g only."""
+    seq = SequenceRecord(task.trip_id, task.start_time, task.tokens)
+    (rec,), _ = evaluate_records([seq], model, lookup, master_seed, k=task.k, g_policy=[task.g])
+    return rec
 
 
 def test_run_task_k1_equals_single_generate(memorized_model):
@@ -178,7 +185,7 @@ class FixedWindows:
 
 
 def reference_task(task, model, lookup, master_seed):
-    """One task as ``run_task`` scored it before generation was batched: its
+    """One task as it was scored before generation was batched: its
     own ``generate_batch`` call over k rows, every candidate scored."""
     prefix = list(task.tokens[: task.g + 1])
     reference = list(task.tokens[task.g + 1 : -1])

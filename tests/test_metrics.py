@@ -1,22 +1,25 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellseq import metrics
-from cellseq.metrics import (
-    ScoreVector,
-    bleu_n,
-    meteor,
-    meteor_align,
-    modified_precision,
-    score_vector,
-)
+from cellseq.metrics import ScoreVector, score_vector
 from cellseq.tokens import END, START, strip_virtual
 
-from oracles import best_alignment_by_subsets, best_alignment_oracle, bleu_oracle, crossings_of, meteor_oracle
+from oracles import (best_alignment_by_subsets, best_alignment_oracle, bleu_oracle, crossings_of, meteor_oracle,
+                     ngram_precision_oracle)
 
 A, B, C, D = "a", "b", "c", "d"
+
+
+def precisions(cand, ref):
+    """P_1..P_4 of ``cand`` against ``ref``, markers stripped."""
+    return metrics._Reference(strip_virtual(ref)).precisions(tuple(strip_virtual(cand)))
+
+
+def align(cand, ref):
+    """The METEOR alignment of ``cand`` and ``ref``, markers stripped."""
+    return metrics._align(tuple(strip_virtual(cand)), metrics._Reference(strip_virtual(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -24,25 +27,20 @@ A, B, C, D = "a", "b", "c", "d"
 
 
 def test_precision_identity():
-    assert modified_precision([A, B, C], [A, B, C], 1) == 1.0
+    assert precisions([A, B, C], [A, B, C]) == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_precision_clipping_by_hand():
-    assert modified_precision([A, A, A], [A, B], 1) == pytest.approx(1 / 3)
+    assert precisions([A, A, A], [A, B])[0] == pytest.approx(1 / 3)
 
 
 def test_precision_bigram_by_hand():
-    assert modified_precision([A, B, C], [A, B, D], 2) == pytest.approx(1 / 2)
+    assert precisions([A, B, C], [A, B, D])[1] == pytest.approx(1 / 2)
 
 
 def test_precision_short_candidate_is_zero():
-    assert modified_precision([A], [A, B], 2) == 0.0
-    assert modified_precision([], [A], 1) == 0.0
-
-
-def test_precision_rejects_bad_n():
-    with pytest.raises(ValueError):
-        modified_precision([A], [A], 0)
+    assert precisions([A], [A, B])[1] == 0.0
+    assert precisions([], [A])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -50,34 +48,27 @@ def test_precision_rejects_bad_n():
 
 
 def test_bleu_identity():
-    assert bleu_n([A, B, C, D], [A, B, C, D], 1) == 1.0
+    assert score_vector([A, B, C, D], [A, B, C, D]).bleu1 == 1.0
 
 
 def test_bleu_brevity_penalty_is_length_ratio():
-    assert bleu_n([A, B], [A, B, C, D], 1) == pytest.approx(0.5)
+    assert score_vector([A, B], [A, B, C, D]).bleu1 == pytest.approx(0.5)
 
 
 def test_bleu_geometric_mean_by_hand():
-    assert bleu_n([A, B, C], [A, B, D], 2) == pytest.approx((2 / 3 * 1 / 2) ** 0.5)
+    assert score_vector([A, B, C], [A, B, D]).bleu2 == pytest.approx((2 / 3 * 1 / 2) ** 0.5)
 
 
 def test_bleu_zero_precision_zeroes_score():
     # no common unigram / bigram: the zero precision zeroes the whole score
-    assert bleu_n([A, B], [C, D], 1) == 0.0
-    assert bleu_n([A, C], [A, B], 2) == 0.0
+    assert score_vector([A, B], [C, D]).bleu1 == 0.0
+    assert score_vector([A, C], [A, B]).bleu2 == 0.0
 
 
 def test_bleu_strips_virtual_tokens():
-    assert bleu_n([START, A, B, END], [START, A, B, END], 1) == 1.0
+    assert score_vector([START, A, B, END], [START, A, B, END]).bleu1 == 1.0
     # length penalty counts cells only
-    assert bleu_n([START, A, B, END], [A, B, C, D], 1) == pytest.approx(0.5)
-
-
-def test_bleu_rejects_bad_n():
-    with pytest.raises(ValueError):
-        bleu_n([A], [A], 5)
-    with pytest.raises(ValueError):
-        bleu_n([A], [A], 0)
+    assert score_vector([START, A, B, END], [A, B, C, D]).bleu1 == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +76,27 @@ def test_bleu_rejects_bad_n():
 
 
 def test_align_identity():
-    a = meteor_align([A, B, C], [A, B, C])
+    a = align([A, B, C], [A, B, C])
     assert a.pairs == ((0, 0), (1, 1), (2, 2))
     assert a.crossings == 0
     assert a.chunks == 1
 
 
 def test_align_unavoidable_crossing():
-    a = meteor_align([B, A], [A, B])
+    a = align([B, A], [A, B])
     assert a.matched == 2
     assert a.crossings == 1
 
 
 def test_align_disjoint_tokens_empty():
-    a = meteor_align([A, B], [C, D])
+    a = align([A, B], [C, D])
     assert a.pairs == ()
     assert a.matched == 0
 
 
 def test_align_prefers_fewest_crossings():
     # candidate [a, b, a] vs reference [a, b]: map first a, not the second
-    a = meteor_align([A, B, A], [A, B])
+    a = align([A, B, A], [A, B])
     assert a.pairs == ((0, 0), (1, 1))
     assert a.crossings == 0
 
@@ -115,25 +106,25 @@ def test_align_prefers_fewest_crossings():
 
 
 def test_meteor_identity_worked_example():
-    assert meteor([A, B, C, D], [A, B, C, D]) == pytest.approx(0.9921875)
+    assert score_vector([A, B, C, D], [A, B, C, D]).meteor == pytest.approx(0.9921875)
 
 
 def test_meteor_no_common_tokens():
-    assert meteor([A, B], [C, D]) == 0.0
+    assert score_vector([A, B], [C, D]).meteor == 0.0
 
 
 def test_meteor_transposition_worked_example():
-    a = meteor_align([A, C, B], [A, B, C])
+    a = align([A, C, B], [A, B, C])
     assert a.matched == 3
     assert a.chunks == 2
     expected = 1.0 * (1.0 - 0.5 * (2 / 3) ** 3)
-    assert meteor([A, C, B], [A, B, C]) == pytest.approx(expected)
-    assert meteor([A, C, B], [A, B, C]) == pytest.approx(0.8519, abs=1e-4)
+    assert score_vector([A, C, B], [A, B, C]).meteor == pytest.approx(expected)
+    assert score_vector([A, C, B], [A, B, C]).meteor == pytest.approx(0.8519, abs=1e-4)
 
 
 def test_meteor_empty_inputs():
-    assert meteor([], [A]) == 0.0
-    assert meteor([A], []) == 0.0
+    assert score_vector([], [A]).meteor == 0.0
+    assert score_vector([A], []).meteor == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +136,22 @@ token_seq = st.lists(st.sampled_from([1, 2, 3]), min_size=0, max_size=6)
 @settings(deadline=None, max_examples=300)
 @given(cand=token_seq, ref=token_seq)
 def test_bleu_matches_bruteforce_oracle(cand, ref):
+    bleus = score_vector(cand, ref).as_tuple()[:4]
     for n in (1, 2, 3, 4):
-        assert bleu_n(cand, ref, n) == pytest.approx(bleu_oracle(cand, ref, n), abs=1e-12)
+        assert bleus[n - 1] == pytest.approx(bleu_oracle(cand, ref, n), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=300)
 @given(cand=token_seq, ref=token_seq)
 def test_meteor_matches_enumeration_oracle(cand, ref):
-    assert meteor(cand, ref) == pytest.approx(meteor_oracle(cand, ref), abs=1e-12)
+    assert score_vector(cand, ref).meteor == pytest.approx(meteor_oracle(cand, ref), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=200)
 @given(cand=token_seq, ref=token_seq)
 def test_alignment_matches_oracle(cand, ref):
     pairs, crossings, chunks = best_alignment_oracle(cand, ref)
-    a = meteor_align(cand, ref)
+    a = align(cand, ref)
     assert a.matched == len(pairs)
     assert a.crossings == crossings
     assert a.pairs == pairs
@@ -183,10 +175,12 @@ virtual_seq = st.lists(st.sampled_from([1, 2, 3, START, END]), min_size=0, max_s
 @example(cand=[START, END], ref=[START, 1, 2, END])
 @example(cand=[START, 1, 2, END], ref=[START, END])
 @example(cand=[START, 1, 2, 1, 2, END], ref=[START, 2, 1, 2, END])
-def test_score_vector_is_bitwise_the_single_scores(cand, ref):
-    expect = (*(bleu_n(cand, ref, n) for n in (1, 2, 3, 4)), meteor(cand, ref))
-    got = score_vector(cand, ref).as_tuple()
-    assert [v.hex() for v in got] == [float(v).hex() for v in expect]
+def test_score_vector_strips_markers(cand, ref):
+    cells, ref_cells = strip_virtual(cand), strip_virtual(ref)
+    got = score_vector(cand, ref)
+    assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in score_vector(cells, ref_cells).as_tuple()]
+    expect = (*(bleu_oracle(cells, ref_cells, n) for n in (1, 2, 3, 4)), meteor_oracle(cells, ref_cells))
+    assert got.as_tuple() == pytest.approx(expect, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=200)
@@ -202,21 +196,21 @@ def test_prepared_reference_scores_each_candidate_as_its_pair(ref, cands):
     for cand in cands:
         stripped = tuple(strip_virtual(cand))
         got = prepared.score(stripped)
-        expect = (*(bleu_n(cand, ref, n) for n in (1, 2, 3, 4)), meteor(cand, ref))
-        assert [v.hex() for v in got.as_tuple()] == [float(v).hex() for v in expect]
-        assert [p.hex() for p in prepared.precisions(stripped)] == [
-            modified_precision(cand, ref, n).hex() for n in (1, 2, 3, 4)
+        assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in score_vector(cand, ref).as_tuple()]
+        # the same integer ratios, so equal bit for bit
+        assert prepared.precisions(stripped) == [
+            ngram_precision_oracle(stripped, prepared.tokens, n) for n in (1, 2, 3, 4)
         ]
         alignment = metrics._align(stripped, prepared)
-        assert alignment == meteor_align(cand, ref)
+        assert alignment == align(cand, ref)
         assert got.meteor_exact == alignment.exact
 
 
 @settings(deadline=None, max_examples=50)
 @given(seq=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), min_size=4, max_size=8, unique=True))
 def test_identical_sequences_score_high(seq):
-    assert bleu_n(seq, seq, 1) == 1.0
-    assert meteor(seq, seq) >= 0.99
+    assert score_vector(seq, seq).bleu1 == 1.0
+    assert score_vector(seq, seq).meteor >= 0.99
 
 
 def test_score_vector_bounds():
@@ -229,7 +223,7 @@ def test_repeated_token_alignment_exact():
     cand = [1, 2, 1, 2, 1]
     ref = [2, 1, 1, 2, 2]
     pairs, crossings, chunks = best_alignment_oracle(cand, ref)
-    a = meteor_align(cand, ref)
+    a = align(cand, ref)
     assert (a.matched, a.crossings) == (len(pairs), crossings)
     assert a.pairs == pairs
 
@@ -246,7 +240,7 @@ def _as_oracle(a):
 @settings(deadline=None, max_examples=300)
 @given(cand=st.lists(st.sampled_from([1, 2, 3]), max_size=14), ref=st.lists(st.sampled_from([1, 2, 3]), max_size=8))
 def test_alignment_matches_subset_oracle(cand, ref):
-    assert _as_oracle(meteor_align(cand, ref)) == best_alignment_by_subsets(cand, ref)
+    assert _as_oracle(align(cand, ref)) == best_alignment_by_subsets(cand, ref)
 
 
 @settings(deadline=None, max_examples=300)
@@ -254,7 +248,7 @@ def test_alignment_matches_subset_oracle(cand, ref):
 def test_alignment_matches_subset_oracle_longer_reference(cand, ref):
     # the reference often repeats a token more than the candidate does, which
     # leaves the search a choice of reference positions
-    assert _as_oracle(meteor_align(cand, ref)) == best_alignment_by_subsets(cand, ref)
+    assert _as_oracle(align(cand, ref)) == best_alignment_by_subsets(cand, ref)
 
 
 @st.composite
@@ -287,7 +281,7 @@ def test_unique_shared_cells_alignment_matches_subset_oracle(pair):
     cand, ref = pair
     expect = best_alignment_by_subsets(cand, ref)
     assert expect[1] > 0
-    assert _as_oracle(meteor_align(cand, ref)) == expect
+    assert _as_oracle(align(cand, ref)) == expect
 
 
 # Random-walk pairs of the score_revisit benchmark (seeds 2 and 1), with
@@ -313,7 +307,7 @@ def test_unique_shared_cells_alignment_matches_subset_oracle(pair):
     ],
 )
 def test_alignment_exact_on_revisit_pairs(cand, ref, crossings, chunks):
-    a = meteor_align(cand, ref)
+    a = align(cand, ref)
     assert _as_oracle(a) == best_alignment_by_subsets(cand, ref)
     assert (a.crossings, a.chunks) == (crossings, chunks)
 
@@ -336,14 +330,14 @@ def test_alignment_alternating_candidate(n):
     # every 12-cell sequence over {1, 2} is a subsequence of [1, 2] * 12, so
     # no crossing is needed; the leftmost embedding is the smallest pair list
     cand = [1, 2] * n
-    a = meteor_align(cand, ZIGZAG)
+    a = align(cand, ZIGZAG)
     assert (a.crossings, a.matched) == (0, 12)
     assert a.pairs == _leftmost_embedding(ZIGZAG, cand)
 
 
 def test_alignment_alternating_reference():
     ref = [1, 2] * 50
-    a = meteor_align(ZIGZAG, ref)
+    a = align(ZIGZAG, ref)
     assert (a.crossings, a.matched) == (0, 12)
     assert a.pairs == tuple((i, j) for j, i in _leftmost_embedding(ZIGZAG, ref))
 
@@ -364,7 +358,7 @@ BACK = list(range(23, 0, -1))
     ],
 )
 def test_alignment_candidate_passing_twice(cand, ref, pairs):
-    a = meteor_align(cand, ref)
+    a = align(cand, ref)
     assert (a.crossings, a.matched, a.exact) == (0, len(ref), True)
     assert a.pairs == pairs
 
@@ -374,16 +368,16 @@ SHUFFLED = [8, 9, 2, 6, 4, 5, 3, 1, 10, 7]
 
 def test_alignment_out_and_back_against_shuffled_reference():
     cand = list(range(1, 11)) + list(range(9, 0, -1))
-    a = meteor_align(cand, SHUFFLED)
+    a = align(cand, SHUFFLED)
     assert _as_oracle(a) == best_alignment_by_subsets(cand, SHUFFLED)
     assert a.crossings == 13
 
 
 def test_alignment_stops_at_budget(monkeypatch):
     cand = list(range(1, 11)) + list(range(9, 0, -1))
-    exact = meteor_align(cand, SHUFFLED)
+    exact = align(cand, SHUFFLED)
     monkeypatch.setattr(metrics, "_SEARCH_BUDGET", 10)  # the exact search enters more states
-    cut = meteor_align(cand, SHUFFLED)
+    cut = align(cand, SHUFFLED)
     assert exact.exact and not cut.exact
     assert cut.matched == exact.matched
     assert all(cand[i] == SHUFFLED[j] for i, j in cut.pairs)
@@ -391,5 +385,8 @@ def test_alignment_stops_at_budget(monkeypatch):
     assert cut.crossings == crossings_of(cut.pairs) >= exact.crossings
     sv = score_vector(cand, SHUFFLED)
     assert not sv.meteor_exact
-    assert sv.meteor == meteor(cand, SHUFFLED)
+    # METEOR is scored on the alignment the cut search returned
+    precision, recall = cut.matched / len(cand), cut.matched / len(SHUFFLED)
+    f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    assert sv.meteor == pytest.approx(f_mean * (1.0 - 0.5 * (cut.chunks / cut.matched) ** 3), abs=1e-12)
     assert score_vector(cand, cand).meteor_exact

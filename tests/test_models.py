@@ -13,7 +13,6 @@ from cellseq.models import (
     attention_init_state,
     encode_traffic,
     generate_batch,
-    loss_and_grads,
     make_example,
 )
 from cellseq.nncore import softmax
@@ -188,10 +187,17 @@ def test_arnn_permutation_equivariance(seed, n):
 # gradients
 
 
+def loss_and_grads(model, x_ids, y_ids, traffic=None):
+    """Loss of one sequence and its gradient by parameter name, from
+    ``batch_loss_and_grads`` on a batch of one."""
+    loss, grad = models.batch_loss_and_grads(model, [models.TrainingExample(x_ids, y_ids, traffic)])
+    return loss, nncore.views(grad, model.params)
+
+
 def _toy_sequence(vocab, steps, seed):
     """x and y ids of a #start-led, #end-terminated sequence of ``steps`` steps."""
     cells = np.random.default_rng(seed).integers(2, len(vocab), size=steps - 1)
-    return np.array([vocab.start_id, *cells]), np.array([*cells, vocab.end_id])
+    return np.array([vocab.encode([START])[0], *cells]), np.array([*cells, vocab.end_id])
 
 
 # The backward pass sums over every step after its time loop, so the checks
@@ -242,7 +248,7 @@ def _ragged_examples(vocab, n_cells, seed):
     examples = []
     for length in rng.permutation(np.arange(2, 8)):
         ids = rng.integers(2, len(vocab), size=length + 1)
-        ids[0] = vocab.start_id
+        ids[0] = vocab.encode([START])[0]
         traffic = rng.random((n_cells, 10)) if n_cells else None
         examples.append(models.TrainingExample(ids[:-1], ids[1:], traffic))
     return examples
@@ -429,7 +435,17 @@ def test_train_matches_per_parameter_adam_loop(cls, n_cells, batch_size):
     for k in ref.params:
         np.testing.assert_array_equal(model.params[k], ref.params[k], err_msg=k)
     assert result.epoch_grad_norms == pytest.approx(ref_norms, rel=1e-12, abs=0)
-    assert result.clip_events == 0
+    assert result.epoch_clip_events == [0, 0] and result.clip_events == 0
+
+
+@pytest.mark.parametrize("clip_norm, clipped", [(1e-9, 2), (1e9, 0)])
+def test_train_counts_clip_events_per_epoch(clip_norm, clipped):
+    vocab = Vocab(range(1, 7))
+    model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=8)
+    examples = _ragged_examples(vocab, 0, seed=3)  # 6 sequences: 2 batches of 3
+    result = models.train(model, examples, lr=0.01, epochs=3, seed=7, clip_norm=clip_norm, batch_size=3)
+    assert result.epoch_clip_events == [clipped] * 3
+    assert result.clip_events == 3 * clipped
 
 
 def test_make_example_shift():

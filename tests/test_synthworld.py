@@ -23,6 +23,10 @@ def small_world(**kw):
     return generate_world(**defaults)
 
 
+def grid_points(world):
+    return np.array([world.centroid(r, c) for r in range(world.rows) for c in range(world.cols)])
+
+
 def chosen_corridor(world, trip):
     # the second point reveals the climb direction
     y = trip.points[1, 1]
@@ -35,12 +39,12 @@ def chosen_corridor(world, trip):
 
 def test_minimal_grid_has_four_cells():
     world = generate_world(rows=2, cols=2, spacing=300.0, seed=0)
-    assert world.grid_centroids().shape == (4, 2)
+    assert grid_points(world).shape == (4, 2)
 
 
 def test_spacing_is_nearest_centroid_distance():
     world = small_world(spacing=300.0)
-    pts = world.grid_centroids()
+    pts = grid_points(world)
     d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2))
     np.fill_diagonal(d, np.inf)
     assert d.min() == pytest.approx(300.0)
