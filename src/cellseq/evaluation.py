@@ -7,10 +7,10 @@ five scores. ``evaluate_records`` takes the sequences in blocks of
 ``models.MEAN_LOSS_CHUNK``; it generates the candidates of all tasks of a
 block in one batched pass (``models.sample_forks``: each sequence
 teacher-forced once, every task's k rows forked from the state after its
-prefix and sampled in a pool of at most ``models.ROW_CAP`` slots, refilled
-in task order as rows end, each attention row against its own sequence's
-features and each candidate with the stream of ``default_rng`` of its
-seed), and only then scores them. Each task prepares its reference
+prefix, each candidate with the stream of ``default_rng`` of its seed, and
+each distinct state (a task and the ids sampled so far) stepped once for
+all the candidates that share it, at most ``models.ROW_CAP`` states at a
+time), and only then scores them. Each task prepares its reference
 continuation once (``metrics._Reference``: its n-gram counts and cell
 positions) and scores its candidates against it.
 Trained models repeat candidates within a task, so each distinct
@@ -120,7 +120,8 @@ def _generate(
     tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int
 ) -> list[list[tuple[int, ...]]]:
     """The sampled ids of every task's candidates, from one batched pass in
-    which each distinct sequence is teacher-forced once."""
+    which each distinct sequence is teacher-forced once and each distinct
+    sampled prefix of a task is stepped once."""
     trips: dict[tuple, int] = {}
     forks = []
     for task in tasks:

@@ -17,10 +17,9 @@ once where examples enter (``batch_loss_and_grads``, ``mean_loss``,
 Generation samples the next token from the emitted multinomial until #end,
 in one batched pass (``sample_forks``): each source sequence is
 teacher-forced once, every fork's candidates start from the state after its
-prefix, and the rows run in a pool of at most ``ROW_CAP`` slots, refilled
-in fork order, each with its own sequence's features and a stream equal to
-``default_rng(seed)`` (all computed at once by ``_streams``).
-``generate_batch`` is its one-prefix case.
+prefix with their own ``default_rng(seed)`` streams (computed at once by
+``_streams``), and each distinct sampled prefix is stepped once for all the
+candidates that share it. ``generate_batch`` is its one-prefix case.
 
 A model's parameters are one flat float64 vector, ``model.flat``, and
 ``model.params`` maps each name to a view of it; the backward pass writes
@@ -498,7 +497,7 @@ def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
 # generation
 
 
-ROW_CAP = 64  # slots of the sampling pool; bounds the arnn's [rows, N, d] attention temporaries
+ROW_CAP = 64  # states per generation step; bounds the arnn's [states, N, d] attention temporaries
 
 
 @dataclass
@@ -526,12 +525,16 @@ def default_max_len(reference_len: int) -> int:
     return min(100, 4 * reference_len)
 
 
-def _sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of probs [R, V] with uniforms u [R]: the
-    first index whose cumulative mass exceeds u times the row total (numpy's
-    ``searchsorted(side="right")`` on the row's cumsum), clamped to V - 1."""
+def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draw per uniform u[i] from row ``rows[i]`` of probs [S, V]
+    (default row i): the first index whose cumulative mass exceeds u times
+    the row total (``searchsorted(side="right")`` on the row's cumsum),
+    clamped to V - 1. numpy orders complex numbers by real, then imaginary
+    part, so one exact search over keys row + 1j * cumsum serves all rows."""
     cum = np.cumsum(probs, axis=1)
-    idx = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+    rows = np.arange(len(u)) if rows is None else rows
+    keys = (np.arange(len(cum))[:, None] + 1j * cum).reshape(-1)
+    idx = np.searchsorted(keys, rows + 1j * (u * cum[rows, -1]), side="right") - rows * cum.shape[1]
     return np.minimum(idx, probs.shape[1] - 1)
 
 
@@ -547,20 +550,21 @@ def sample_forks(
     attention model) is teacher-forced once, up to its longest fork prefix,
     in one unroll that keeps (h, c) after every position, so callers bound
     how many they pass. A fork's rows start from the state after its prefix,
-    and row i draws one uniform per sampled token from the stream of
-    ``default_rng(seeds[i])``. The rows run in a pool of at most ``ROW_CAP``
-    slots, whose arrays are allocated once, in fork order, then seed order.
-    Each step is one ``_sample`` and one ``_step`` over the occupied slots;
-    a slot whose row ended is stepped too, then refilled with the next row's
-    state, stream and features. Once no row is left, the running slots move
-    down in place.
+    and row i draws one uniform per token from the stream of
+    ``default_rng(seeds[i])``. A row's state depends only on its fork and
+    the ids it sampled, so the rows advance one token per level and each
+    distinct state is stepped once, ``ROW_CAP`` states at a time: rows that
+    drew #end or reached their limit end, and the rest, grouped by (state,
+    token), make the next level's states.
 
     Returns per fork, per row in seed order, the tuple of sampled ids (the
     last is #end's if it terminated).
     """
     need = [0] * len(trips)  # longest prefix forked from each sequence
-    for fork in forks:
-        if fork.n < 1 or trips[fork.trip][0] != START:
+    for i, fork in enumerate(forks):
+        if not (0 <= fork.trip < len(trips) and 1 <= fork.n <= len(trips[fork.trip])):
+            raise ValueError(f"fork {i}: trip={fork.trip}, n={fork.n} names no prefix of the {len(trips)} sequences")
+        if trips[fork.trip][0] != START:
             raise ValueError("prefix must start with #start")
         if fork.max_len <= fork.n:
             raise ValueError("max_len must exceed the prefix length")
@@ -570,47 +574,42 @@ def sample_forks(
     if not forks:
         return []
     attend = model.kind == "arnn"
-    if attend and traffic is None:
-        raise ValueError("traffic tensor required for the attention model")
     streams = _streams([seed for f in forks for seed in f.seeds])
     x = np.zeros((len(trips), max(need)), dtype=np.intp)
     for b, (seq, k) in enumerate(zip(trips, need)):
         x[b, :k] = model.vocab.encode(list(seq[:k]))
-    windows = np.stack([np.asarray(w, dtype=float) for w in traffic]) if attend else None
-    run = _Unroll(model, x, windows, keep=False)
-    per_fork = np.array([(f.trip, f.n, f.max_len - f.n) for f in forks], dtype=np.intp)
-    trip, n, limit = np.repeat(per_fork, [len(f.seeds) for f in forks], axis=0).T
-    p, end_id, n_rows = model.params, model.vocab.end_id, len(trip)
-    cap = min(ROW_CAP, n_rows)
-    h, c = np.empty((2, cap, model.dims.d_h))
-    pos, lim, row_of = np.empty((3, cap), dtype=np.intp)
-    state, tokens = np.empty((4, cap), dtype=np.uint64), np.empty((cap, limit.max(initial=1)), dtype=np.intp)
-    att = [np.empty((cap,) + a.shape[1:]) for a in run.att[:2]] if attend else []
-    out, taken, live = [None] * n_rows, 0, cap
-    slots = free = np.arange(cap)
-    while live:
-        new = np.arange(taken, taken + free.size)
-        h[free], c[free] = run.hs[n[new] - 1, trip[new]], run.cs[n[new] - 1, trip[new]]
-        for a, src in zip(att, run.att or ()):
-            a[free] = src[trip[new]]
-        state[:, free], pos[free], lim[free], row_of[free] = streams[:, new], 0, limit[new], new
-        taken += free.size
-        tids = _sample(softmax(h[:live] @ p["dec_W"] + p["dec_b"]), _draw(state[:, :live]))
-        tokens[slots[:live], pos[:live]] = tids
-        pos[:live] += 1
-        ended = np.flatnonzero((tids == end_id) | (pos[:live] == lim[:live]))
-        for slot in ended.tolist():
-            out[row_of[slot]] = tuple(tokens[slot, : pos[slot]].tolist())
-        free, vacate = ended[: n_rows - taken], ended[n_rows - taken :]
-        if vacate.size:  # every refilled slot lies below every vacated one, so it keeps its index
-            kept = np.delete(slots[:live], vacate)
-            tids, live = tids[kept], kept.size
-            for a in [h, c, pos, lim, row_of, state.T, tokens] + att:
-                a[:live] = a[kept]
-        if live:
-            xw = p["embed"][tids] @ p["lstm_W"][: model.dims.d_e] + p["lstm_b"]
-            h[:live], c[:live], _ = _step(model, xw, h[:live], c[:live],
-                                          (att[0][:live], att[1][:live]) + run.att[2:] if attend else None)
+    windows = np.stack([np.asarray(w, dtype=float) for w in traffic]) if attend and traffic is not None else None
+    run = _Unroll(model, x, windows, keep=False)  # raises for the attention model without windows
+    p, v, cap = model.params, len(model.vocab), ROW_CAP
+    seq_of, n, max_len = np.array([(f.trip, f.n, f.max_len) for f in forks], dtype=np.intp).T
+    h, c = run.hs[n - 1, seq_of], run.cs[n - 1, seq_of]  # level 0: one state per fork
+    state = np.repeat(np.arange(len(forks)), [len(f.seeds) for f in forks])  # per row, ascending
+    row, left, out = np.arange(state.size), (max_len - n)[state], [None] * state.size
+    paths = np.zeros((len(forks), 0), dtype=np.intp)  # the ids sampled to reach each state
+    # features and fu, and the arrays that take a chunk's rows of them, allocated once
+    work = [(a, np.empty((cap,) + a.shape[1:])) for a in run.att[:2]] if attend else []
+    while row.size:
+        u, tids, left = _draw(streams), np.empty(row.size, dtype=np.intp), left - 1
+        bounds = np.searchsorted(state, [*range(0, len(h), cap), len(h)])
+        for s0, lo, hi in zip(range(0, len(h), cap), bounds[:-1], bounds[1:]):
+            probs = softmax(h[s0 : s0 + cap] @ p["dec_W"] + p["dec_b"])
+            tids[lo:hi] = _sample(probs, u[lo:hi], state[lo:hi] - s0)
+        done = (tids == model.vocab.end_id) | (left == 0)
+        for r, ids in zip(row[done].tolist(), np.column_stack([paths[state[done]], tids[done]]).tolist()):
+            out[r] = tuple(ids)
+        key = state * v + tids  # a row's next state: (state, token)
+        go = np.flatnonzero(~done)[np.argsort(key[~done], kind="stable")]  # the rows that go on, by next state
+        key, first = key[go], np.diff(key[go], prepend=-1) != 0  # first: the first row of each next state
+        state, row, left, streams = np.cumsum(first) - 1, row[go], left[go], streams[:, go]
+        parent, tok = np.divmod(key[first], v)
+        paths = np.column_stack([paths[parent], tok])
+        del u, tids, done, key, go, first  # freed before the steps allocate theirs
+        h, c, seq_of = h[parent], c[parent], seq_of[parent]  # stepped in place below
+        for chunk in (slice(s0, s0 + cap) for s0 in range(0, parent.size, cap)):
+            gathered = [np.take(a, seq_of[chunk], axis=0, out=w[: len(tok[chunk])]) for a, w in work]
+            att = (*gathered, *run.att[2:]) if attend else None
+            xw = p["embed"][tok[chunk]] @ p["lstm_W"][: model.dims.d_e] + p["lstm_b"]
+            h[chunk], c[chunk], _ = _step(model, xw, h[chunk], c[chunk], att)
     sampled = iter(out)
     return [list(itertools.islice(sampled, len(f.seeds))) for f in forks]
 
@@ -684,7 +683,8 @@ def generate_batch(
     traffic: np.ndarray | None = None,
 ) -> list[GenerationResult]:
     """Continuations of one prefix, one ``default_rng(seed)`` stream per int
-    seed: the one-fork case of ``sample_forks``."""
+    seed: the one-fork case of ``sample_forks``, so continuations that
+    sample the same ids share their steps."""
     prefix = list(prefix)
     fork = Fork(0, len(prefix), seeds, max_len)
     (rows,) = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cellseq import cellspace, corpus, evaluation, hypersearch, metrics, models, nncore, synthworld
+from cellseq import corpus, evaluation, hypersearch, metrics, models, nncore, synthworld
 from cellseq.cellspace import cluster_points, discretize_trajectory
 from cellseq.cli import main as cli_main
 from cellseq.metrics import score_vector

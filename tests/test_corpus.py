@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellseq import corpus
 from cellseq.cellspace import CellMap, RawTrajectory
 from cellseq.corpus import (
     AccumulationSeries,

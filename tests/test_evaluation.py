@@ -233,9 +233,8 @@ def test_evaluate_records_equals_per_task_generation(loose_models, monkeypatch, 
     expect = [reference_task(task, model, lookup, master_seed=8) for task in tasks]
     assert {t.g for t in tasks if t.trip_id == "d"} == {1, 2, 3, 4, 5}
     assert sum(unterminated for _, unterminated in expect) > 0  # some candidates hit the cap
-    # row caps of 1, of 7 (chunks that cross tasks and sequences) and of 3
-    # (at k = 5 the rows of task ("a", 1) split 3 + 2), with the sequences
-    # teacher-forced alone or in pairs
+    # 1, 7 and 3 states per generation step (chunks that cross tasks and
+    # sequences), with the sequences teacher-forced alone or in pairs
     for row_cap, trips_per_unroll in ((1, 32), (7, 32), (3, 2), (models.ROW_CAP, 1)):
         monkeypatch.setattr(models, "ROW_CAP", row_cap)
         monkeypatch.setattr(models, "MEAN_LOSS_CHUNK", trips_per_unroll)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellseq import hypersearch, models
 from cellseq.hypersearch import (
     GaussianProcess,
     SearchSpace,

@@ -566,8 +566,8 @@ def _oracle_rows(model, trips, windows, forks):
 def test_sample_forks_refills_slots_across_sequences(cls, monkeypatch):
     # rows of one token next to rows of up to 40, from two sequences with
     # different windows (a third has no fork): short rows end while long ones
-    # run, so a slot is refilled mid-run, often with a row of the other
-    # sequence, and the pool ends by moving its last running rows down
+    # run, so later levels hold fewer states, from forks of both sequences,
+    # stepped in chunks of one to all of them
     vocab = Vocab(range(1, 6))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=3)
     model.params["dec_b"][vocab.end_id] = -2.0  # rarer #end: long rows stay long
@@ -591,7 +591,7 @@ def test_sample_forks_refills_slots_across_sequences(cls, monkeypatch):
        init_seed=st.integers(0, 9999), end_bias=st.sampled_from([0.0, -2.0]), n_window=st.integers(1, 4))
 def test_sample_forks_matches_one_prefix_at_a_time(cls, data, n_cells, d_e, d_h, init_seed, end_bias, n_window):
     # forks over 2-3 sequences with their own windows, each row against the
-    # oracle sampling its prefix alone, at several pool sizes
+    # oracle sampling its prefix alone, at several chunk sizes
     vocab = Vocab(range(1, n_cells + 1))
     model = cls.init(vocab, ModelDims(d_e=d_e, d_h=d_h), seed=init_seed)
     model.params["dec_b"][vocab.end_id] += end_bias
@@ -608,6 +608,43 @@ def test_sample_forks_matches_one_prefix_at_a_time(cls, data, n_cells, d_e, d_h,
     for row_cap in (1, 3, 64):
         with mock.patch.object(models, "ROW_CAP", row_cap):
             assert models.sample_forks(model, trips, windows, forks) == expect
+
+
+def test_sample_forks_steps_each_distinct_state_once(overfit_model, monkeypatch):
+    # the trained model repeats its candidates, so rows share states: every
+    # non-final sampled prefix of a fork is one state, stepped once and at
+    # most ROW_CAP states a call; forks of equal prefixes in two sequences
+    # share none (the rnn's states there are equal, but an attention model's
+    # are not)
+    stepped = []
+    step = models._step
+
+    class Unroll(models._Unroll):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stepped.clear()  # the teacher-forced steps are not counted
+
+    monkeypatch.setattr(models, "_Unroll", Unroll)
+    monkeypatch.setattr(models, "_step", lambda model, xw, *rest: stepped.append(len(xw)) or step(model, xw, *rest))
+    monkeypatch.setattr(models, "ROW_CAP", 2)
+    trips = [[START, 1, 2, END], [START, 1]]
+    forks = [models.Fork(0, 2, range(200), 12), models.Fork(1, 2, range(200, 400), 12),
+             models.Fork(0, 1, range(50), 6)]
+    rows = models.sample_forks(overfit_model, trips, None, forks)
+    nodes = {(f, ids[:j]) for f, fork_rows in enumerate(rows) for ids in fork_rows for j in range(1, len(ids))}
+    assert sum(stepped) == len(nodes)
+    assert max(stepped) <= 2
+    assert 5 * len(nodes) < sum(len(ids) - 1 for fork_rows in rows for ids in fork_rows)  # rows do repeat
+
+
+def test_sample_forks_rejects_forks_outside_the_sequences(overfit_model):
+    trips = [[START, 1, 2], [START, 2]]
+    good = models.Fork(1, 2, [5], 6)
+    for bad, named in ((models.Fork(-1, 2, [5], 6), "trip=-1"), (models.Fork(2, 1, [5], 6), "trip=2"),
+                       (models.Fork(1, 3, [5], 6), "n=3"), (models.Fork(0, 0, [5], 6), "n=0")):
+        with pytest.raises(ValueError, match=f"^fork 1: .*{named}"):
+            models.sample_forks(overfit_model, trips, None, [good, bad])
+    assert models.sample_forks(overfit_model, trips, None, [models.Fork(0, 3, [5], 6)])  # the whole sequence
 
 
 # The sampler computes numpy's default_rng(seed).random() streams itself, for

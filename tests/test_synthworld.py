@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from cellseq import synthworld
 from cellseq.cellspace import assign_points, cluster_points, discretize_trajectory
 from cellseq.synthworld import (
     generate_world,
