@@ -10,12 +10,11 @@ teacher-forced once, every task's k rows forked from the state after its
 prefix, each candidate with the stream of ``default_rng`` of its seed, and
 each distinct state (a task and the ids sampled so far) stepped once for
 all the candidates that share it, at most ``models.ROW_CAP`` states at a
-time), and only then scores them. Each task prepares its reference
-continuation once (``metrics._Reference``: its n-gram counts and cell
-positions) and scores its candidates against it.
-Trained models repeat candidates within a task, so each distinct
-continuation is scored once and its scores are reused for its repeats; the
-per-candidate scores and their mean are the same as scoring every
+time), and only then scores them in one pass over the block
+(``_score_block``): trained models repeat candidates within a task, so each
+distinct continuation is scored once, and only the pairs off the fast path
+of ``_fast_counts`` prepare their task's reference (``metrics._Reference``).
+The scores and their means are those of ``metrics.score_vector`` on every
 candidate. Aggregations by original sequence length m and the
 attention-vs-baseline improvement ratio per (g, m) mirror how the models
 are compared.
@@ -34,7 +33,7 @@ import numpy as np
 from . import models
 from ._files import atomic_open
 from .corpus import SequenceRecord, TrafficLookup
-from .metrics import ScoreVector, _Reference
+from .metrics import ScoreVector, _Reference, _scores
 from .models import Fork, RnnModel, default_max_len, sample_forks
 from .tokens import Token, Vocab, strip_virtual
 
@@ -110,10 +109,22 @@ def make_tasks(
     return tasks, skipped
 
 
+def _seeds(master_seed: int, trip_id: str, g: int, candidates: Iterable[int]) -> list[int]:
+    """``derive_seed`` of each of a task's candidates: the hash of the key's
+    prefix is taken once and copied for each candidate."""
+    prefix = hashlib.blake2b(f"{master_seed}:{trip_id}:{g}:".encode(), digest_size=8)
+    out = []
+    for candidate in candidates:
+        h = prefix.copy()
+        h.update(str(candidate).encode())
+        out.append(int.from_bytes(h.digest(), "big"))
+    return out
+
+
 def derive_seed(master_seed: int, trip_id: str, g: int, candidate: int) -> int:
-    """Stable 64-bit per-candidate seed from the task coordinates."""
-    key = f"{master_seed}:{trip_id}:{g}:{candidate}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    """Stable 64-bit per-candidate seed from the task coordinates: the
+    8-byte blake2b digest of ``master_seed:trip_id:g:candidate``."""
+    return _seeds(master_seed, trip_id, g, [candidate])[0]
 
 
 def _generate(
@@ -126,7 +137,7 @@ def _generate(
     forks = []
     for task in tasks:
         trip = trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips))
-        seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(task.k)]
+        seeds = _seeds(master_seed, task.trip_id, task.g, range(task.k))
         forks.append(Fork(trip, task.g + 1, seeds, default_max_len(len(task.tokens))))
     traffic = None
     if model.kind == "arnn" and trips:
@@ -136,40 +147,98 @@ def _generate(
     return sample_forks(model, [tokens for _, tokens, _ in trips], traffic, forks)
 
 
-def _score(task: EvalTask, rows: Sequence[tuple[int, ...]], vocab: Vocab) -> ScoreRecord:
-    """Score one task's candidates (sampled ids, in candidate order) against
-    its reference, prepared once. A continuation is everything generated
-    after the prefix, markers removed. Candidates that hit the length cap
-    are scored as-is and counted, and so are the distinct continuations
-    whose METEOR alignment search hit its budget."""
-    reference = _Reference(strip_virtual(task.tokens[task.g + 1 : -1]))
-    scored: dict[tuple[Token, ...], ScoreVector] = {}
-    by_ids: dict[tuple[int, ...], ScoreVector] = {}
-    raw = []
-    unterminated = 0
-    for ids in rows:
-        if ids not in by_ids:
-            continuation = tuple(strip_virtual(vocab.decode(ids)))
-            if continuation not in scored:
-                scored[continuation] = reference.score(continuation)
-            by_ids[ids] = scored[continuation]
-        raw.append(by_ids[ids])
-        if ids[-1] != vocab.end_id:
-            unterminated += 1
-    # one contiguous row per score name: each row is summed in the order in
-    # which np.mean sums a list of that score alone, so the means equal it
-    columns = np.ascontiguousarray(np.array([r.as_tuple() for r in raw]).T)
-    mean = ScoreVector(*columns.mean(axis=1).tolist())
-    return ScoreRecord(
-        trip_id=task.trip_id,
-        g=task.g,
-        m=len(task.tokens) - 2,
-        mean=mean,
-        raw=tuple(raw),
-        unterminated=unterminated,
-        distinct=len(scored),
-        alignment_fallbacks=sum(not v.meteor_exact for v in scored.values()),
-    )
+def _continuations(sampled: Sequence[Sequence[tuple[int, ...]]], end_id: int):
+    """A block's distinct continuations, from each task's sampled ids in
+    candidate order: a row each of its task, then its ids without the markers
+    (0 and 1) padded with 0, and its size; each candidate's row, [tasks, k];
+    and per task the candidates that did not end at #end."""
+    rows: list[tuple[int, ...]] = []  # each task's distinct id rows, task by task
+    picks, offsets = [], []  # per task, per candidate: its row in the task's; the task's first row
+    for ids_of_task in sampled:
+        index: dict[tuple[int, ...], int] = {}
+        picks.append([index.setdefault(ids, len(index)) for ids in ids_of_task])
+        offsets.append(len(rows))
+        rows += index
+    picks = np.array(picks) + np.array(offsets)[:, None]
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    ids = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lens.sum())
+    unterminated = (ids[np.cumsum(lens) - 1] != end_id)[picks].sum(axis=1)
+    of_row, real = np.repeat(np.arange(len(rows)), lens), ids > 1
+    size = np.bincount(of_row[real], minlength=len(rows))
+    pad = np.zeros((len(rows), 1 + size.max()), np.int64)
+    pad[:, 0] = np.repeat(np.arange(len(sampled)), np.diff(offsets + [len(rows)]))
+    pad[of_row[real], 1 + np.arange(real.sum()) - (np.cumsum(size) - size)[of_row[real]]] = ids[real]
+    # one row per continuation: id rows that differ only by markers merge
+    pad, first, inverse = np.unique(pad, axis=0, return_index=True, return_inverse=True)
+    return pad, size[first], inverse.reshape(-1)[picks], unterminated
+
+
+def _fast_counts(pad: np.ndarray, refs: Sequence[Sequence[int]], n_ids: int):
+    """Per continuation (a row of ``_continuations``) against its task's
+    reference ids: whether it leaves the fast path, and on the fast path its
+    n-grams in the reference for n = 1..4, [continuations, 4], and its
+    METEOR chunks.
+
+    A pair leaves the fast path when a cell the two share repeats on either
+    side. Otherwise no count is clipped and the only alignment is fixed: an
+    n-gram is in the reference where its cells sit at rising neighbouring
+    reference positions, and a METEOR chunk goes on where matched neighbours
+    map to neighbours. The masks below find both for all pairs at once."""
+    ref_size = np.fromiter(map(len, refs), np.intp, len(refs))
+    ref_task = np.repeat(np.arange(len(refs)), ref_size)
+    ref_keys = ref_task * n_ids + np.fromiter(itertools.chain.from_iterable(refs), np.int64, ref_size.sum())
+    order = np.argsort(ref_keys, kind="stable")  # by (task, cell), then position
+    ref_keys, ref_pos = ref_keys[order], (np.arange(len(order)) - (np.cumsum(ref_size) - ref_size)[ref_task])[order]
+    at, col = np.nonzero(pad[:, 1:])  # continuation and position of each cell
+    keys = pad[at, 0] * n_ids + pad[at, 1 + col]
+    lo = np.searchsorted(ref_keys, keys)  # the cell's first place in its task's reference, if it is there
+    in_ref = np.searchsorted(ref_keys, keys, side="right") - lo
+    hit, shared = in_ref > 0, np.sort(at[in_ref > 0] * len(ref_keys) + lo[in_ref > 0])
+    slow = np.zeros(len(pad), bool)
+    slow[at[in_ref > 1]] = True
+    slow[shared[1:][shared[1:] == shared[:-1]] // len(ref_keys)] = True
+    step = np.diff(ref_pos[np.minimum(lo, len(ref_keys) - 1)])  # between neighbours' reference positions
+    del col, keys, lo, in_ref, shared  # freed before the masks allocate theirs
+    both = hit[1:] & hit[:-1] & (at[1:] == at[:-1])
+    link, run, found = both & (step == 1), hit, np.zeros((len(pad), 4), np.int64)
+    for n in range(4):  # run: the n-gram at each position is in the reference
+        run = run[:-1] & link[n - 1 :] if n else run
+        found[:, n] = np.bincount(at[: len(run)][run], minlength=len(pad))
+    return slow, found, found[:, 0] - np.bincount(at[:-1][both & (np.abs(step) == 1)], minlength=len(pad))
+
+
+def _score_block(tasks: Sequence[EvalTask], sampled: Sequence[Sequence[tuple[int, ...]]],
+                 vocab: Vocab) -> list[ScoreRecord]:
+    """Score the candidates of a block of tasks of one k (per task, the
+    sampled ids in candidate order) against each task's reference, in one
+    pass over the block's distinct continuations. A continuation is
+    everything generated after the prefix, markers removed. Candidates that
+    hit the length cap are scored as-is and counted, and so are the distinct
+    continuations whose METEOR alignment search hit its budget. Pairs off
+    the fast path (``_fast_counts``) are scored by ``metrics._Reference``."""
+    pad, size, continuation, unterminated = _continuations(sampled, vocab.end_id)
+    task, refs = pad[:, 0], [vocab.encode(strip_virtual(t.tokens[t.g + 1 : -1])) for t in tasks]
+    slow, found, chunks = _fast_counts(pad, refs, len(vocab))
+    grams = size[:, None] - np.arange(4)
+    precisions = np.divide(found, grams, out=np.zeros(grams.shape), where=grams > 0)
+    prepared = {t: _Reference(refs[t]) for t in set(task[slow].tolist())}  # the tasks with slow-path pairs
+    # rows become lists one at a time, which keeps the peak of Python objects low
+    counts = zip(task.tolist(), size.tolist(), map(np.ndarray.tolist, precisions), found[:, 0].tolist(),
+                 chunks.tolist())
+    vectors = [prepared[t].score(tuple(pad[i, 1 : 1 + s].tolist())) if hard else _scores(s, len(refs[t]), p, m, c)
+               for i, (hard, (t, s, p, m, c)) in enumerate(zip(slow.tolist(), counts))]
+    # one contiguous row per task and score name: each is summed in the order
+    # in which np.mean sums a list of that score alone, so the means equal it
+    scores = np.fromiter(map(ScoreVector.as_tuple, vectors), (float, 5), len(vectors))
+    means = np.ascontiguousarray(scores[continuation].transpose(0, 2, 1)).mean(axis=-1)
+    distinct = np.bincount(task, minlength=len(tasks))
+    fallbacks = np.bincount(task, [not v.meteor_exact for v in vectors], minlength=len(tasks))
+    return [
+        ScoreRecord(t.trip_id, t.g, len(t.tokens) - 2, ScoreVector(*mean), tuple(map(vectors.__getitem__, c)),
+                    int(unt), int(d), int(f))
+        for t, mean, c, unt, d, f in zip(tasks, means.tolist(), map(np.ndarray.tolist, continuation), unterminated,
+                                         distinct, fallbacks)
+    ]
 
 
 def evaluate_records(
@@ -201,7 +270,7 @@ def evaluate_records(
         started = time.perf_counter()
         sampled = _generate(block, model, traffic_lookup, master_seed)
         scoring = time.perf_counter()
-        out += [_score(task, rows, model.vocab) for task, rows in zip(block, sampled)]
+        out += _score_block(block, sampled, model.vocab)
         diag.generate_s += scoring - started
         diag.score_s += time.perf_counter() - scoring
     for record in out:
@@ -302,20 +371,17 @@ def improvement_rate(
         gm: {name: float(np.mean(vals)) if vals else float("nan") for name, vals in bucket.items()}
         for gm, bucket in sorted(cell_ratios.items())
     }
-    per_m: dict[int, dict[str, tuple[float, float, float]]] = {}
-    ms = sorted({m for _, m in per_gm})
-    for m in ms:
-        per_m[m] = {}
-        for name in SCORE_NAMES:
-            vals = [
-                per_gm[(g, mm)][name]
-                for (g, mm) in per_gm
-                if mm == m and not np.isnan(per_gm[(g, mm)][name])
-            ]
-            if vals:
-                per_m[m][name] = (float(np.mean(vals)), float(np.min(vals)), float(np.max(vals)))
-            else:
-                per_m[m][name] = (float("nan"),) * 3
+    by_m: dict[int, dict[str, list[float]]] = {}  # per m and score, the ratios of its (g, m) cells by rising g
+    for (_, m), ratios in per_gm.items():
+        bucket = by_m.setdefault(m, {name: [] for name in SCORE_NAMES})
+        for name, ratio in ratios.items():
+            if not np.isnan(ratio):
+                bucket[name].append(ratio)
+    none = (float("nan"),) * 3
+    per_m = {
+        m: {name: (float(np.mean(v)), float(np.min(v)), float(np.max(v))) if v else none for name, v in bucket.items()}
+        for m, bucket in sorted(by_m.items())
+    }
     return ImprovementReport(per_gm=per_gm, per_m=per_m, excluded_zero=excluded)
 
 

@@ -13,17 +13,18 @@ and marks it inexact (``Alignment.exact``, ``ScoreVector.meteor_exact``).
 Pairs of random walks on a grid stay well below the budget; long
 sequences that repeat many cells in unrelated orders reach it.
 
-When every cell the two sides share occurs once on each side, the
-alignment is the only one with the most mappings and is returned without
-the search; it is exact.
+When every cell the two sides share occurs once on each side (the fast
+path), the alignment is the only one with the most mappings and is returned
+without the search; it is exact.
 
 Virtual #start/#end markers are stripped before scoring; only real cells
 are compared. ``score_vector`` is the one public scorer. It prepares the
-reference once (``_Reference``: its n-gram counts for n <= 4 in one dict and
-its cells' positions) and scores the candidate against it; an evaluation
-task prepares its reference once for all its candidates. A candidate's
-P_1..P_4 take one pass over its n-grams, and BLEU-n takes the first n of
-them.
+reference (``_Reference``: its n-gram counts for n <= 4 in one dict and its
+cells' positions) and scores the candidate against it: P_1..P_4 in one pass
+over the candidate's n-grams, then the alignment. ``_scores`` turns those
+counts into the five scores. Evaluation scores its fast-path pairs a block
+at a time from the same counts, and prepares a ``_Reference`` only for the
+tasks of its other pairs.
 """
 from __future__ import annotations
 
@@ -88,7 +89,9 @@ def _ngrams(tokens: tuple[Token, ...]) -> list[tuple[Token, ...]]:
 class _Reference:
     """A reference without markers, prepared once for scoring any number of
     candidates without markers: its n-gram counts for n = 1.._ORDERS in one
-    dict, and the positions of each of its cells."""
+    dict, and the positions of each of its cells. ``score_vector`` prepares
+    one per pair; evaluation prepares one per task that has pairs off the
+    fast path."""
 
     def __init__(self, ref: Sequence[Token]):
         self.tokens = tuple(ref)
@@ -109,24 +112,34 @@ class _Reference:
         return [c / (size - n) if size > n else 0.0 for n, c in enumerate(clipped)]
 
     def score(self, cand: tuple[Token, ...]) -> ScoreVector:
-        """All five scores of ``cand``: each zero when either side is empty,
-        and METEOR zero when nothing matches."""
-        if not cand or not self.tokens:
-            return ScoreVector(0.0, 0.0, 0.0, 0.0, 0.0)
-        brevity = min(1.0, len(cand) / len(self.tokens))
-        bleus, product = [], 1.0
-        for n, p in enumerate(self.precisions(cand), start=1):
-            product *= p
-            bleus.append(brevity * product ** (1.0 / n))
+        """All five scores of ``cand``."""
         alignment = _align(cand, self)
-        matched = alignment.matched
-        if matched == 0:
-            return ScoreVector(*bleus, meteor=0.0)
-        precision = matched / len(cand)
-        recall = matched / len(self.tokens)
-        f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
-        fragmentation = 0.5 * (alignment.chunks / matched) ** 3
-        return ScoreVector(*bleus, meteor=f_mean * (1.0 - fragmentation), meteor_exact=alignment.exact)
+        return _scores(len(cand), len(self.tokens), self.precisions(cand), alignment.matched, alignment.chunks,
+                       alignment.exact)
+
+
+def _scores(size: int, ref_size: int, precisions: Sequence[float], matched: int, chunks: int,
+            exact: bool = True) -> ScoreVector:
+    """All five scores of a candidate of ``size`` cells against a reference
+    of ``ref_size``, from its clipped precisions P_1..P_4 and its METEOR
+    alignment's matches and chunks: each zero when either side is empty, and
+    METEOR zero when nothing matches. The arguments are Python numbers, so
+    that the n-th roots and the cube are Python's float ``**``: numpy's
+    SIMD power may differ from it in the last bit."""
+    if not size or not ref_size:
+        return ScoreVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    brevity = min(1.0, size / ref_size)
+    bleus, product = [], 1.0
+    for n, p in enumerate(precisions, start=1):
+        product *= p
+        bleus.append(brevity * product ** (1.0 / n))
+    if matched == 0:
+        return ScoreVector(*bleus, meteor=0.0)
+    precision = matched / size
+    recall = matched / ref_size
+    f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    fragmentation = 0.5 * (chunks / matched) ** 3
+    return ScoreVector(*bleus, meteor=f_mean * (1.0 - fragmentation), meteor_exact=exact)
 
 
 def _count_chunks(pairs: Sequence[tuple[int, int]]) -> int:

@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -120,16 +120,116 @@ def test_run_task_mean_is_mean_of_raws(memorized_model):
         )
 
 
-@pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100, 129, 300])
 def test_score_means_equal_np_mean_bit_for_bit(k):
     vocab = Vocab(range(1, 10))
     task = EvalTask("trip", (START, *range(1, 10), END), 0.0, g=1, k=k)
     rng = np.random.default_rng(k)
     rows = [(*map(int, rng.integers(2, len(vocab), rng.integers(1, 12))), vocab.end_id) for _ in range(k)]
-    rec = evaluation._score(task, rows, vocab)
+    (rec,) = evaluation._score_block([task], [rows], vocab)
     assert len(rec.raw) == k
     for name in ScoreVector.NAMES:
         assert getattr(rec.mean, name).hex() == float(np.mean([getattr(r, name) for r in rec.raw])).hex()
+
+
+def check_block(tasks, sampled, vocab):
+    """``_score_block`` against ``score_vector`` on each candidate alone,
+    bit for bit, and against brute-force counts."""
+    records = evaluation._score_block(tasks, sampled, vocab)
+    assert [(r.trip_id, r.g, r.m) for r in records] == [(t.trip_id, t.g, len(t.tokens) - 2) for t in tasks]
+    for task, rows, rec in zip(tasks, sampled, records):
+        reference = task.tokens[task.g + 1 : -1]
+        continuations = [tuple(strip_virtual(vocab.decode(ids))) for ids in rows]
+        expect = [score_vector(c, reference) for c in continuations]
+        assert [[v.hex() for v in r.as_tuple()] + [r.meteor_exact] for r in rec.raw] == [
+            [v.hex() for v in e.as_tuple()] + [e.meteor_exact] for e in expect
+        ]
+        for name in ScoreVector.NAMES:
+            assert getattr(rec.mean, name).hex() == float(np.mean([getattr(e, name) for e in expect])).hex()
+        assert rec.distinct == len(set(continuations))
+        assert rec.unterminated == sum(ids[-1] != vocab.end_id for ids in rows)
+        assert rec.alignment_fallbacks == sum(not score_vector(c, reference).meteor_exact for c in set(continuations))
+    return records
+
+
+@st.composite
+def blocks(draw):
+    """A block of tasks of one k over a few cells. Candidates come from a
+    small pool of id rows, so that they repeat, and some get a #start
+    inserted or their #end dropped or added, so that rows differ only by a
+    marker; rows may be empty of cells or unterminated, and cells repeat on
+    either side, so that pairs take the slow path."""
+    vocab = Vocab(range(1, draw(st.integers(1, 5)) + 1))
+    ids = st.integers(0, len(vocab) - 1)
+    k = draw(st.integers(1, 6))
+    tasks, sampled = [], []
+    for i in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(st.sampled_from(vocab.cells), min_size=2, max_size=8))
+        tasks.append(EvalTask(f"t{i}", (START, *cells, END), 0.0, g=draw(st.integers(1, len(cells) - 1)), k=k))
+        pool = draw(st.lists(st.lists(ids, min_size=1, max_size=9), min_size=1, max_size=4))
+        rows = []
+        for _ in range(k):
+            row = list(draw(st.sampled_from(pool)))
+            edit = draw(st.sampled_from(["none", "start", "end"]))
+            if edit == "start":
+                row.insert(draw(st.integers(0, len(row))), 0)
+            elif edit == "end":
+                row = row[:-1] if row[-1] == vocab.end_id and len(row) > 1 else row + [vocab.end_id]
+            rows.append(tuple(row))
+        sampled.append(rows)
+    return tasks, sampled, vocab
+
+
+@settings(deadline=None, max_examples=300)
+@given(blocks())
+def test_score_block_equals_score_vector_per_candidate(block):
+    check_block(*block)
+
+
+def test_score_block_dedupes_marker_variants_and_prepares_only_slow_pairs(monkeypatch):
+    prepared = []
+
+    class Counted(metrics._Reference):
+        def __init__(self, ref):
+            super().__init__(ref)
+            prepared.append(self.tokens)
+
+    monkeypatch.setattr(evaluation, "_Reference", Counted)
+    vocab = Vocab(range(1, 6))
+    tasks = [EvalTask("a", (START, 1, 2, 3, 4, 5, END), 0.0, g=1, k=6),
+             EvalTask("b", (START, 1, 2, 2, 3, 2, END), 0.0, g=1, k=6)]
+    # cells (1, 2, 3) three times, once unterminated; (3, 2, 2); no cells, once unterminated
+    rows = [(2, 3, 4, 1), (0, 2, 3, 4, 1), (2, 3, 0, 4), (4, 3, 3, 1), (1,), (0, 0, 0, 0)]
+    records = evaluation._score_block(tasks, [rows, rows], vocab)
+    assert [(r.distinct, r.unterminated) for r in records] == [(3, 2), (3, 2)]
+    # (3, 2, 2) repeats a shared cell against both references, (1, 2, 3)
+    # shares the cell that b's reference repeats: one reference per task
+    assert len(prepared) == 2
+    check_block(tasks, [rows, rows], vocab)
+
+
+def test_score_block_keys_do_not_overflow_on_a_large_vocabulary():
+    # two 4-grams whose keys in base len(vocab) differ by exactly 2**64, so
+    # that an int64 n-gram key of that form would give them one key
+    vocab = Vocab(range(1, 70_001))
+    base, digits, rest = len(vocab), [], 2**64
+    for _ in range(3):  # balanced low digits of 2**64 in base len(vocab); the top one takes the rest
+        rest, d = divmod(rest, base)
+        if d > base // 2:
+            rest, d = rest + 1, d - base
+        digits.insert(0, d)
+    digits.insert(0, rest)
+    assert all(abs(d) < base - 2 for d in digits)
+    ref_ids = [2 + max(d, 0) for d in digits]
+    cand_ids = [2 + max(-d, 0) for d in digits]
+    assert sum((r - c) * base ** (3 - i) for i, (r, c) in enumerate(zip(ref_ids, cand_ids))) == 2**64
+    rng = np.random.default_rng(0)
+    far = [int(x) for x in rng.choice(np.arange(60_000, base), 40, replace=False)]  # none of the ids above
+    reference = vocab.decode(ref_ids + far[:10])
+    tasks = [EvalTask("x", (START, 5, *reference, END), 0.0, g=1, k=3),
+             EvalTask("y", (START, *vocab.decode(far[10:20]), END), 0.0, g=2, k=3)]
+    rows = [(*cand_ids, *far[:10], 1), tuple(far[5:25]), (*ref_ids, far[0], far[1], 1)]
+    check_block(tasks, [rows, rows[::-1]], vocab)
 
 
 def test_run_task_scores_repeated_candidates_like_each_one():
@@ -146,22 +246,22 @@ def test_run_task_scores_repeated_candidates_like_each_one():
 
 
 def test_run_task_counts_alignment_fallbacks(monkeypatch):
-    # mark the METEOR alignment of odd-length continuations as cut at the budget
-    class Marked(metrics._Reference):
-        def score(self, cand):
-            return dataclasses.replace(super().score(cand), meteor_exact=len(cand) % 2 == 0)
-
-    vocab = Vocab(range(1, 4))
+    # a search budget of one state cuts every search that neither the greedy
+    # nor the guided alignment settles; only pairs that repeat a shared cell
+    # reach the search, and here the cut alignments score as the exact ones
+    vocab = Vocab(range(1, 5))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)
-    task = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1, k=40)
+    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1, k=40)
     plain = run_task(task, model, None, master_seed=3)
-    monkeypatch.setattr(evaluation, "_Reference", Marked)
+    monkeypatch.setattr(metrics, "_SEARCH_BUDGET", 1)
     rec = run_task(task, model, None, master_seed=3)
     seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
-    results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(5))
-    continuations = {tuple(t for t in r.tokens[2:] if isinstance(t, int)) for r in results}
+    results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(6))
+    continuations = [tuple(t for t in r.tokens[2:] if isinstance(t, int)) for r in results]
+    cut = {c for c in continuations if not score_vector(c, [2, 3, 4]).meteor_exact}
     assert plain.alignment_fallbacks == 0
-    assert 0 < rec.alignment_fallbacks == sum(len(c) % 2 for c in continuations) < rec.distinct
+    assert 0 < rec.alignment_fallbacks == len(cut) < rec.distinct
+    assert [not r.meteor_exact for r in rec.raw] == [c in cut for c in continuations]
     assert [r.as_tuple() for r in rec.raw] == [r.as_tuple() for r in plain.raw]
 
 
@@ -359,6 +459,25 @@ def test_improvement_per_m_min_max_over_g():
     avg, mn, mx = report.per_m[4]["meteor"]
     assert (mn, mx) == (pytest.approx(1.0), pytest.approx(1.2))
     assert avg == pytest.approx(1.1)
+    # random records, zero baselines included, against a brute-force table
+    rng = np.random.default_rng(0)
+    keys = [(f"t{i}", g, int(m)) for i, m in enumerate(rng.integers(2, 12, 60)) for g in range(1, m)]
+
+    def records():
+        return [make_score_record(t, g, m, float(rng.choice([0.0, 0.5, rng.random()]))) for t, g, m in keys]
+
+    arnn, rnn = records(), records()
+    report = improvement_rate(arnn, rnn)
+    ratios = {}
+    for a, r in zip(arnn, rnn):
+        if r.mean.bleu1:
+            ratios.setdefault((a.g, a.m), []).append(a.mean.bleu1 / r.mean.bleu1)
+    assert list(report.per_m) == sorted({m for _, _, m in keys})
+    for m, per_score in report.per_m.items():
+        cells = [float(np.mean(ratios[g, m])) for g in range(1, m) if (g, m) in ratios]
+        expect = (float(np.mean(cells)), min(cells), max(cells)) if cells else (float("nan"),) * 3
+        for name in ScoreVector.NAMES:
+            assert list(map(repr, per_score[name])) == list(map(repr, expect))
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +554,14 @@ def test_derive_seed_stable():
     assert derive_seed(1, "t", 1, 0) == derive_seed(1, "t", 1, 0)
     assert derive_seed(1, "t", 1, 0) != derive_seed(1, "t", 1, 1)
     assert derive_seed(1, "t", 1, 0) != derive_seed(2, "t", 1, 0)
+    key = b"7:trip_3:12:41"
+    assert derive_seed(7, "trip_3", 12, 41) == int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def test_generate_seeds_every_candidate_with_derive_seed(memorized_model, monkeypatch):
+    forks = []
+    monkeypatch.setattr(evaluation, "sample_forks", lambda model, trips, traffic, fs: forks.extend(fs))
+    tasks = [EvalTask(trip, (START, 1, 2, 3, 4, END), 0.0, g=g, k=k)
+             for trip, g, k in (("a", 1, 5), ("a", 3, 12), ("b:7", 2, 1), ("c", 1, 10))]
+    evaluation._generate(tasks, memorized_model, None, master_seed=11)
+    assert [list(f.seeds) for f in forks] == [[derive_seed(11, t.trip_id, t.g, i) for i in range(t.k)] for t in tasks]
