@@ -7,7 +7,7 @@ five scores. ``evaluate_records`` takes the sequences in blocks of
 ``models.MEAN_LOSS_CHUNK``; it generates the candidates of all tasks of a
 block in one batched pass (``models.sample_forks``: each sequence
 teacher-forced once, every task's k rows forked from the state after its
-prefix, each candidate with the stream of ``default_rng`` of its seed, and
+prefix, each candidate drawing from the counter-based stream of its key, and
 each distinct state (a task and the ids sampled so far) stepped once for
 all the candidates that share it, at most ``models.ROW_CAP`` states at a
 time), and only then scores them in one pass over the block
@@ -34,10 +34,11 @@ from . import models
 from ._files import atomic_open
 from .corpus import SequenceRecord, TrafficLookup
 from .metrics import ScoreVector, _Reference, _scores
-from .models import Fork, RnnModel, default_max_len, sample_forks
+from .models import _GOLDEN, Fork, RnnModel, _mix64, default_max_len, sample_forks
 from .tokens import Token, Vocab, strip_virtual
 
-SEED_MIXING = "blake2b64(master:trip_id:g:candidate)"
+SEED_MIXING = ("key = splitmix64(blake2b64(master:trip_id:g) + (candidate + 1) * 0x9E3779B97F4A7C15); "
+               "u = (splitmix64(key + position * 0x9E3779B97F4A7C15) >> 11) / 2**53")
 SCORE_NAMES = ScoreVector.NAMES
 
 
@@ -109,22 +110,18 @@ def make_tasks(
     return tasks, skipped
 
 
-def _seeds(master_seed: int, trip_id: str, g: int, candidates: Iterable[int]) -> list[int]:
-    """``derive_seed`` of each of a task's candidates: the hash of the key's
-    prefix is taken once and copied for each candidate."""
-    prefix = hashlib.blake2b(f"{master_seed}:{trip_id}:{g}:".encode(), digest_size=8)
-    out = []
-    for candidate in candidates:
-        h = prefix.copy()
-        h.update(str(candidate).encode())
-        out.append(int.from_bytes(h.digest(), "big"))
-    return out
+def _seeds(master_seed: int, trip_id: str, g: int, candidates: np.ndarray) -> list[int]:
+    """``derive_seed`` of each of a task's candidates (a uint64 array): the
+    task is hashed once, and each key is one SplitMix64 output from there."""
+    digest = hashlib.blake2b(f"{master_seed}:{trip_id}:{g}".encode(), digest_size=8).digest()
+    return _mix64(np.uint64(int.from_bytes(digest, "big")) + (candidates + 1) * _GOLDEN).tolist()
 
 
 def derive_seed(master_seed: int, trip_id: str, g: int, candidate: int) -> int:
-    """Stable 64-bit per-candidate seed from the task coordinates: the
-    8-byte blake2b digest of ``master_seed:trip_id:g:candidate``."""
-    return _seeds(master_seed, trip_id, g, [candidate])[0]
+    """Stable 64-bit stream key of a candidate: SplitMix64's output number
+    ``candidate + 1`` from the 8-byte blake2b digest of
+    ``master_seed:trip_id:g``."""
+    return _seeds(master_seed, trip_id, g, np.array([candidate], dtype=np.uint64))[0]
 
 
 def _generate(
@@ -137,7 +134,7 @@ def _generate(
     forks = []
     for task in tasks:
         trip = trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips))
-        seeds = _seeds(master_seed, task.trip_id, task.g, range(task.k))
+        seeds = _seeds(master_seed, task.trip_id, task.g, np.arange(task.k, dtype=np.uint64))
         forks.append(Fork(trip, task.g + 1, seeds, default_max_len(len(task.tokens))))
     traffic = None
     if model.kind == "arnn" and trips:

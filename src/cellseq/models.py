@@ -17,9 +17,10 @@ once where examples enter (``batch_loss_and_grads``, ``mean_loss``,
 Generation samples the next token from the emitted multinomial until #end,
 in one batched pass (``sample_forks``): each source sequence is
 teacher-forced once, every fork's candidates start from the state after its
-prefix with their own ``default_rng(seed)`` streams (computed at once by
-``_streams``), and each distinct sampled prefix is stepped once for all the
-candidates that share it. ``generate_batch`` is its one-prefix case.
+prefix, each drawing the uniform of a token from a counter-based hash of its
+seed and the token's position (``_uniforms``, SplitMix64), and each distinct
+sampled prefix is stepped once for all the candidates that share it.
+``generate_batch`` is its one-prefix case.
 
 A model's parameters are one flat float64 vector, ``model.flat``, and
 ``model.params`` maps each name to a view of it; the backward pass writes
@@ -204,14 +205,14 @@ class _Unroll:
     [B, N, 10]), then ``loss`` and ``backward``; arrays are time-major. The
     embedding gather and input projection run once, outside the time loop.
     Every step's h and c are kept, c for sampling to fork from; ``keep``
-    also keeps each step's cell cache and attention tanh matrix for
-    ``backward``."""
+    also keeps each step's gates i|f|o, candidate g, tanh(c') and attention
+    tanh matrix, in [T, B, ...] arrays, for ``backward``."""
 
     def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
         if traffic is not None and np.ndim(traffic) != 3:
             raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
         p, d_e = model.params, model.dims.d_e
-        self.model, self.ids, self.traffic, self.cells = model, ids.T, traffic, []
+        self.model, self.ids, self.traffic = model, ids.T, traffic
         n_steps, n_rows = self.ids.shape
         self.emb = p["embed"][self.ids]
         xw = (self.emb.reshape(-1, d_e) @ p["lstm_W"][:d_e] + p["lstm_b"]).reshape(n_steps, n_rows, -1)
@@ -219,6 +220,8 @@ class _Unroll:
         h, c = self.h0, self.c0
         self.hs = np.empty((n_steps, n_rows, model.dims.d_h))
         self.cs = np.empty_like(self.hs)
+        if keep:
+            self.ifo, self.g, self.tanh_c = (np.empty((n_steps, n_rows, k * model.dims.d_h)) for k in (3, 1, 1))
         tanhs = [None] * n_steps
         if self.att is not None:
             self.alphas = np.empty((n_steps, n_rows, self.att[0].shape[1]))
@@ -226,12 +229,12 @@ class _Unroll:
             if keep:
                 self.tanhs = tanhs = np.empty((n_steps,) + self.att[1].shape)
         for t in range(n_steps):
-            h, c, (cell, alpha, context) = _step(model, xw[t], h, c, self.att, tanhs[t])
+            h, c, ((ifo, g, _, tanh_c), alpha, context) = _step(model, xw[t], h, c, self.att, tanhs[t])
             self.hs[t], self.cs[t] = h, c
             if self.att is not None:
                 self.alphas[t], self.contexts[t] = alpha, context
             if keep:
-                self.cells.append(cell)
+                self.ifo[t], self.g[t], self.tanh_c[t] = ifo, g, tanh_c
 
     def loss(self, y_ids: np.ndarray, mask: np.ndarray | None) -> tuple[float, np.ndarray]:
         """Summed softmax-CE over the real steps (``mask`` [B, T]; None when
@@ -271,8 +274,9 @@ class _Unroll:
             d_hs.reshape(-1, d_h)[real] = dlogits @ p["dec_W"].T
         dz_all = np.empty((n_steps, n_rows, 4, d_h))
         dh = dc = np.zeros((n_rows, d_h))
-        derivs = list(zip(*nncore.lstm_cell_derivatives([np.array(x) for x in zip(*self.cells)])))
-        self.cells.clear()  # the stacked copies replace the per-step caches
+        cs_prev = np.concatenate([self.c0[None], self.cs[:-1]])
+        derivs = list(zip(*nncore.lstm_cell_derivatives((self.ifo, self.g, cs_prev, self.tanh_c))))
+        del cs_prev, self.ifo, self.g, self.tanh_c  # the derivatives replace them
         if self.att is None:
             back_w = p["lstm_U"].T
         else:  # one matmul of dz gives the gradients of h and of the context
@@ -538,6 +542,25 @@ def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) ->
     return np.minimum(idx, probs.shape[1] - 1)
 
 
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 over the golden ratio
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) on a uint64
+    array, mod 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _uniforms(keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) that the stream of each uint64 key gives the
+    token at each uint64 position: the top 53 bits of SplitMix64 on the
+    counter key + position * _GOLDEN. It depends on nothing else, so a
+    row's draws do not depend on the rows drawn with it."""
+    return (_mix64(keys + positions * _GOLDEN) >> 11) * 2.0**-53
+
+
 def sample_forks(
     model: RnnModel,
     trips: Sequence[Sequence[Token]],
@@ -550,8 +573,9 @@ def sample_forks(
     attention model) is teacher-forced once, up to its longest fork prefix,
     in one unroll that keeps (h, c) after every position, so callers bound
     how many they pass. A fork's rows start from the state after its prefix,
-    and row i draws one uniform per token from the stream of
-    ``default_rng(seeds[i])``. A row's state depends only on its fork and
+    and row i draws its token at sequence position j with the uniform
+    ``_uniforms`` gives the key ``seeds[i]`` (an int in [0, 2**64)) and j, so
+    no stream state is carried. A row's state depends only on its fork and
     the ids it sampled, so the rows advance one token per level and each
     distinct state is stepped once, ``ROW_CAP`` states at a time: rows that
     drew #end or reached their limit end, and the rest, grouped by (state,
@@ -571,10 +595,13 @@ def sample_forks(
         need[fork.trip] = max(need[fork.trip], fork.n)
     if any(END in trip[:n] for trip, n in zip(trips, need)):
         raise ValueError("prefix must not contain #end")
+    seeds = [operator.index(seed) for fork in forks for seed in fork.seeds]  # TypeError for a seed not an int
+    if seeds and (min(seeds) < 0 or max(seeds) >= 2**64):
+        raise ValueError("seeds must lie in [0, 2**64)")
     if not forks:
         return []
     attend = model.kind == "arnn"
-    streams = _streams([seed for f in forks for seed in f.seeds])
+    keys = np.array(seeds, dtype=np.uint64)  # per row
     x = np.zeros((len(trips), max(need)), dtype=np.intp)
     for b, (seq, k) in enumerate(zip(trips, need)):
         x[b, :k] = model.vocab.encode(list(seq[:k]))
@@ -585,11 +612,13 @@ def sample_forks(
     h, c = run.hs[n - 1, seq_of], run.cs[n - 1, seq_of]  # level 0: one state per fork
     state = np.repeat(np.arange(len(forks)), [len(f.seeds) for f in forks])  # per row, ascending
     row, left, out = np.arange(state.size), (max_len - n)[state], [None] * state.size
-    paths = np.zeros((len(forks), 0), dtype=np.intp)  # the ids sampled to reach each state
+    start = n[state].astype(np.uint64)  # per row, the position of its first sampled token
+    paths = np.zeros((len(forks), 0), dtype=np.intp)  # the ids sampled to reach each state, a column per level
     # features and fu, and the arrays that take a chunk's rows of them, allocated once
     work = [(a, np.empty((cap,) + a.shape[1:])) for a in run.att[:2]] if attend else []
     while row.size:
-        u, tids, left = _draw(streams), np.empty(row.size, dtype=np.intp), left - 1
+        u = _uniforms(keys[row], start[row] + paths.shape[1])
+        tids, left = np.empty(row.size, dtype=np.intp), left - 1
         bounds = np.searchsorted(state, [*range(0, len(h), cap), len(h)])
         for s0, lo, hi in zip(range(0, len(h), cap), bounds[:-1], bounds[1:]):
             probs = softmax(h[s0 : s0 + cap] @ p["dec_W"] + p["dec_b"])
@@ -600,7 +629,7 @@ def sample_forks(
         key = state * v + tids  # a row's next state: (state, token)
         go = np.flatnonzero(~done)[np.argsort(key[~done], kind="stable")]  # the rows that go on, by next state
         key, first = key[go], np.diff(key[go], prepend=-1) != 0  # first: the first row of each next state
-        state, row, left, streams = np.cumsum(first) - 1, row[go], left[go], streams[:, go]
+        state, row, left = np.cumsum(first) - 1, row[go], left[go]
         parent, tok = np.divmod(key[first], v)
         paths = np.column_stack([paths[parent], tok])
         del u, tids, done, key, go, first  # freed before the steps allocate theirs
@@ -614,67 +643,6 @@ def sample_forks(
     return [list(itertools.islice(sampled, len(f.seeds))) for f in forks]
 
 
-# default_rng(seed).random() for many int seeds at once, in uint64 array arithmetic:
-# SeedSequence's hashing and generate_state, PCG64's seeding, LCG step and XSL-RR output.
-_M32, _U64 = 0xFFFFFFFF, np.uint64
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & (2**64 - 1))
-_B0, _B1 = _U64(_PCG_MULT & _M32), _U64(_PCG_MULT >> 32 & _M32)  # 32-bit halves of _MULT_LO
-
-
-def _streams(seeds: Sequence[int]) -> np.ndarray:
-    """PCG64 states [4, R] (state high and low word, increment high and low
-    word) of ``default_rng(seed)`` for every int seed, before its first draw."""
-    seeds = [operator.index(seed) for seed in seeds]
-    if any(seed < 0 for seed in seeds):
-        raise ValueError("expected non-negative integer")
-    n_words = max(4, -(-max(seeds, default=0).bit_length() // 32))
-    words = np.array([[seed >> 32 * j & _M32 for seed in seeds] for j in range(n_words)], dtype=_U64)
-    const, mult = 0x43B0D7E5, 0x931E8875
-
-    def hashmix(v):  # SeedSequence's on uint32 words (held in uint64), each call with the next hash constant
-        nonlocal const
-        v = v ^ const
-        const = const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = x * 0xCA01F9DD - y * 0x4973F715 & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for j, dst in itertools.product(range(4, n_words), range(4)):  # the words past the fourth of seeds >= 2**128
-        pool[dst] = np.where(words[j:].any(axis=0), mix(pool[dst], hashmix(words[j])), pool[dst])
-    const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64): uint32 words, low first
-    out = [hashmix(pool[i % 4]) for i in range(8)]
-    val = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
-    st = np.empty((4, len(seeds)), dtype=_U64)
-    st[2], st[3] = val[2] << 1 | val[3] >> 63, val[3] << 1 | 1
-    st[1] = st[3] + val[1]  # state 0 stepped is the increment; add the seed, step again
-    st[0] = st[2] + val[0] + (st[1] < val[1])
-    _draw(st)
-    return st
-
-
-def _draw(st: np.ndarray) -> np.ndarray:
-    """Steps every stream of ``st`` in place, state * mult + inc mod 2**128,
-    and returns its ``Generator.random()`` value."""
-    hi, lo, inc_hi, inc_lo = st
-    a0, a1 = lo & _M32, lo >> 32
-    t = (a0 * _B0 >> 32) + a1 * _B0
-    u = (t & _M32) + a0 * _B1
-    hi *= _MULT_LO
-    hi += lo * _MULT_HI + a1 * _B1 + (t >> 32) + (u >> 32)  # with the high word of lo * _MULT_LO
-    lo *= _MULT_LO
-    lo += inc_lo
-    hi += inc_hi + (lo < inc_lo)
-    x, rot = hi ^ lo, hi >> 58
-    return ((x >> rot | x << (-rot & 63)) >> 11) * 2.0**-53
-
-
 def generate_batch(
     model: RnnModel,
     prefix: Sequence[Token],
@@ -682,9 +650,9 @@ def generate_batch(
     max_len: int,
     traffic: np.ndarray | None = None,
 ) -> list[GenerationResult]:
-    """Continuations of one prefix, one ``default_rng(seed)`` stream per int
-    seed: the one-fork case of ``sample_forks``, so continuations that
-    sample the same ids share their steps."""
+    """Continuations of one prefix, one per seed, an int in [0, 2**64) that
+    keys the candidate's uniforms: the one-fork case of ``sample_forks``, so
+    continuations that sample the same ids share their steps."""
     prefix = list(prefix)
     fork = Fork(0, len(prefix), seeds, max_len)
     (rows,) = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])

@@ -6,6 +6,7 @@ found by exhaustive recursion over candidate positions, or, for inputs too
 large for that, by enumerating every choice of occurrences per token. The
 model references run one step, one vector and, for attention, one cell at a
 time; they read only a model's ``params``, ``kind``, ``dims`` and ``vocab``.
+The sampler's uniforms come from SplitMix64 written in plain Python ints.
 Gradients are checked by central differences.
 """
 from __future__ import annotations
@@ -212,14 +213,35 @@ def pick_oracle(probs, u):
     return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(probs) - 1)
 
 
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = 2**64 - 1
+
+
+def splitmix64_oracle(state):
+    """SplitMix64's output for the counter ``state`` (Steele, Lea & Flood,
+    OOPSLA 2014): the generator seeded with s returns this of s + i * gamma
+    as its i-th output, i = 1, 2, ..."""
+    z = state & MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def uniform_oracle(key, position):
+    """The uniform in [0, 1) of the token at ``position`` in the stream of
+    ``key``: the top 53 bits of SplitMix64 of key + position * gamma."""
+    return (splitmix64_oracle(key + position * GOLDEN_GAMMA) >> 11) / 2**53
+
+
 def sample_oracle(model, prefix, seed, max_len, traffic=None):
     """The ids sampled after the prefix until #end or ``max_len`` tokens,
-    prefix included, with one ``default_rng(seed).random()`` per token."""
-    read, rng = _reader(model, traffic), np.random.default_rng(seed)
+    prefix included, the token at sequence position j drawn with
+    ``uniform_oracle(seed, j)``."""
+    read = _reader(model, traffic)
     probs = [read(token_id) for token_id in model.vocab.encode(list(prefix))][-1][0]
-    sampled = [pick_oracle(probs, rng.random())]
+    sampled = [pick_oracle(probs, uniform_oracle(seed, len(prefix)))]
     while sampled[-1] != model.vocab.end_id and len(prefix) + len(sampled) < max_len:
-        sampled.append(pick_oracle(read(sampled[-1])[0], rng.random()))
+        sampled.append(pick_oracle(read(sampled[-1])[0], uniform_oracle(seed, len(prefix) + len(sampled))))
     return tuple(sampled)
 
 

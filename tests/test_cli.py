@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,9 +86,31 @@ def test_manifests_written_everywhere(pipeline):
         assert manifest["params"]
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+@pytest.mark.parametrize("kind", ["rnn", "arnn"])
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(pipeline, tmp_path, kind):
+    # one epoch at --batch-size 32 and d = 16, a setting the README states is
+    # byte-stable, in two child processes under 1 and 2 OpenBLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cmd = [sys.executable, "-m", "cellseq.cli", "train", "--sequences", str(pipeline / "disc" / "sequences.tsv"),
+           "--accumulation", str(pipeline / "acc" / "accumulation.tsv"), "--model", kind,
+           "--d-e", "16", "--d-h", "16", "--epochs", "1", "--batch-size", "32", "--seed", "2"]
+    checkpoints = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run(cmd + ["--out", str(tmp_path / threads)], env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
+        manifest = json.loads((tmp_path / threads / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
+        checkpoints.append((tmp_path / threads / "model.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_evaluate_manifest_records_seed_mixing(pipeline):
     manifest = json.loads((pipeline / "eval_rnn" / "manifest.json").read_text())
-    assert "blake2b" in manifest["seed_mixing"]
+    assert "blake2b" in manifest["seed_mixing"] and "splitmix64" in manifest["seed_mixing"]
     assert "diagnostics" in manifest
 
 

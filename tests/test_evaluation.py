@@ -24,7 +24,7 @@ from cellseq.metrics import ScoreVector, score_vector
 from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
 from cellseq.tokens import END, START, Vocab, strip_virtual
 
-from oracles import sample_oracle
+from oracles import GOLDEN_GAMMA, sample_oracle, splitmix64_oracle
 
 
 def record(trip_id, cells, start=600.0 * 60):
@@ -554,8 +554,11 @@ def test_derive_seed_stable():
     assert derive_seed(1, "t", 1, 0) == derive_seed(1, "t", 1, 0)
     assert derive_seed(1, "t", 1, 0) != derive_seed(1, "t", 1, 1)
     assert derive_seed(1, "t", 1, 0) != derive_seed(2, "t", 1, 0)
-    key = b"7:trip_3:12:41"
-    assert derive_seed(7, "trip_3", 12, 41) == int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    # SplitMix64's output number candidate + 1 from the blake2b hash of the task, in plain ints
+    task = int.from_bytes(hashlib.blake2b(b"7:trip_3:12", digest_size=8).digest(), "big")
+    assert derive_seed(7, "trip_3", 12, 41) == splitmix64_oracle(task + 42 * GOLDEN_GAMMA)
+    assert derive_seed(7, "trip_3", 12, 0) == splitmix64_oracle(task + GOLDEN_GAMMA)
+    assert 0 <= derive_seed(2**70, "t", 1, 2**64 - 2) < 2**64
 
 
 def test_generate_seeds_every_candidate_with_derive_seed(memorized_model, monkeypatch):

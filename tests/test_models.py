@@ -18,7 +18,8 @@ from cellseq.models import (
 from cellseq.nncore import softmax
 from cellseq.tokens import END, START, Vocab
 
-from oracles import forward_oracle, grad_check, pick_oracle, sample_oracle
+from oracles import (GOLDEN_GAMMA, forward_oracle, grad_check, pick_oracle, sample_oracle, splitmix64_oracle,
+                     uniform_oracle)
 
 
 @pytest.fixture
@@ -482,12 +483,15 @@ def test_generate_seed_contract(overfit_model):
 
 
 def test_generate_overfit_reproduces_continuation(overfit_model):
-    hits = 0
+    # the model's exact probability of the continuation [2, #end], and the
+    # share of 1,000 keys that sample it within 4 binomial sigma of that
+    probs, _ = forward_oracle(overfit_model, [START, 1, 2])
+    two, end = overfit_model.vocab.encode([2, END])
+    p = probs[1][two] * probs[2][end]
+    assert p > 0.99
     results = generate_batch(overfit_model, [START, 1], list(range(1000)), max_len=16)
-    for res in results:
-        if res.tokens == [START, 1, 2, END]:
-            hits += 1
-    assert hits / 1000 > 0.99
+    hits = sum(res.tokens == [START, 1, 2, END] for res in results)
+    assert abs(hits / 1000 - p) <= 4 * np.sqrt(p * (1 - p) / 1000)
 
 
 def test_generate_validation(overfit_model):
@@ -542,7 +546,7 @@ def test_row_sampler_matches_scalar_rule(data, n_rows, v):
 @pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
 def test_generate_follows_teacher_forced_forward(cls):
     # each candidate is the oracle's: a teacher-forced pass over the prefix,
-    # then token j after it drawn with the j-th uniform of default_rng(seed)
+    # then the token at position j drawn with the uniform of (seed, j)
     vocab = Vocab(range(1, 6))
     model = cls.init(vocab, ModelDims(d_e=3, d_h=4), seed=5)  # untrained: some candidates reach max_len
     traffic = random_traffic(5, seed=2) if cls is ArnnModel else None
@@ -602,7 +606,7 @@ def test_sample_forks_matches_one_prefix_at_a_time(cls, data, n_cells, d_e, d_h,
     for _ in range(data.draw(st.integers(1, 5))):
         trip = data.draw(st.integers(0, len(trips) - 1))
         n = data.draw(st.integers(1, len(trips[trip]) - (trips[trip][-1] == END)))
-        seeds = data.draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=4))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
         forks.append(models.Fork(trip, n, seeds, n + data.draw(st.integers(1, 12))))
     expect = _oracle_rows(model, trips, windows, forks)
     for row_cap in (1, 3, 64):
@@ -647,47 +651,80 @@ def test_sample_forks_rejects_forks_outside_the_sequences(overfit_model):
     assert models.sample_forks(overfit_model, trips, None, [models.Fork(0, 3, [5], 6)])  # the whole sequence
 
 
-# The sampler computes numpy's default_rng(seed).random() streams itself, for
-# all rows at once. These tests hold it to numpy's bits, so they are also the
-# ones that fail if a numpy release changes its SeedSequence or PCG64 streams.
+# Each row's uniforms come from a counter-based hash of its key and the
+# token's position (SplitMix64's finalizer), which these tests hold to a
+# reference in plain Python ints and to fixed statistical bounds on a fixed
+# sample.
 
-STREAM_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5, 2**128 + 1, np.int64(42)]
-
-
-def _stream_draws(seeds, n):
-    streams = models._streams(seeds)
-    return np.stack([models._draw(streams) for _ in range(n)], axis=1)
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
 
 
-def _numpy_draws(seeds, n):
-    return np.stack([np.random.default_rng(seed).random(n) for seed in seeds])
+def _uniforms(keys, positions):
+    return models._uniforms(np.array(keys, dtype=np.uint64), np.array(positions, dtype=np.uint64))
 
 
-def test_streams_match_numpy_default_rng_on_5000_seeds():
-    seeds = [int(s) for s in np.random.default_rng(2024).integers(0, 2**64, 5000, dtype=np.uint64)]
-    np.testing.assert_array_equal(_stream_draws(seeds, 6).view(np.uint64), _numpy_draws(seeds, 6).view(np.uint64))
+def _reference(keys, positions):
+    return np.array([uniform_oracle(int(k), int(p)) for k, p in zip(keys, positions)])
 
 
-def test_streams_match_numpy_default_rng_on_edge_seeds():
-    got = _stream_draws(STREAM_EDGE_SEEDS, 20)
-    np.testing.assert_array_equal(got.view(np.uint64), _numpy_draws(STREAM_EDGE_SEEDS, 20).view(np.uint64))
-    for seed, row in zip(STREAM_EDGE_SEEDS, got):  # one seed alone, as a one-row generate_batch would
-        np.testing.assert_array_equal(_stream_draws([seed], 20)[0], row)
+def test_splitmix64_reference_matches_published_outputs():
+    # the first outputs of SplitMix64 seeded with 0
+    assert [splitmix64_oracle(i * GOLDEN_GAMMA) for i in (1, 2, 3)] == \
+        [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_uniforms_match_python_reference_on_5000_keys():
+    keys = np.random.default_rng(2024).integers(0, 2**64, 5000, dtype=np.uint64)
+    keys, positions = np.repeat(keys, 6), np.tile(np.arange(6, dtype=np.uint64), 5000)
+    np.testing.assert_array_equal(_uniforms(keys, positions).view(np.uint64),
+                                  _reference(keys, positions).view(np.uint64))
+
+
+def test_uniforms_match_python_reference_on_edge_keys():
+    keys = np.repeat(np.array(EDGE_KEYS, dtype=np.uint64), 20)
+    positions = np.tile(np.arange(20), len(EDGE_KEYS))
+    got = _uniforms(keys, positions)
+    np.testing.assert_array_equal(got.view(np.uint64), _reference(keys, positions).view(np.uint64))
+    assert got.min() >= 0.0 and got.max() < 1.0
 
 
 @settings(deadline=None, max_examples=100)
-@given(seeds=st.lists(st.integers(0, 2**200), min_size=1, max_size=6), n=st.integers(1, 5))
-def test_streams_match_numpy_default_rng_on_any_int_seeds(seeds, n):
-    np.testing.assert_array_equal(_stream_draws(seeds, n).view(np.uint64), _numpy_draws(seeds, n).view(np.uint64))
+@given(pairs=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=6))
+def test_uniforms_match_python_reference_on_any_keys(pairs):
+    keys, positions = zip(*pairs)
+    np.testing.assert_array_equal(_uniforms(keys, positions).view(np.uint64),
+                                  _reference(keys, positions).view(np.uint64))
 
 
-def test_streams_reject_negative_seeds_as_numpy_does(overfit_model):
-    with pytest.raises(ValueError):
-        np.random.default_rng(-1)
-    with pytest.raises(ValueError):
-        models._streams([3, -1])
-    with pytest.raises(ValueError):
-        generate_batch(overfit_model, [START], [-1], max_len=10)
+def test_seeds_outside_uint64_raise(overfit_model):
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            generate_batch(overfit_model, [START], [3, bad], max_len=10)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            models.sample_forks(overfit_model, [[START, 1]], None,
+                                [models.Fork(0, 2, [5], 6), models.Fork(0, 1, [bad], 6)])
+    assert generate_batch(overfit_model, [START], [2**64 - 1], max_len=10)  # the largest key
+
+
+def test_uniforms_are_uniform_over_64_bins():
+    # 2**16 draws: 256 consecutive keys at 256 consecutive positions; the
+    # bound is the 99.9% point of chi-square with 63 degrees of freedom
+    keys, positions = np.repeat(np.arange(256), 256), np.tile(np.arange(256), 256)
+    counts = np.bincount((_uniforms(keys, positions) * 64).astype(int), minlength=64)
+    expected = 2**16 / 64
+    assert len(counts) == 64
+    assert ((counts - expected) ** 2 / expected).sum() < 103.44
+
+
+def test_neighbouring_keys_and_positions_are_uncorrelated():
+    # 2**16 pairs each: keys k and k + 1 at one position, and positions j and
+    # j + 1 of one key; |r| of independent draws is about 0.004 here
+    k = np.arange(2**16)
+    across_keys = np.corrcoef(_uniforms(k, np.full(k.size, 7)), _uniforms(k + 1, np.full(k.size, 7)))[0, 1]
+    key = np.full(k.size, 0x5DEECE66D)
+    along_positions = np.corrcoef(_uniforms(key, k), _uniforms(key, k + 1))[0, 1]
+    assert abs(across_keys) < 0.02
+    assert abs(along_positions) < 0.02
 
 
 def test_generate_takes_int_seeds_only(overfit_model):
