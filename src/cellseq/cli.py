@@ -31,7 +31,7 @@ from .corpus import (
     save_sequences,
     write_trajectories,
 )
-from .models import ArnnModel, ModelDims, RnnModel, load_model, save_model
+from .models import ModelDims, load_model, save_model
 from .tokens import START
 
 
@@ -177,8 +177,7 @@ def cmd_train(args) -> int:
     vocab = corpus.train_vocab(dataset)
     lookup = _traffic_lookup(args, args.model, vocab.cells)
     dims = ModelDims(d_e=args.d_e, d_h=args.d_h, d_f=args.d_f, d_a=args.d_a)
-    cls = ArnnModel if args.model == "arnn" else RnnModel
-    model = cls.init(vocab, dims, seed=args.seed)
+    model = models.KINDS[args.model].init(vocab, dims, seed=args.seed)
     train_examples = models.make_examples(dataset.train, vocab, lookup)
     clip = None if args.no_clip else args.clip_norm
     result = models.train(
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the baseline or attention generator")
     p.add_argument("--sequences", required=True)
     p.add_argument("--accumulation")
-    p.add_argument("--model", choices=("rnn", "arnn"), default="rnn")
+    p.add_argument("--model", choices=tuple(models.KINDS), default="rnn")
     p.add_argument("--d-e", type=int, default=16)
     p.add_argument("--d-h", type=int, default=16)
     p.add_argument("--d-f", type=int, default=None)
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hypersearch", help="GP search over learning rate and layer dimensions")
     p.add_argument("--sequences", required=True)
     p.add_argument("--accumulation")
-    p.add_argument("--model", choices=("rnn", "arnn"), default="rnn")
+    p.add_argument("--model", choices=tuple(models.KINDS), default="rnn")
     p.add_argument("--trials", type=int, default=12)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr-range", default="1e-5,1e-2")

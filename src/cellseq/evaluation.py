@@ -12,12 +12,11 @@ each distinct state (a task and the ids sampled so far) stepped once for
 all the candidates that share it, at most ``models.ROW_CAP`` states at a
 time), and only then scores them in one pass over the block
 (``_score_block``): trained models repeat candidates within a task, so each
-distinct continuation is scored once, and only the pairs off the fast path
-of ``_fast_counts`` prepare their task's reference (``metrics._Reference``).
-The scores and their means are those of ``metrics.score_vector`` on every
-candidate. Aggregations by original sequence length m and the
-attention-vs-baseline improvement ratio per (g, m) mirror how the models
-are compared.
+distinct continuation is scored once, from arrays on the fast path of
+``_fast_counts`` and by ``metrics.score_vector`` off it. The scores and
+their means are those of ``metrics.score_vector`` on every candidate.
+Aggregations by original sequence length m and the attention-vs-baseline
+improvement ratio per (g, m) mirror how the models are compared.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ import numpy as np
 from . import models
 from ._files import atomic_open
 from .corpus import SequenceRecord, TrafficLookup
-from .metrics import ScoreVector, _Reference, _scores
+from .metrics import ScoreVector, _scores, score_vector
 from .models import _GOLDEN, Fork, RnnModel, _mix64, default_max_len, sample_forks
 from .tokens import Token, Vocab, strip_virtual
 
@@ -212,17 +211,16 @@ def _score_block(tasks: Sequence[EvalTask], sampled: Sequence[Sequence[tuple[int
     everything generated after the prefix, markers removed. Candidates that
     hit the length cap are scored as-is and counted, and so are the distinct
     continuations whose METEOR alignment search hit its budget. Pairs off
-    the fast path (``_fast_counts``) are scored by ``metrics._Reference``."""
+    the fast path (``_fast_counts``) are scored by ``score_vector``."""
     pad, size, continuation, unterminated = _continuations(sampled, vocab.end_id)
     task, refs = pad[:, 0], [vocab.encode(strip_virtual(t.tokens[t.g + 1 : -1])) for t in tasks]
     slow, found, chunks = _fast_counts(pad, refs, len(vocab))
     grams = size[:, None] - np.arange(4)
     precisions = np.divide(found, grams, out=np.zeros(grams.shape), where=grams > 0)
-    prepared = {t: _Reference(refs[t]) for t in set(task[slow].tolist())}  # the tasks with slow-path pairs
     # rows become lists one at a time, which keeps the peak of Python objects low
     counts = zip(task.tolist(), size.tolist(), map(np.ndarray.tolist, precisions), found[:, 0].tolist(),
                  chunks.tolist())
-    vectors = [prepared[t].score(tuple(pad[i, 1 : 1 + s].tolist())) if hard else _scores(s, len(refs[t]), p, m, c)
+    vectors = [score_vector(pad[i, 1 : 1 + s].tolist(), refs[t]) if hard else _scores(s, len(refs[t]), p, m, c)
                for i, (hard, (t, s, p, m, c)) in enumerate(zip(slow.tolist(), counts))]
     # one contiguous row per task and score name: each is summed in the order
     # in which np.mean sums a list of that score alone, so the means equal it

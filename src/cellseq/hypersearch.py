@@ -26,6 +26,8 @@ HISTORY_VERSION = "search-v1"
 _GRID_LENGTHSCALES = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)
 _GRID_SIGNALS = (0.5, 1.0, 2.0)
 _GRID_NOISES = (1e-6, 1e-4, 1e-2)
+_N_INIT = 3  # trials placed by the Halton sequence before the GP places any
+_POOL_SIZE = 512  # seeded candidate points per GP trial, scored by expected improvement
 
 
 @dataclass(frozen=True)
@@ -215,26 +217,19 @@ class MinimizeResult:
     ys: np.ndarray
 
 
-def minimize(
-    fn: Callable[[np.ndarray], float],
-    dim: int,
-    budget: int,
-    seed: int,
-    n_init: int = 3,
-    pool_size: int = 512,
-) -> MinimizeResult:
+def minimize(fn: Callable[[np.ndarray], float], dim: int, budget: int, seed: int) -> MinimizeResult:
     """GP-EI minimization over the unit cube.
 
     Evaluations returning NaN are recorded but excluded from conditioning
     and from the incumbent; if every trial fails the search errors out.
     """
-    if budget < n_init:
-        raise ValueError(f"budget must be at least {n_init}")
+    if budget < _N_INIT:
+        raise ValueError(f"budget must be at least {_N_INIT}")
     xs = np.empty((budget, dim))
     ys = np.empty(budget)
-    init = halton(n_init, dim, seed)
+    init = halton(_N_INIT, dim, seed)
     for t in range(budget):
-        if t < n_init:
+        if t < _N_INIT:
             x = init[t]
         else:
             ok = np.isfinite(ys[:t])
@@ -243,7 +238,7 @@ def minimize(
             else:
                 gp = gp_fit(xs[:t][ok], ys[:t][ok])
                 best = float(np.min(ys[:t][ok]))
-                pool = np.random.default_rng((seed, t)).random((pool_size, dim))
+                pool = np.random.default_rng((seed, t)).random((_POOL_SIZE, dim))
                 ei = expected_improvement(gp, pool, best)
                 x = pool[int(np.argmax(ei))]
         xs[t] = x
@@ -270,7 +265,6 @@ class TrainValData:
 class Trial:
     index: int
     config: TrialConfig
-    unit: np.ndarray
     objective: float
     status: str
     wall_time: float
@@ -294,14 +288,14 @@ def search(
 ) -> SearchResult:
     """Sequential GP-EI search; each trial trains for a short fixed budget
     and is scored by mean per-step validation cross-entropy."""
-    if model_kind not in ("rnn", "arnn"):
+    if model_kind not in models.KINDS:
         raise ValueError(f"unknown model kind: {model_kind!r}")
+    cls = models.KINDS[model_kind]
     trials: list[Trial] = []
 
     def objective(u: np.ndarray) -> float:
         config = space.config_at(u)
         dims = ModelDims(d_e=config.d_e, d_h=config.d_h)
-        cls = models.ArnnModel if model_kind == "arnn" else models.RnnModel
         model = cls.init(data.vocab, dims, seed=derive_trial_seed(seed, len(trials)))
         started = time.perf_counter()
         try:
@@ -312,16 +306,7 @@ def search(
         except (TrainingDiverged, FloatingPointError):
             value = float("nan")
             status = "failed"
-        trials.append(
-            Trial(
-                index=len(trials),
-                config=config,
-                unit=np.asarray(u, dtype=float).copy(),
-                objective=value,
-                status=status,
-                wall_time=time.perf_counter() - started,
-            )
-        )
+        trials.append(Trial(len(trials), config, value, status, time.perf_counter() - started))
         return value
 
     minimize(objective, dim=space.dim, budget=budget_trials, seed=seed)

@@ -13,18 +13,17 @@ and marks it inexact (``Alignment.exact``, ``ScoreVector.meteor_exact``).
 Pairs of random walks on a grid stay well below the budget; long
 sequences that repeat many cells in unrelated orders reach it.
 
-When every cell the two sides share occurs once on each side (the fast
-path), the alignment is the only one with the most mappings and is returned
-without the search; it is exact.
+When every cell the two sides share occurs as often on one side as on the
+other, no step of the search has a choice: the alignment that pairs each
+cell's occurrences in order is the only one of fewest crossings, and is
+returned without the search; it is exact.
 
 Virtual #start/#end markers are stripped before scoring; only real cells
-are compared. ``score_vector`` is the one public scorer. It prepares the
-reference (``_Reference``: its n-gram counts for n <= 4 in one dict and its
-cells' positions) and scores the candidate against it: P_1..P_4 in one pass
-over the candidate's n-grams, then the alignment. ``_scores`` turns those
-counts into the five scores. Evaluation scores its fast-path pairs a block
-at a time from the same counts, and prepares a ``_Reference`` only for the
-tasks of its other pairs.
+are compared. ``score_vector`` is the one pair scorer: P_1..P_4 in one pass
+over the candidate's n-grams against the reference's counts (``_precisions``),
+then the alignment (``_align``), and ``_scores`` turns those counts into the
+five scores. Evaluation scores its fast-path pairs a block at a time from
+the same counts, and its other pairs with ``score_vector``.
 """
 from __future__ import annotations
 
@@ -86,36 +85,18 @@ def _ngrams(tokens: tuple[Token, ...]) -> list[tuple[Token, ...]]:
     return [tokens[i:j] for i in range(size) for j in range(i + 1, min(i + _ORDERS, size) + 1)]
 
 
-class _Reference:
-    """A reference without markers, prepared once for scoring any number of
-    candidates without markers: its n-gram counts for n = 1.._ORDERS in one
-    dict, and the positions of each of its cells. ``score_vector`` prepares
-    one per pair; evaluation prepares one per task that has pairs off the
-    fast path."""
-
-    def __init__(self, ref: Sequence[Token]):
-        self.tokens = tuple(ref)
-        self.grams = Counter(_ngrams(self.tokens))
-        self.positions = _positions(self.tokens)
-
-    def precisions(self, cand: tuple[Token, ...]) -> list[float]:
-        """Clipped precisions P_1..P_4 of ``cand``, from one pass over its
-        n-grams of every order: an n-gram counts while the reference has
-        occurrences of it left, which clips it at the reference count; the
-        denominator is the candidate's count of n-grams of that order."""
-        clipped, left = [0] * _ORDERS, dict(self.grams)
-        for gram in _ngrams(cand):
-            if left.get(gram):
-                left[gram] -= 1
-                clipped[len(gram) - 1] += 1
-        size = len(cand)
-        return [c / (size - n) if size > n else 0.0 for n, c in enumerate(clipped)]
-
-    def score(self, cand: tuple[Token, ...]) -> ScoreVector:
-        """All five scores of ``cand``."""
-        alignment = _align(cand, self)
-        return _scores(len(cand), len(self.tokens), self.precisions(cand), alignment.matched, alignment.chunks,
-                       alignment.exact)
+def _precisions(cand: tuple[Token, ...], ref: tuple[Token, ...]) -> list[float]:
+    """Clipped precisions P_1..P_4 of ``cand`` against ``ref``, from one pass
+    over its n-grams of every order: an n-gram counts while the reference
+    has occurrences of it left, which clips it at the reference count; the
+    denominator is the candidate's count of n-grams of that order."""
+    clipped, left = [0] * _ORDERS, dict(Counter(_ngrams(ref)))  # a plain dict is faster to update
+    for gram in _ngrams(cand):
+        if left.get(gram):
+            left[gram] -= 1
+            clipped[len(gram) - 1] += 1
+    size = len(cand)
+    return [c / (size - n) if size > n else 0.0 for n, c in enumerate(clipped)]
 
 
 def _scores(size: int, ref_size: int, precisions: Sequence[float], matched: int, chunks: int,
@@ -164,7 +145,7 @@ def _positions(tokens: Sequence[Token]) -> dict[Token, list[int]]:
 _SEARCH_BUDGET = 20_000  # states entered per alignment, about 0.1 to 1 s of search
 
 
-def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
+def _align(cand: tuple[Token, ...], ref: tuple[Token, ...]) -> Alignment:
     """The METEOR alignment of a candidate and a reference without markers:
     each token is matched min(occurrences in cand, occurrences in ref)
     times, and of those alignments the one with the fewest crossings is
@@ -183,12 +164,10 @@ def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
     is the order of the pair lists, so taking the first move at every step
     gives the smallest pair list, the greedy leftmost alignment, which is
     the answer when it has no crossing. It is also the answer, whatever its
-    crossings, when every shared cell occurs once on each side: then no
-    step has a second move, and that alignment is the only one with the
-    most mappings, so it is returned at once with its crossings counted as
-    the moves count them. That is the shape of about 96-97% of the
-    distinct benchmark ``evaluate`` pairs (seeds 1 and 3), whose references
-    repeat no cell.
+    crossings, when no step of it has a second move: that happens exactly
+    when every shared cell occurs as often in the candidate as in the
+    reference, and then each cell's occurrences pair up in order in the one
+    alignment with the fewest crossings.
 
     Otherwise a depth-first branch-and-bound takes the moves in that order
     and keeps a complete alignment only below the best crossings so far, so
@@ -210,16 +189,8 @@ def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
     after ``_SEARCH_BUDGET`` states and returns the best alignment found,
     marked inexact. Memory is bounded by the budget and the stack.
     """
-    cand_pos, ref_pos = _positions(cand), ref.positions
+    cand_pos, ref_pos = _positions(cand), _positions(ref)
     shared = [t for t in cand_pos if t in ref_pos]  # by first candidate position
-    if all(len(cand_pos[t]) == 1 == len(ref_pos[t]) for t in shared):
-        pairs, crossings, mask = [], 0, 0
-        for t in shared:
-            b = ref_pos[t][0]
-            pairs.append((cand_pos[t][0], b))
-            crossings += (mask >> b).bit_count()
-            mask |= 1 << b
-        return Alignment(pairs=tuple(pairs), crossings=crossings, chunks=_count_chunks(pairs))
     token = {}  # per shared token: its reference positions, their bits, its matches
     for t in shared:
         bs = ref_pos[t]
@@ -266,28 +237,31 @@ def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
                     owed += n * m
         return owed
 
-    def descend(guided: bool) -> tuple[int, tuple | None]:
+    def descend(guided: bool) -> tuple[int, tuple | None, bool]:
         """Crossings and pairs of one alignment: the first move at each step,
-        or the move of least crossings plus bound."""
-        crossings, chain, mask = 0, None, 0
+        or the move of least crossings plus bound; and whether any step had
+        a second move."""
+        crossings, chain, mask, branched = 0, None, 0, False
         for s in range(len(steps)):
             options = moves(s, mask)
-            if guided and len(options) > 1:
-                options.sort(key=lambda move: move[2] + bound(s + 1, move[1]))
+            if len(options) > 1:
+                branched = True
+                if guided:
+                    options.sort(key=lambda move: move[2] + bound(s + 1, move[1]))
             b, mask, crossed = options[0]
             crossings += crossed
             if b is not None:
                 chain = (steps[s][0], b, chain)
-        return crossings, chain
+        return crossings, chain, branched
 
-    first, first_chain = descend(False)
-    if first:
-        guided = descend(True)
-        if guided[0] < first:
-            first, first_chain = guided
+    first, first_chain, branched = descend(False)
+    if first and branched:  # else the greedy alignment is the answer
+        guided, guided_chain, _ = descend(True)
+        if guided < first:
+            first, first_chain = guided, guided_chain
     best, best_chain, exact = first + 1, first_chain, True
     seen: dict[tuple[int, int], int] = {}  # (step, mask) -> least crossings it was entered with
-    stack = [(0, 0, 0, None)] if first else []  # step, mask, crossings so far, pairs as nested (a, b, rest)
+    stack = [(0, 0, 0, None)] if first and branched else []  # step, mask, crossings, pairs as nested (a, b, rest)
     while stack:
         s, mask, cost, chain = stack.pop()
         if cost >= best:
@@ -317,8 +291,9 @@ def _align(cand: tuple[Token, ...], ref: _Reference) -> Alignment:
 
 
 def score_vector(cand: Sequence[Token], ref: Sequence[Token]) -> ScoreVector:
-    """All five scores for one candidate/reference pair, markers stripped:
-    the one-candidate case of scoring against a prepared reference.
+    """All five scores for one candidate/reference pair, markers stripped.
     ``meteor_exact`` tells whether the METEOR alignment search finished.
     """
-    return _Reference(strip_virtual(ref)).score(tuple(strip_virtual(cand)))
+    cand, ref = tuple(strip_virtual(cand)), tuple(strip_virtual(ref))
+    alignment = _align(cand, ref)
+    return _scores(len(cand), len(ref), _precisions(cand, ref), alignment.matched, alignment.chunks, alignment.exact)

@@ -11,9 +11,11 @@ generation. Training is teacher-forced with Adam, each batch of sequences
 right-padded to [B, T] and run as one masked unroll and one backward pass,
 whose time loop carries only the recurrent gradients; a batch whose
 sequences are all of one length (every batch of one) needs no mask, and
-its ids enter and leave the unroll by reshapes. Token ids are range-checked
-once where examples enter (``batch_loss_and_grads``, ``mean_loss``,
-``train``). Validation runs the unroll forward-only in fixed-size chunks.
+its ids enter and leave the unroll by reshapes. Token ids are range-checked,
+and for the attention model the traffic windows checked to be present and
+of one shape, once where examples enter (``batch_loss_and_grads``,
+``mean_loss``, ``train``). Validation runs the unroll forward-only in
+fixed-size chunks.
 Generation samples the next token from the emitted multinomial until #end,
 in one batched pass (``sample_forks``): each source sequence is
 teacher-forced once, every fork's candidates start from the state after its
@@ -85,10 +87,6 @@ class RnnModel:
         self._grads_flat = np.zeros_like(self.flat)
         self._grads = nncore.views(self._grads_flat, params)
 
-    @property
-    def input_dim(self) -> int:
-        return self.dims.d_e
-
     @classmethod
     def init(cls, vocab: Vocab, dims: ModelDims, seed: int = 0) -> "RnnModel":
         rng = np.random.default_rng(seed)
@@ -100,10 +98,6 @@ class ArnnModel(RnnModel):
     """Attention-conditioned generator; LSTM input is concat(embed, context)."""
 
     kind = "arnn"
-
-    @property
-    def input_dim(self) -> int:
-        return self.dims.d_e + self.dims.feat
 
     @classmethod
     def init(cls, vocab: Vocab, dims: ModelDims, seed: int = 0) -> "ArnnModel":
@@ -117,6 +111,9 @@ class ArnnModel(RnnModel):
         params["init_Wh"] = nncore.uniform_init(rng, (d_f, dims.d_h), d_f)
         params["init_Wc"] = nncore.uniform_init(rng, (d_f, dims.d_h), d_f)
         return cls(vocab, dims, params)
+
+
+KINDS = {cls.kind: cls for cls in (RnnModel, ArnnModel)}  # checkpoint kind -> model class
 
 
 def _base_params(rng: np.random.Generator, v: int, dims: ModelDims, input_dim: int) -> Params:
@@ -341,60 +338,56 @@ class TrainingExample:
     traffic: np.ndarray | None = None
 
 
-def _batches(model: RnnModel, examples: Sequence[TrainingExample], size: int):
-    """Consecutive examples as (x_ids, y_ids, mask, traffic), at most
-    ``size`` a batch, the ids [B, T] right-padded to the longest and
-    ``mask`` marking the real steps, or None when every step is real (as
-    in a batch of one); for the attention model a batch also ends where the
-    traffic shape changes, so that it stacks."""
-    attend = model.kind == "arnn"
-    start = 0
-    while start < len(examples):
-        group = examples[start : start + size]
-        if attend:
-            if any(ex.traffic is None for ex in group):
-                raise ValueError("traffic tensor required for the attention model")
-            shape = np.shape(group[0].traffic)
-            group = list(itertools.takewhile(lambda ex: np.shape(ex.traffic) == shape, group))
-        start += len(group)
-        lengths = [len(ex.x_ids) for ex in group]
-        if min(lengths) == max(lengths):
-            mask = None
-            x_ids = np.array([ex.x_ids for ex in group], dtype=np.intp)
-            y_ids = np.array([ex.y_ids for ex in group], dtype=np.intp)
-        else:
-            mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
-            x_ids, y_ids = np.zeros((2,) + mask.shape, dtype=np.intp)
-            x_ids[mask] = np.concatenate([ex.x_ids for ex in group])
-            y_ids[mask] = np.concatenate([ex.y_ids for ex in group])
-        traffic = np.array([ex.traffic for ex in group], dtype=float) if attend else None
-        yield x_ids, y_ids, mask, traffic
+def _batch(model: RnnModel, examples: Sequence[TrainingExample]):
+    """Examples as one batch (x_ids, y_ids, mask, traffic): the ids [B, T]
+    right-padded to the longest, ``mask`` marking the real steps, or None
+    when every step is real (as in a batch of one), and for the attention
+    model the traffic windows stacked [B, N, 10]."""
+    lengths = [len(ex.x_ids) for ex in examples]
+    if min(lengths) == max(lengths):
+        mask = None
+        x_ids = np.array([ex.x_ids for ex in examples], dtype=np.intp)
+        y_ids = np.array([ex.y_ids for ex in examples], dtype=np.intp)
+    else:
+        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        x_ids, y_ids = np.zeros((2,) + mask.shape, dtype=np.intp)
+        x_ids[mask] = np.concatenate([ex.x_ids for ex in examples])
+        y_ids[mask] = np.concatenate([ex.y_ids for ex in examples])
+    traffic = np.array([ex.traffic for ex in examples], dtype=float) if model.kind == "arnn" else None
+    return x_ids, y_ids, mask, traffic
 
 
-def _check_ids(model: RnnModel, examples: Sequence[TrainingExample]) -> None:
-    """ValueError unless every input and target id of ``examples`` indexes
-    the vocabulary: the one range check, made where examples enter."""
-    if examples:
-        nncore.check_labels(np.concatenate([ex.x_ids for ex in examples] + [ex.y_ids for ex in examples]),
-                            len(model.vocab))
+def _check_examples(model: RnnModel, examples: Sequence[TrainingExample]) -> None:
+    """ValueError unless there are examples, every input and target id of
+    them indexes the vocabulary and, for the attention model, every example
+    has a traffic window and all windows share one shape: the one check,
+    made where examples enter."""
+    if not examples:
+        raise ValueError("no examples")
+    nncore.check_labels(np.concatenate([ex.x_ids for ex in examples] + [ex.y_ids for ex in examples]),
+                        len(model.vocab))
+    if model.kind == "arnn":
+        if any(ex.traffic is None for ex in examples):
+            raise ValueError("traffic tensor required for the attention model")
+        shapes = {np.shape(ex.traffic) for ex in examples}
+        if len(shapes) > 1:
+            raise ValueError(f"traffic windows of one call must share one shape, got {sorted(shapes)}")
 
 
 def _summed_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, np.ndarray]:
-    """``batch_loss_and_grads`` without the id check, for callers that made it once."""
-    loss, grad = 0.0, None
-    for x_ids, y_ids, mask, traffic in _batches(model, examples, len(examples)):
-        run = _Unroll(model, x_ids, traffic, keep=True)
-        part, dlogits = run.loss(y_ids, mask)
-        part_grad = run.backward(dlogits)
-        loss, grad = loss + part, part_grad if grad is None else grad + part_grad
-    return loss, grad
+    """``batch_loss_and_grads`` without the entry check, for callers that made it once."""
+    x_ids, y_ids, mask, traffic = _batch(model, examples)
+    run = _Unroll(model, x_ids, traffic, keep=True)
+    loss, dlogits = run.loss(y_ids, mask)
+    return loss, run.backward(dlogits)
 
 
 def batch_loss_and_grads(model: RnnModel, examples: Sequence[TrainingExample]) -> tuple[float, np.ndarray]:
     """Summed cross-entropy over a batch of sequences and its summed gradient,
-    flat like ``model.flat``, from one padded unroll and one backward pass
-    per traffic shape. An id outside the vocabulary raises ValueError."""
-    _check_ids(model, examples)
+    flat like ``model.flat``, from one padded unroll and one backward pass.
+    An id outside the vocabulary, or for the attention model a missing
+    window or windows of two shapes, raises ValueError."""
+    _check_examples(model, examples)
     return _summed_loss_and_grads(model, examples)
 
 
@@ -459,7 +452,7 @@ def train(
         raise ValueError(f"clip norm must be > 0, got {clip_norm}")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    _check_ids(model, examples)
+    _check_examples(model, examples)
     state = nncore.AdamState.zeros_like(model.params)
     rng = np.random.default_rng(seed)
     result = TrainResult()
@@ -490,8 +483,9 @@ def mean_loss(model: RnnModel, examples: Sequence[TrainingExample]) -> float:
     """Mean per-step cross-entropy over a set of sequences (no updates), run
     forward-only in padded chunks of ``MEAN_LOSS_CHUNK`` sequences."""
     total = steps = 0
-    _check_ids(model, examples)
-    for x_ids, y_ids, mask, traffic in _batches(model, examples, MEAN_LOSS_CHUNK):
+    _check_examples(model, examples)
+    for lo in range(0, len(examples), MEAN_LOSS_CHUNK):
+        x_ids, y_ids, mask, traffic = _batch(model, examples[lo : lo + MEAN_LOSS_CHUNK])
         total += _Unroll(model, x_ids, traffic, keep=False).loss(y_ids, mask)[0]
         steps += y_ids.size if mask is None else int(mask.sum())
     return total / steps
@@ -675,8 +669,28 @@ def save_model(path: str | Path, model: RnnModel, extra_meta: dict | None = None
 
 
 def load_model(path: str | Path) -> tuple[RnnModel, dict]:
+    """The model of a ``save_model`` checkpoint, and its meta. An unknown
+    kind, missing or malformed ``dims`` or ``cells``, or parameters whose
+    names or shapes differ from those the kind's ``init`` makes for these
+    dims and cells raise ValueError naming the path."""
     params, meta = nncore.load_checkpoint(path)
-    dims = ModelDims(**meta["dims"])
-    vocab = Vocab(meta["cells"])
-    cls = ArnnModel if meta["kind"] == "arnn" else RnnModel
+    kind = meta.get("kind")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{path}: unknown model kind {kind!r}, expected one of {sorted(KINDS)}")
+    try:
+        dims, cells = ModelDims(**meta["dims"]), meta["cells"]
+        if not all(type(d) is int and d >= 1 for d in (dims.d_e, dims.d_h, dims.feat, dims.attn)):
+            raise ValueError(f"dims must be ints >= 1, got {meta['dims']}")
+        if not (isinstance(cells, list) and all(type(c) is int for c in cells)):
+            raise ValueError("cells must be a list of ints")
+        vocab = Vocab(cells)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model meta: {type(exc).__name__}: {exc}") from None
+    expected = {name: p.shape for name, p in cls.init(vocab, dims).params.items()}
+    for name in sorted(expected.keys() | params.keys()):
+        got, need = params[name].shape if name in params else None, expected.get(name)
+        if got != need:
+            raise ValueError(f"{path}: parameter {name!r} has shape {got}; an {kind} model of its dims and "
+                             f"cells has {need}")
     return cls(vocab, dims, params), meta

@@ -186,15 +186,14 @@ def test_score_block_equals_score_vector_per_candidate(block):
     check_block(*block)
 
 
-def test_score_block_dedupes_marker_variants_and_prepares_only_slow_pairs(monkeypatch):
-    prepared = []
+def test_score_block_dedupes_marker_variants_and_scores_only_slow_pairs_alone(monkeypatch):
+    scored = []
 
-    class Counted(metrics._Reference):
-        def __init__(self, ref):
-            super().__init__(ref)
-            prepared.append(self.tokens)
+    def counted(cand, ref):
+        scored.append(cand)
+        return metrics.score_vector(cand, ref)
 
-    monkeypatch.setattr(evaluation, "_Reference", Counted)
+    monkeypatch.setattr(evaluation, "score_vector", counted)
     vocab = Vocab(range(1, 6))
     tasks = [EvalTask("a", (START, 1, 2, 3, 4, 5, END), 0.0, g=1, k=6),
              EvalTask("b", (START, 1, 2, 2, 3, 2, END), 0.0, g=1, k=6)]
@@ -203,8 +202,8 @@ def test_score_block_dedupes_marker_variants_and_prepares_only_slow_pairs(monkey
     records = evaluation._score_block(tasks, [rows, rows], vocab)
     assert [(r.distinct, r.unterminated) for r in records] == [(3, 2), (3, 2)]
     # (3, 2, 2) repeats a shared cell against both references, (1, 2, 3)
-    # shares the cell that b's reference repeats: one reference per task
-    assert len(prepared) == 2
+    # shares the cell that b's reference repeats: three pairs off the fast path
+    assert len(scored) == 3
     check_block(tasks, [rows, rows], vocab)
 
 

@@ -14,12 +14,12 @@ A, B, C, D = "a", "b", "c", "d"
 
 def precisions(cand, ref):
     """P_1..P_4 of ``cand`` against ``ref``, markers stripped."""
-    return metrics._Reference(strip_virtual(ref)).precisions(tuple(strip_virtual(cand)))
+    return metrics._precisions(tuple(strip_virtual(cand)), tuple(strip_virtual(ref)))
 
 
 def align(cand, ref):
     """The METEOR alignment of ``cand`` and ``ref``, markers stripped."""
-    return metrics._align(tuple(strip_virtual(cand)), metrics._Reference(strip_virtual(ref)))
+    return metrics._align(tuple(strip_virtual(cand)), tuple(strip_virtual(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +190,15 @@ def test_score_vector_strips_markers(cand, ref):
 @example(ref=[START, END], cands=[[1], []])
 @example(ref=[START, 1, 2, 1, 3, END], cands=[[1, 2, 1, 2], [START, 3, 1, END], [], [2, 2, 2], [1, 2, 1, 3]])
 @example(ref=[1, 2, 3, 4], cands=[[4, 3, 2, 1], [1, 2, 3, 4], [2, 1, 1, 2], [5]])
-def test_prepared_reference_scores_each_candidate_as_its_pair(ref, cands):
-    # one reference prepared once, then used for many candidates in turn
-    prepared = metrics._Reference(strip_virtual(ref))
+def test_precisions_match_oracle_and_meteor_exact_follows_alignment(ref, cands):
+    ref_cells = tuple(strip_virtual(ref))
     for cand in cands:
         stripped = tuple(strip_virtual(cand))
-        got = prepared.score(stripped)
-        assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in score_vector(cand, ref).as_tuple()]
         # the same integer ratios, so equal bit for bit
-        assert prepared.precisions(stripped) == [
-            ngram_precision_oracle(stripped, prepared.tokens, n) for n in (1, 2, 3, 4)
+        assert metrics._precisions(stripped, ref_cells) == [
+            ngram_precision_oracle(stripped, ref_cells, n) for n in (1, 2, 3, 4)
         ]
-        alignment = metrics._align(stripped, prepared)
-        assert alignment == align(cand, ref)
-        assert got.meteor_exact == alignment.exact
+        assert score_vector(cand, ref).meteor_exact == metrics._align(stripped, ref_cells).exact
 
 
 @settings(deadline=None, max_examples=50)
@@ -282,6 +277,45 @@ def test_unique_shared_cells_alignment_matches_subset_oracle(pair):
     expect = best_alignment_by_subsets(cand, ref)
     assert expect[1] > 0
     assert _as_oracle(align(cand, ref)) == expect
+
+
+@st.composite
+def equal_count_pairs(draw):
+    """A candidate and a reference in which every cell they share occurs as
+    often on one side as on the other: two orders of up to 100 distinct
+    cells, so that crossings are common, or two orders of a few cells that
+    repeat; each side may also have cells that the other lacks."""
+    if draw(st.booleans()):
+        shared = draw(st.lists(st.integers(1, 100), max_size=100, unique=True))
+    else:
+        shared = draw(st.lists(st.integers(1, 3), max_size=6))
+    cand, ref = list(draw(st.permutations(shared))), list(draw(st.permutations(shared)))
+    for side, others in ((cand, st.integers(101, 103)), (ref, st.integers(104, 106))):
+        for t in draw(st.lists(others, max_size=2)):
+            side.insert(draw(st.integers(0, len(side))), t)
+    return cand, ref
+
+
+@settings(deadline=None, max_examples=200)
+@given(pair=equal_count_pairs())
+@example(pair=([2, 1, 3, 1], [1, 3, 1, 2]))
+@example(pair=([3, 1, 2], [1, 2, 3]))
+@example(pair=(list(range(100, 0, -1)), list(range(1, 101))))
+def test_alignment_without_a_choice_needs_no_search(pair):
+    # no step has a second move, so the greedy alignment is returned before
+    # the search, which a budget of one state would cut
+    cand, ref = pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_SEARCH_BUDGET", 1)
+        a = align(cand, ref)
+    assert a.exact
+    # the k-th occurrence of each shared cell maps to its k-th occurrence
+    in_order = [ij for t in set(cand) & set(ref)
+                for ij in zip([i for i, c in enumerate(cand) if c == t], [j for j, r in enumerate(ref) if r == t])]
+    assert a.pairs == tuple(sorted(in_order))
+    assert a.crossings == crossings_of(a.pairs)
+    if len(cand) <= 8 and len(ref) <= 8:
+        assert (a.pairs, a.crossings, a.chunks) == best_alignment_by_subsets(cand, ref)
 
 
 # Random-walk pairs of the score_revisit benchmark (seeds 2 and 1), with

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -288,15 +289,19 @@ def test_chunked_mean_loss_equals_per_sequence_mean(cls, n_cells):
     assert models.mean_loss(model, examples) == pytest.approx(total / steps, rel=1e-12)
 
 
-def test_batch_splits_where_traffic_shape_changes():
+def test_windows_of_two_shapes_are_rejected_where_examples_enter(monkeypatch):
+    # every caller takes its windows from one lookup, so one call has one
+    # window shape; a mix, or a missing window, is refused before any pass
     vocab = Vocab(range(1, 7))
     model = ArnnModel.init(vocab, ModelDims(d_e=3, d_h=4), seed=6)
-    examples = _ragged_examples(vocab, 4, seed=1)[:3] + _ragged_examples(vocab, 6, seed=2)[:3]
-    loss, grad = models.batch_loss_and_grads(model, examples)
-    grads = nncore.views(grad, model.params)
-    singles = [loss_and_grads(model, ex.x_ids, ex.y_ids, ex.traffic) for ex in examples]
-    assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-12)
-    np.testing.assert_allclose(grads["traffic_W"], sum(s[1]["traffic_W"] for s in singles), rtol=1e-10)
+    mixed = _ragged_examples(vocab, 4, seed=1)[:3] + _ragged_examples(vocab, 6, seed=2)[:3]
+    missing = _ragged_examples(vocab, 4, seed=1)[:3] + _ragged_examples(vocab, 0, seed=2)[:1]
+    monkeypatch.setattr(models, "_Unroll", mock.Mock(side_effect=AssertionError("a pass ran")))
+    for examples, match in ((mixed, r"share one shape, got \[\(4, 10\), \(6, 10\)\]"), (missing, "required")):
+        for call in (lambda: models.batch_loss_and_grads(model, examples), lambda: models.mean_loss(model, examples),
+                     lambda: models.train(model, examples, lr=1e-3, epochs=1)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +386,14 @@ def test_ids_outside_the_vocabulary_are_rejected_where_examples_enter(x_ids, y_i
                  lambda: models.train(model, [example], lr=1e-3, epochs=1)):
         with pytest.raises(ValueError, match="out of range for 7"):
             call()
+
+
+def test_no_examples_are_rejected_where_examples_enter():
+    model = RnnModel.init(Vocab(range(1, 6)), ModelDims(d_e=4, d_h=4), seed=0)
+    for call in (models.batch_loss_and_grads, models.mean_loss,
+                 lambda model, examples: models.train(model, examples, lr=1e-3, epochs=1)):
+        with pytest.raises(ValueError, match="no .*examples"):
+            call(model, [])
 
 
 def _assert_params_are_views_of_flat(model, example):
@@ -743,6 +756,47 @@ def test_generate_max_len_cap():
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+RNN_META = {"kind": "rnn", "dims": {"d_e": 3, "d_h": 4, "d_f": None, "d_a": None}, "cells": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"kind": "gru"}, "unknown model kind 'gru'"),
+    ({"kind": None}, "unknown model kind None"),
+    ({"kind": ["rnn"]}, r"unknown model kind \['rnn'\]"),
+    ({"cells": None}, "malformed model meta: KeyError: 'cells'"),
+    ({"cells": [1, 2, 3.5, 4]}, "malformed model meta: ValueError: cells must be a list of ints"),
+    ({"cells": "1234"}, "malformed model meta: ValueError: cells must be a list of ints"),
+    ({"cells": [0, 1, 2, 3]}, "malformed model meta: ValueError: cell indices must be >= 1"),
+    ({"dims": None}, "malformed model meta: KeyError: 'dims'"),
+    ({"dims": [3, 4]}, "malformed model meta: TypeError"),
+    ({"dims": {"d_e": 3}}, "malformed model meta: TypeError"),
+    ({"dims": {"d_e": 3, "d_h": 4, "d_x": 1}}, "malformed model meta: TypeError"),
+    ({"dims": {"d_e": 3, "d_h": "4"}}, "malformed model meta: TypeError"),
+    ({"dims": {"d_e": 3, "d_h": 4.0}}, "malformed model meta: ValueError: dims must be ints >= 1"),
+    ({"dims": {"d_e": 3, "d_h": 4, "d_f": 0}}, "malformed model meta: ValueError: dims must be ints >= 1"),
+    ({"kind": "arnn"}, r"parameter 'attn_U' has shape None; an arnn model of its dims and cells has \(4, 4\)"),
+    ({"dims": {"d_e": 3, "d_h": 5}}, r"parameter 'dec_W' has shape \(4, 6\); an rnn model .* has \(5, 6\)"),
+    ({"cells": [1, 2, 3, 4, 5]}, r"parameter 'dec_W' has shape \(4, 6\); an rnn model .* has \(4, 7\)"),
+])
+def test_load_model_rejects_malformed_meta(tmp_path, change, match):
+    model = RnnModel.init(Vocab(RNN_META["cells"]), ModelDims(d_e=3, d_h=4), seed=0)
+    meta = {name: value for name, value in {**RNN_META, **change}.items() if value is not None}
+    path = tmp_path / "m.ckpt"
+    nncore.save_checkpoint(path, model.params, meta)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}"):
+        models.load_model(path)
+
+
+def test_load_model_rejects_rnn_meta_over_arnn_parameters(tmp_path):
+    model = ArnnModel.init(Vocab(RNN_META["cells"]), ModelDims(d_e=3, d_h=4), seed=0)
+    path = tmp_path / "m.ckpt"
+    nncore.save_checkpoint(path, model.params, RNN_META)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'attn_U' has shape (4, 4); an rnn model")):
+        models.load_model(path)
+    nncore.save_checkpoint(path, model.params, {**RNN_META, "kind": "arnn"})
+    assert isinstance(models.load_model(path)[0], ArnnModel)
 
 
 def test_model_checkpoint_roundtrip(tmp_path, small_vocab):
