@@ -340,12 +340,18 @@ def load_accumulation(path: str | Path) -> AccumulationSeries:
     n, minutes = fields["n"], fields["minutes"]
     if len(lines) < 3:
         raise ValueError(f"{path}:{len(lines)}: file ends before the cells and maxima rows")
+    cells_row, maxima_row = lines[1].split("\t"), lines[2].split("\t")
+    for lineno, label, row in ((2, "cells", cells_row), (3, "maxima", maxima_row)):
+        if row[0] != label:
+            raise ValueError(f"{path}:{lineno}: expected the {label} row, got {row[0]!r}")
+        if len(row) - 1 != n:
+            raise ValueError(f"{path}:{lineno}: {label} row has {len(row) - 1} value(s), header says n={n}")
     try:
-        cells = tuple(int(c) for c in lines[1].split("\t")[1:])
+        cells = tuple(int(c) for c in cells_row[1:])
     except ValueError:
         raise ValueError(f"{path}:2: non-integer cell id in {lines[1]!r}") from None
     try:
-        maxima = np.array([float(v) for v in lines[2].split("\t")[1:]])
+        maxima = np.array([float(v) for v in maxima_row[1:]])
     except ValueError:
         raise ValueError(f"{path}:3: non-numeric maximum in {lines[2]!r}") from None
     found = len(lines) - 3
@@ -386,6 +392,7 @@ def load_sequences(path: str | Path) -> Dataset:
     if not lines or lines[0] != SEQUENCES_VERSION:
         raise ValueError(f"{path}:1: unsupported sequences file")
     buckets: dict[str, list[SequenceRecord]] = {"train": [], "validation": [], "test": []}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -395,6 +402,9 @@ def load_sequences(path: str | Path) -> Dataset:
         trip_id, split_name, start, cells = fields
         if split_name not in buckets:
             raise ValueError(f"{path}:{lineno}: unknown split {split_name!r}")
+        first = first_line.setdefault(trip_id, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: repeated trip_id {trip_id!r}, first on line {first}")
         try:
             tokens = (START, *map(int, cells.split()), END)
             buckets[split_name].append(SequenceRecord(trip_id, float(start), tokens))

@@ -244,6 +244,8 @@ def load_checkpoint(path: str | Path) -> tuple[Params, dict]:
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(isinstance(d, int) and d >= 0 for d in shape)):
             raise ValueError(f"{path}: parameter entry {i} of the header is not {{name, shape}}: {entry!r}")
+        if name in params:
+            raise ValueError(f"{path}: parameter entry {i} of the header repeats the name {name!r}")
         count = math.prod(shape)
         if at + 8 * count > len(data):
             raise ValueError(f"{path}: file ends at byte {len(data)} inside parameter {name!r}, "

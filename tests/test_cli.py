@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -78,12 +79,19 @@ def test_stages_write_what_corpus_build_gives(pipeline, tmp_path):
     assert corpus.train_vocab(corpus.load_sequences(pipeline / "disc" / "sequences.tsv")) == vocab
 
 
+def assert_manifest(out, command):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["package"] == "cellseq"
+    assert manifest["command"] == manifest["params"]["command"] == command
+    assert "config_hash" in manifest
+    assert manifest["outputs"] and all((out / name).is_file() for name in manifest["outputs"])
+
+
 def test_manifests_written_everywhere(pipeline):
-    for stage in ("synth", "disc", "acc", "rnn", "eval_rnn", "report"):
-        manifest = json.loads((pipeline / stage / "manifest.json").read_text())
-        assert manifest["package"] == "cellseq"
-        assert "config_hash" in manifest
-        assert manifest["params"]
+    for stage, command in (("synth", "synth"), ("disc", "discretize"), ("acc", "accumulate"), ("rnn", "train"),
+                           ("arnn", "train"), ("eval_rnn", "evaluate"), ("eval_arnn", "evaluate"),
+                           ("report", "report")):
+        assert_manifest(pipeline / stage, command)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
@@ -138,6 +146,16 @@ def test_evaluate_manifest_times_generation_and_scoring(pipeline, tmp_path):
         assert (out / "scores.tsv").read_bytes() == (pipeline / name / "scores.tsv").read_bytes()
         again = json.loads((out / "manifest.json").read_text())
         assert again["diagnostics"] == json.loads((pipeline / name / "manifest.json").read_text())["diagnostics"]
+
+
+def test_evaluate_without_tasks_lists_only_the_score_file(pipeline, tmp_path):
+    # no test sequence is long enough for g = 50, so there are no aggregates to write
+    out = tmp_path / "e"
+    assert main(["evaluate", "--ckpt", str(pipeline / "rnn" / "model.ckpt"),
+                 "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--g-policy", "50", "--k", "2",
+                 "--out", str(out)]) == 0
+    assert len((out / "scores.tsv").read_text().splitlines()) == 1
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["scores.tsv"]
 
 
 def test_score_file_has_expected_header(pipeline):
@@ -242,7 +260,7 @@ def test_train_rejects_bad_clip_norm_and_epochs(pipeline, tmp_path, capsys, flag
     assert main(["train", "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--model", "rnn",
                  "--d-e", "4", "--d-h", "4", "--lr", "0.05", *flags, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
-    assert not (out / "model.ckpt").exists()
+    assert not (out / "model.ckpt").exists() and not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
@@ -292,6 +310,83 @@ def test_config_values_rejected(tmp_path, line, message):
         _apply_config(args, parser)
 
 
+S, I, F = None, int, float  # the argparse type of a flag: kept as a string, int, float
+KINDS = ("rnn", "arnn")
+# dest: (option strings, default, type, choices, required), per subcommand
+FLAGS = {
+    None: {"config": (("--config",), None, S, None, False), "debug": (("--debug",), False, S, None, False)},
+    "synth": {
+        "out": (("--out",), None, S, None, True), "rows": (("--rows",), 3, I, None, False),
+        "cols": (("--cols",), 8, I, None, False), "spacing": (("--spacing",), 300.0, F, None, False),
+        "trips": (("--trips",), 2000, I, None, False), "horizon_min": (("--horizon-min",), 720, I, None, False),
+        "block_min": (("--block-min",), 30, I, None, False), "epsilon": (("--epsilon",), 0.1, F, None, False),
+        "free_speed": (("--free-speed",), 10.0, F, None, False),
+        "congested_speed": (("--congested-speed",), 4.0, F, None, False), "seed": (("--seed",), 0, I, None, False),
+    },
+    "discretize": {
+        "infile": (("--in",), None, S, None, True), "out": (("--out",), None, S, None, True),
+        "radius": (("--radius",), 300.0, F, None, False), "split": (("--split",), "0.8,0.1,0.1", S, None, False),
+        "seed": (("--seed",), 0, I, None, False),
+    },
+    "accumulate": {
+        "trips": (("--trips",), None, S, None, True), "cellmap": (("--cellmap",), None, S, None, True),
+        "sequences": (("--sequences",), None, S, None, True), "out": (("--out",), None, S, None, True),
+    },
+    "train": {
+        "sequences": (("--sequences",), None, S, None, True),
+        "accumulation": (("--accumulation",), None, S, None, False),
+        "model": (("--model",), "rnn", S, KINDS, False), "d_e": (("--d-e",), 16, I, None, False),
+        "d_h": (("--d-h",), 16, I, None, False), "d_f": (("--d-f",), None, I, None, False),
+        "d_a": (("--d-a",), None, I, None, False), "lr": (("--lr",), 1e-3, F, None, False),
+        "epochs": (("--epochs",), 10, I, None, False), "batch_size": (("--batch-size",), 1, I, None, False),
+        "clip_norm": (("--clip-norm",), 5.0, F, None, False), "no_clip": (("--no-clip",), False, S, None, False),
+        "seed": (("--seed",), 0, I, None, False), "out": (("--out",), None, S, None, True),
+    },
+    "generate": {
+        "ckpt": (("--ckpt",), None, S, None, True), "prefix": (("--prefix",), "", S, None, False),
+        "n": (("--n",), 5, I, None, False), "max_len": (("--max-len",), 40, I, None, False),
+        "accumulation": (("--accumulation",), None, S, None, False),
+        "start_time": (("--start-time",), None, F, None, False), "seed": (("--seed",), 0, I, None, False),
+    },
+    "evaluate": {
+        "ckpt": (("--ckpt", "--model"), None, S, None, True), "sequences": (("--sequences",), None, S, None, True),
+        "split": (("--split",), "test", S, ("train", "validation", "test"), False),
+        "accumulation": (("--accumulation",), None, S, None, False), "k": (("--k",), 100, I, None, False),
+        "g_policy": (("--g-policy",), "all", S, None, False), "limit": (("--limit",), 0, I, None, False),
+        "seed": (("--seed",), 0, I, None, False), "out": (("--out",), None, S, None, True),
+    },
+    "hypersearch": {
+        "sequences": (("--sequences",), None, S, None, True),
+        "accumulation": (("--accumulation",), None, S, None, False),
+        "model": (("--model",), "rnn", S, KINDS, False), "trials": (("--trials",), 12, I, None, False),
+        "epochs": (("--epochs",), 10, I, None, False), "lr_range": (("--lr-range",), "1e-5,1e-2", S, None, False),
+        "d_e_range": (("--d-e-range",), "8,64", S, None, False),
+        "d_h_range": (("--d-h-range",), "8,64", S, None, False),
+        "limit": (("--limit",), 0, I, None, False), "seed": (("--seed",), 0, I, None, False),
+        "out": (("--out",), None, S, None, True),
+    },
+    "report": {
+        "arnn": (("--arnn",), None, S, None, False), "rnn": (("--rnn",), None, S, None, False),
+        "out": (("--out",), None, S, None, True),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_flags(capsys):
+    def flags(p):
+        return {a.dest: (tuple(a.option_strings), a.default, a.type, None if a.choices is None else tuple(a.choices),
+                         a.required) for a in p._actions if a.dest != "help" and a.option_strings}
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {None: flags(parser), **{name: flags(p) for name, p in subparsers.choices.items()}} == FLAGS
+    for name in subparsers.choices:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: cellseq {name}" in capsys.readouterr().out
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -302,6 +397,27 @@ def test_stage_failure_exits_1(tmp_path, capsys):
     rc = main(["discretize", "--in", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("stage, flags", [("evaluate", ["--ckpt", "model.ckpt"]), ("hypersearch", [])])
+def test_negative_limit_rejected_before_any_work(tmp_path, capsys, stage, flags):
+    # neither input file exists: the flag is checked before anything is read
+    out = tmp_path / "o"
+    assert main([stage, *flags, "--sequences", str(tmp_path / "s.tsv"), "--limit", "-5", "--out", str(out)]) == 1
+    assert "error: --limit must be >= 0, got -5" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_repeated_trip_id_fails_evaluate_without_a_manifest(pipeline, tmp_path, capsys):
+    lines = (pipeline / "disc" / "sequences.tsv").read_text().splitlines()
+    seqs = tmp_path / "sequences.tsv"
+    seqs.write_text("\n".join(lines + [lines[1].replace("\ttrain\t", "\ttest\t")]) + "\n")
+    out = tmp_path / "e"
+    assert main(["evaluate", "--ckpt", str(pipeline / "rnn" / "model.ckpt"), "--sequences", str(seqs),
+                 "--k", "2", "--out", str(out)]) == 1
+    assert f"{seqs}:{len(lines) + 1}: repeated trip_id" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_stage_failure_reraises_under_debug(tmp_path, capsys):
@@ -333,3 +449,4 @@ def test_hypersearch_command(pipeline, tmp_path):
     assert rc == 0
     history = (out / "history.tsv").read_text().splitlines()
     assert len(history) == 2 + 3  # header comment, column row, three trials
+    assert_manifest(out, "hypersearch")

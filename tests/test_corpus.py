@@ -333,9 +333,15 @@ def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
         (lambda lines: lines[:1] + ["cells\t1\ttwo"] + lines[2:], ":2: non-integer cell id"),
         (lambda lines: lines[:2] + ["maxima\t5.0\thigh"] + lines[3:], ":3: non-numeric maximum"),
         (lambda lines: lines[:1], ":1: file ends before the cells and maxima rows"),
+        (lambda lines: [lines[0], lines[2], lines[1]] + lines[3:], ":2: expected the cells row, got 'maxima'"),
+        (lambda lines: lines[:2] + ["max\t5.0\t6.0"] + lines[3:], ":3: expected the maxima row, got 'max'"),
+        (lambda lines: lines[:1] + ["cells\t1"] + lines[2:], ":2: cells row has 1 value\\(s\\), header says n=2"),
+        (lambda lines: lines[:2] + ["maxima\t5.0\t6.0\t1.0"] + lines[3:],
+         ":3: maxima row has 3 value\\(s\\), header says n=2"),
     ],
     ids=["no-n", "no-minutes", "no-kind", "non-numeric-minute0", "non-numeric-count",
-         "non-integer-cell", "non-numeric-maximum", "header-only"],
+         "non-integer-cell", "non-numeric-maximum", "header-only", "rows-swapped", "bad-maxima-label",
+         "short-cells", "long-maxima"],
 )
 def test_accumulation_load_rejects_bad_fields(tmp_path, edit, message):
     path = tmp_path / "acc.tsv"
@@ -385,6 +391,7 @@ def test_sequences_io_roundtrip(tmp_path):
         ("b\ttrain\t90.0\t3 4.5", "non-integer cell id"),
         ("b\ttrain\tnoon\t3", "non-numeric start time"),
         ("b\ttrian\t90.0\t3", "unknown split 'trian'"),
+        ("a\ttest\t90.0\t3", "repeated trip_id 'a', first on line 2"),
     ],
 )
 def test_sequences_malformed_row_names_file_and_line(tmp_path, row, message):

@@ -406,3 +406,13 @@ def test_checkpoint_rejects_malformed_header(tmp_path, meta, message):
     path.write_bytes(b"ckpt-v1\n" + len(header).to_bytes(8, "big") + header)
     with pytest.raises(ValueError, match=f"{path}: .*{message}"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_repeated_parameter_name(tmp_path):
+    # without the check the second 'w' would silently replace the first
+    path = tmp_path / "model.ckpt"
+    header = json.dumps({"params": [{"name": "w", "shape": [2]}, {"name": "w", "shape": [2]}]}).encode()
+    body = np.array([1.0, 1.0, 0.0, 0.0], dtype="<f8").tobytes()
+    path.write_bytes(b"ckpt-v1\n" + len(header).to_bytes(8, "big") + header + body)
+    with pytest.raises(ValueError, match=f"{path}: parameter entry 1 of the header repeats the name 'w'"):
+        load_checkpoint(path)
