@@ -3,9 +3,17 @@
 Cells come from a radius-bounded greedy clustering of trajectory points.
 Assignment of a point to a cell is nearest-centroid (the Voronoi rule),
 so no explicit polygon construction is needed.
+
+Both stages work in bulk and give the same bits as the plain loops they
+replace. The clustering keeps its one greedy pass but finds the clusters a
+point may join through a grid of square buckets at least twice the radius
+wide, so each point is compared with the centroids of its 3 x 3 bucket
+neighbourhood instead of with all of them. Assignment computes the squared
+distances of a block of points to every centroid one axis at a time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -16,6 +24,8 @@ from ._files import atomic_open
 from .tokens import END, START, Token, is_virtual
 
 CELLMAP_VERSION = "cellmap-v1"
+CLUSTER_CHUNK = 1024  # points converted to Python floats at a time by cluster_points
+ASSIGN_BLOCK = 1 << 18  # point-centroid distances held at a time by assign_points
 
 
 @dataclass(frozen=True)
@@ -29,9 +39,10 @@ class RawTrajectory:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise ValueError("trajectory needs a non-empty [l, 3] point array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("invalid point")
-        if np.any(np.diff(pts[:, 2]) < 0):
+        t = pts[:, 2]
+        if (t[1:] < t[:-1]).any():
             raise ValueError("timestamps must be non-decreasing")
         object.__setattr__(self, "points", pts)
 
@@ -109,65 +120,118 @@ def cluster_points(points: Iterable[Sequence[float]] | np.ndarray, radius: float
     """Greedy single-pass clustering with the given target radius.
 
     Each point joins the nearest existing cluster if it lies within
-    ``radius`` of that cluster's current centroid, otherwise it opens a new
-    cluster. Centroids are exact arithmetic means of the member points, so
-    early members can end up slightly beyond the radius after drift.
-    Deterministic for a fixed input order.
+    ``radius`` of that cluster's current centroid (squared distance
+    ``dx*dx + dy*dy <= radius*radius``, ties to the lowest index), otherwise
+    it opens a new cluster. Centroids are exact arithmetic means of the
+    member points (running sum over count), so early members can end up
+    slightly beyond the radius after drift. Deterministic for a fixed input
+    order.
+
+    Each centroid sits in the square grid bucket that holds it, and moves
+    when its drift takes it into another; a point is compared only with the
+    centroids of its 3 x 3 bucket neighbourhood, so a pass costs about
+    points x (clusters per neighbourhood) rather than points x clusters.
+    The bucket side is at least twice the radius, so every centroid within
+    the radius of the point lies in that neighbourhood, and a centroid
+    outside it can be neither joined nor tied with the one joined. The
+    distances are the same float operations as in a comparison with every
+    centroid, so the result is the same. The side is also at least 2**-50
+    of the largest coordinate, which keeps every ``x / side`` below about
+    2**50, where rounding moves it by at most an eighth of a bucket, and at
+    least 2**-500, above every distance whose square underflows to zero.
+    With ``radius * radius`` infinite every point can join every cluster,
+    and the one bucket has infinite side.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("no points")
     pts = pts.reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("invalid point")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
+    radius = float(radius)
+    r2 = radius * radius
+    side = math.inf if math.isinf(r2) else max(2.0 * radius, float(np.abs(pts).max()) * 2.0**-50, 2.0**-500)
 
-    cap = 16
-    sums = np.zeros((cap, 2))
-    counts = np.zeros(cap, dtype=np.int64)
-    cents = np.zeros((cap, 2))
-    n = 0
-    for p in pts:
-        if n > 0:
-            d2 = np.sum((cents[:n] - p) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] <= radius * radius:
-                sums[j] += p
-                counts[j] += 1
-                cents[j] = sums[j] / counts[j]
+    sums_x: list[float] = []
+    sums_y: list[float] = []
+    counts: list[int] = []
+    cx: list[float] = []
+    cy: list[float] = []
+    homes: list[tuple[int, int]] = []  # each cluster's bucket
+    buckets: dict[tuple[int, int], list[int]] = {}
+    floor = math.floor
+    for lo in range(0, len(pts), CLUSTER_CHUNK):
+        for px, py in pts[lo : lo + CLUSTER_CHUNK].tolist():
+            bx, by = floor(px / side), floor(py / side)
+            best, best_d2 = -1, r2
+            for kx in (bx - 1, bx, bx + 1):
+                for ky in (by - 1, by, by + 1):
+                    for j in buckets.get((kx, ky), ()):
+                        dx, dy = px - cx[j], py - cy[j]
+                        d2 = dx * dx + dy * dy
+                        if d2 < best_d2 or d2 == best_d2 and (best < 0 or j < best):
+                            best, best_d2 = j, d2
+            if best < 0:
+                home = (bx, by)
+                sums_x.append(px)
+                sums_y.append(py)
+                counts.append(1)
+                cx.append(px)
+                cy.append(py)
+                homes.append(home)
+                buckets.setdefault(home, []).append(len(cx) - 1)
                 continue
-        if n == cap:
-            cap *= 2
-            sums = np.resize(sums, (cap, 2))
-            counts = np.resize(counts, cap)
-            cents = np.resize(cents, (cap, 2))
-        sums[n] = p
-        counts[n] = 1
-        cents[n] = p
-        n += 1
-    return CellMap(centroids=cents[:n].copy(), radius=float(radius))
+            sums_x[best] += px
+            sums_y[best] += py
+            counts[best] += 1
+            x = cx[best] = sums_x[best] / counts[best]
+            y = cy[best] = sums_y[best] / counts[best]
+            try:
+                home = (floor(x / side), floor(y / side))
+            except (OverflowError, ValueError):  # a running sum overflowed; it stays infinite
+                raise ValueError("centroids must be finite") from None
+            if home != homes[best]:
+                buckets[homes[best]].remove(best)
+                buckets.setdefault(home, []).append(best)
+                homes[best] = home
+    return CellMap(centroids=np.column_stack((cx, cy)), radius=radius)
 
 
 def assign_points(points: np.ndarray, cmap: CellMap) -> np.ndarray:
     """Nearest-centroid cell ids (1-based) for an [l, 2] point array; ties go
-    to the lowest index."""
+    to the lowest index.
+
+    Squared distances are ``dx*dx + dy*dy``, computed one axis at a time
+    over a block of points against every centroid, the block sized so that
+    it holds at most ``ASSIGN_BLOCK`` distances.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("invalid point")
-    d2 = np.sum((pts[:, None, :] - cmap.centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1) + 1  # argmin takes the first minimum
+    cx, cy = cmap.centroids.T.copy()
+    cells = np.empty(len(pts), dtype=np.intp)
+    step = max(1, ASSIGN_BLOCK // len(cx))
+    for lo in range(0, len(pts), step):
+        block = pts[lo : lo + step]
+        d2 = block[:, 0:1] - cx
+        d2 *= d2
+        dy = block[:, 1:2] - cy
+        dy *= dy
+        d2 += dy
+        cells[lo : lo + step] = d2.argmin(axis=1)  # argmin takes the first minimum
+    return cells + 1
 
 
 def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> CellSequence:
     """Map points to cells, collapse consecutive repeats, wrap with markers."""
     if len(tr) == 0:
         raise ValueError("empty trajectory")
-    cells = assign_points(tr.xy, cmap)
     collapsed: list[Token] = [START]
-    for c in cells:
-        if collapsed[-1] != int(c):
-            collapsed.append(int(c))
+    for c in assign_points(tr.xy, cmap).tolist():
+        if c != collapsed[-1]:
+            collapsed.append(c)
     collapsed.append(END)
     return CellSequence(tokens=tuple(collapsed))
 

@@ -209,12 +209,14 @@ def cmd_evaluate(args) -> dict:
     if score_records:
         evaluation.write_aggregates(out / "aggregates.tsv", evaluation.aggregate_by_length(score_records))
     print(f"scored {len(score_records)} tasks "
-          f"({diag.skipped_short} short, {diag.skipped_unknown_cell} unknown-cell sequences skipped)")
+          f"({diag.skipped_short} short, {diag.skipped_no_g} without a listed g, "
+          f"{diag.skipped_unknown_cell} unknown-cell sequences skipped)")
     return {
         "outputs": ["scores.tsv", "aggregates.tsv"] if score_records else ["scores.tsv"],
         "seed_mixing": evaluation.SEED_MIXING,
         "diagnostics": {
             "skipped_short": diag.skipped_short,
+            "skipped_no_g": diag.skipped_no_g,
             "skipped_unknown_cell": diag.skipped_unknown_cell,
             "unterminated_candidates": diag.unterminated,
             "candidates": diag.candidates,

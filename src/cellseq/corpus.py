@@ -23,6 +23,7 @@ from .tokens import END, START, Token, Vocab
 ACCUMULATION_VERSION = "accum-v1"
 TRIP_GAP_SECONDS = 3600.0
 WINDOW_MINUTES = 10
+ACCUMULATION_CHUNK = 256  # trips per vectorized pass of compute_accumulation
 
 Row = tuple[str, float, float, float]  # trip_id, t, x, y
 
@@ -75,8 +76,8 @@ def write_trajectories(path: str | Path, trips: Iterable[RawTrajectory]) -> None
     with atomic_open(path) as fh:
         fh.write("# trip_id\tt\tx\ty\n")
         for trip in trips:
-            for x, y, t in trip.points:
-                fh.write(f"{trip.trip_id}\t{float(t)!r}\t{float(x)!r}\t{float(y)!r}\n")
+            tid = trip.trip_id
+            fh.write("".join([f"{tid}\t{t!r}\t{x!r}\t{y!r}\n" for x, y, t in trip.points.tolist()]))
 
 
 def load_and_terminate(rows: Sequence[Row], gap_seconds: float = TRIP_GAP_SECONDS) -> list[RawTrajectory]:
@@ -203,6 +204,16 @@ def compute_accumulation(
     The series is padded ``pad_minutes`` before the earliest trip so that a
     traffic window is available for every trip start. Maxima are the
     column-wise peaks of this series.
+
+    A trip's marks run from ceil(first time / 60) to floor(last time / 60).
+    Trips are taken ``ACCUMULATION_CHUNK`` at a time: their points are
+    assigned to cells in one call, one ``searchsorted`` over the keys
+    ``trip + 1j * time`` (numpy orders complex numbers by real, then
+    imaginary part) finds each mark's most recent point at or before it
+    within its own trip, and one ``np.add.at`` adds the marks to the counts
+    (a ``bincount`` would allocate a whole series per chunk).
+    A mark can precede its trip's first point only when the start time
+    divided by 60 underflows; it then takes the first point.
     """
     n_cells = cmap.n_cells
     cells = tuple(range(1, n_cells + 1))
@@ -214,17 +225,23 @@ def compute_accumulation(
     last = max(int(np.floor(t.times[-1] / 60.0)) for t in trips)
     minute0 = first - pad_minutes
     counts = np.zeros((last - minute0 + 1, n_cells), dtype=np.int64)
-    for trip in trips:
-        times = trip.times
-        pcells = assign_points(trip.xy, cmap)
-        m_lo = int(np.ceil(times[0] / 60.0))
-        m_hi = int(np.floor(times[-1] / 60.0))
-        if m_hi < m_lo:
-            continue  # trip never spans a minute mark
-        marks = np.arange(m_lo, m_hi + 1) * 60.0
-        idx = np.searchsorted(times, marks, side="right") - 1
-        for mark_minute, pi in zip(range(m_lo, m_hi + 1), idx):
-            counts[mark_minute - minute0, pcells[pi] - 1] += 1
+    flat = counts.reshape(-1)
+    for lo in range(0, len(trips), ACCUMULATION_CHUNK):
+        chunk = trips[lo : lo + ACCUMULATION_CHUNK]
+        points = np.concatenate([trip.points for trip in chunk])
+        lengths = np.array([len(trip) for trip in chunk])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        times = points[:, 2]
+        m_lo = np.ceil(times[starts] / 60.0).astype(np.int64)
+        n_marks = np.maximum(np.floor(times[ends - 1] / 60.0).astype(np.int64) - m_lo + 1, 0)
+        trip_of_mark = np.repeat(np.arange(len(chunk)), n_marks)
+        minute = np.arange(n_marks.sum()) + np.repeat(m_lo - (np.cumsum(n_marks) - n_marks), n_marks)
+        keys = np.repeat(np.arange(len(chunk)), lengths) + 1j * times
+        idx = np.searchsorted(keys, trip_of_mark + 1j * (minute * 60.0), side="right") - 1
+        idx = np.maximum(idx, starts[trip_of_mark])
+        pcells = assign_points(points[:, :2], cmap)
+        np.add.at(flat, (minute - minute0) * n_cells + pcells[idx] - 1, 1)
     return AccumulationSeries(cells, minute0, counts, counts.max(axis=0).astype(float))
 
 
@@ -323,8 +340,9 @@ def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
     ]
     lines.append("cells\t" + "\t".join(str(c) for c in series.cells))
     lines.append("maxima\t" + "\t".join(repr(float(v)) for v in series.maxima))
+    value = float if series.normalized else int  # repr of an int is its str
     for row in series.counts:
-        lines.append("\t".join(repr(float(v)) if series.normalized else str(int(v)) for v in row))
+        lines.append("\t".join([repr(value(v)) for v in row.tolist()]))
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

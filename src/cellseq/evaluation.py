@@ -74,6 +74,7 @@ class ScoreRecord:
 @dataclass
 class EvalDiagnostics:
     skipped_short: int = 0
+    skipped_no_g: int = 0  # long enough to split, but the g policy lists no g below their m
     skipped_unknown_cell: int = 0
     unterminated: int = 0
     candidates: int = 0
@@ -87,26 +88,30 @@ def make_tasks(
     records: Sequence[SequenceRecord],
     g_policy: str | Iterable[int] = "all",
     k: int = 100,
-) -> tuple[list[EvalTask], int]:
+) -> tuple[list[EvalTask], int, int]:
     """One task per (sequence, g). Default policy: every g in 1..m-1.
 
     Sequences with fewer than two interior cells cannot be split and are
-    skipped; the second return value counts them.
+    skipped; the second return value counts them. The third counts the
+    longer sequences that still give no task, because an explicit policy
+    lists no g in 1..m-1 for them.
     """
     tasks: list[EvalTask] = []
-    skipped = 0
+    short = no_g = 0
     for rec in records:
         m = rec.m
         if m < 2:
-            skipped += 1
+            short += 1
             continue
         if g_policy == "all":
             gs = range(1, m)
         else:
             gs = [g for g in g_policy if 1 <= g < m]
+        if not gs:
+            no_g += 1
         for g in gs:
             tasks.append(EvalTask(rec.trip_id, rec.tokens, rec.start_time, g, k))
-    return tasks, skipped
+    return tasks, short, no_g
 
 
 def _seeds(master_seed: int, trip_id: str, g: int, candidates: np.ndarray) -> list[int]:
@@ -254,7 +259,7 @@ def evaluate_records(
             diag.skipped_unknown_cell += 1
             continue
         usable.append(rec)
-    tasks, diag.skipped_short = make_tasks(usable, g_policy=g_policy, k=k)
+    tasks, diag.skipped_short, diag.skipped_no_g = make_tasks(usable, g_policy=g_policy, k=k)
     tasks.sort(key=lambda t: (t.trip_id, t.g))
     # a block of sequences at a time, so that sampled candidates wait for
     # scoring in bounded memory

@@ -7,7 +7,9 @@ large for that, by enumerating every choice of occurrences per token. The
 model references run one step, one vector and, for attention, one cell at a
 time; they read only a model's ``params``, ``kind``, ``dims`` and ``vocab``.
 The sampler's uniforms come from SplitMix64 written in plain Python ints.
-Gradients are checked by central differences.
+Gradients are checked by central differences. The discretization
+references compare every point with every centroid, and count vehicles
+one trip and one minute mark at a time.
 """
 from __future__ import annotations
 
@@ -149,6 +151,57 @@ def best_alignment_by_subsets(cand, ref):
     recurse(0, [], 0)
     crossings, pairs = best
     return pairs, crossings, chunks_of(pairs)
+
+
+# ---------------------------------------------------------------------------
+# discretization and accumulation: every point against every centroid
+
+
+def greedy_clusters_oracle(points, radius):
+    """Centroids [N, 2] of the greedy single pass, on Python floats: each
+    point joins the first of the nearest centroids if its squared distance
+    ``dx*dx + dy*dy`` is at most ``radius * radius``, else opens a cluster;
+    centroids are running sums over counts."""
+    sums, counts, cents = [], [], []
+    r2 = radius * radius
+    for x, y in np.asarray(points, dtype=float).reshape(-1, 2).tolist():
+        d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in cents]
+        if d2 and min(d2) <= r2:
+            j = d2.index(min(d2))
+            sums[j] = (sums[j][0] + x, sums[j][1] + y)
+            counts[j] += 1
+            cents[j] = (sums[j][0] / counts[j], sums[j][1] / counts[j])
+        else:
+            sums.append((x, y))
+            counts.append(1)
+            cents.append((x, y))
+    return np.array(cents)
+
+
+def nearest_cell_oracle(points, centroids):
+    """1-based index of each point's nearest centroid, ties to the lowest,
+    through the full [P, N, 2] difference array summed over its last axis."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    d2 = np.sum((pts[:, None, :] - np.asarray(centroids, dtype=float)[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1) + 1
+
+
+def accumulation_oracle(trips, centroids, pad_minutes):
+    """(minute0, counts [minutes, N]) for trips given as [l, 3] (x, y, t)
+    arrays: at each minute mark from ceil(t0 / 60) to floor(t_end / 60) a
+    trip adds one to the cell of its last point at or before the mark. The
+    series starts ``pad_minutes`` before the earliest trip's minute."""
+    trips = [np.asarray(t, dtype=float) for t in trips]
+    minute0 = min(math.floor(t[0, 2] / 60.0) for t in trips) - pad_minutes
+    counts = np.zeros((max(math.floor(t[-1, 2] / 60.0) for t in trips) - minute0 + 1, len(centroids)),
+                      dtype=np.int64)
+    for t in trips:
+        cells = nearest_cell_oracle(t[:, :2], centroids)
+        times = t[:, 2].tolist()
+        for minute in range(math.ceil(times[0] / 60.0), math.floor(times[-1] / 60.0) + 1):
+            last = max(i for i, time in enumerate(times) if time <= minute * 60.0)
+            counts[minute - minute0, cells[last] - 1] += 1
+    return minute0, counts
 
 
 # ---------------------------------------------------------------------------

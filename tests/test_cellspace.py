@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellseq import cellspace
 from cellseq.cellspace import (
     CellMap,
     CellSequence,
@@ -17,6 +18,8 @@ from cellseq.cellspace import (
 )
 from cellseq.models import make_example
 from cellseq.tokens import END, START, Vocab
+
+from oracles import greedy_clusters_oracle, nearest_cell_oracle
 
 
 def make_traj(points_xy, t0=0.0, dt=10.0, trip_id="t0"):
@@ -52,6 +55,8 @@ def test_cluster_empty_and_invalid():
         cluster_points([(np.nan, 0.0)], radius=10.0)
     with pytest.raises(ValueError):
         cluster_points([(0.0, 0.0)], radius=0.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        cluster_points([(0.0, 0.0)], radius=float("nan"))
 
 
 points_strategy = st.lists(
@@ -69,32 +74,114 @@ points_strategy = st.lists(
 def test_cluster_centroid_is_exact_mean_and_coverage(points, radius):
     pts = np.array(points)
     cmap = cluster_points(pts, radius)
-    assignments = assign_points(pts, cmap)
-    for cell in range(1, cmap.n_cells + 1):
-        members = pts[assignments == cell]
-        # every cluster was opened by some point, but drift can reassign its
-        # members elsewhere; the mean identity is checked via the greedy pass
-    # re-run the greedy pass independently to collect true memberships
-    sums = {}
-    counts = {}
-    cents = []
-    for p in pts:
-        if cents:
-            d2 = [float(np.sum((c - p) ** 2)) for c in cents]
-            j = int(np.argmin(d2))
-            if d2[j] <= radius * radius:
-                sums[j] += p
-                counts[j] += 1
-                cents[j] = sums[j] / counts[j]
-                continue
-        j = len(cents)
-        sums[j] = p.copy()
-        counts[j] = 1
-        cents.append(p.copy())
-    np.testing.assert_allclose(cmap.centroids, np.array(cents), atol=1e-9)
+    np.testing.assert_array_equal(cmap.centroids, greedy_clusters_oracle(pts, radius))
     # coverage: every point within 1.5 R of its nearest centroid
     d = np.sqrt(np.sum((pts[:, None, :] - cmap.centroids[None]) ** 2, axis=2)).min(axis=1)
     assert np.all(d <= 1.5 * radius + 1e-9)
+
+
+@st.composite
+def lattice_cases(draw):
+    """(points, radius): points on a lattice whose spacing is a simple
+    multiple of the radius, so that many lie exactly at radius distance of
+    each other, shifted by an offset of up to 1e300, repeated and shuffled.
+    Some spacings are far above tiny radii but square to below the smallest
+    float, so those points join despite the gap."""
+    radius = draw(st.one_of(st.sampled_from([1e-300, 1e-200, 1e-6, 0.75, 1.0, 1.5, 135.0, 1e6]),
+                            st.floats(min_value=1e-300, max_value=1e6)))
+    if radius < 1e-150 and draw(st.booleans()):
+        spacing = draw(st.sampled_from([1e-200, 1e-170, 1e-162, 1e-160]))
+    else:
+        spacing = radius * draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e12, 1e50, 1e150, -1e300, 1e300]))
+    cell = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.0, 0.25, 0.5]))
+    base = [(offset + spacing * (i + f), offset + spacing * (j - f)) for i, j, f in draw(st.lists(cell, min_size=1))]
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=80))
+    return [base[k] for k in picks], radius
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=lattice_cases())
+def test_cluster_and_assign_equal_oracles_bit_for_bit(case):
+    points, radius = case
+    cmap = cluster_points(points, radius)
+    np.testing.assert_array_equal(cmap.centroids, greedy_clusters_oracle(points, radius))
+    np.testing.assert_array_equal(assign_points(points, cmap), nearest_cell_oracle(points, cmap.centroids))
+
+
+@st.composite
+def equidistant_cases(draw):
+    """(points, radius): arms at distance a from a centre, in a random
+    order, then the centre itself, which is exactly equidistant from every
+    arm that opened its own cluster."""
+    radius = draw(st.integers(2, 400))
+    a = draw(st.integers(radius // 2 + 1, radius))
+    cx, cy = draw(st.integers(-10_000, 10_000)), draw(st.integers(-10_000, 10_000))
+    arms = draw(st.permutations([(cx + a, cy), (cx - a, cy), (cx, cy + a), (cx, cy - a)]))
+    k = draw(st.integers(2, 4))
+    extra = draw(st.lists(st.tuples(st.integers(-2 * a, 2 * a), st.integers(-2 * a, 2 * a)), max_size=10))
+    return [*arms[:k], (cx, cy), *((cx + x, cy + y) for x, y in extra)], float(radius)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=equidistant_cases())
+def test_cluster_ties_go_to_the_lowest_index_as_in_the_oracle(case):
+    points, radius = case
+    cmap = cluster_points(points, radius)
+    np.testing.assert_array_equal(cmap.centroids, greedy_clusters_oracle(points, radius))
+    np.testing.assert_array_equal(assign_points(points, cmap), nearest_cell_oracle(points, cmap.centroids))
+
+
+def test_cluster_follows_a_centroid_that_drifts_across_buckets():
+    # each point lies 0.99 radius beyond the running centroid, so the one
+    # cluster creeps over three radii along each axis, out of the 3 x 3
+    # bucket neighbourhood it opened in
+    points, sx, sy = [], 0.0, 0.0
+    for n in range(300):
+        x, y = (sx / n + 0.7, sy / n - 0.7) if n else (0.0, 0.0)
+        points.append((x, y))
+        sx, sy = sx + x, sy + y
+    cmap = cluster_points(points, 1.0)
+    assert cmap.n_cells == 1 and cmap.centroids[0, 0] > 3.0
+    np.testing.assert_array_equal(cmap.centroids, greedy_clusters_oracle(points, 1.0))
+
+
+def test_cluster_tie_joins_the_earlier_cluster():
+    assert cluster_points([(-1.0, 0.0), (1.0, 0.0), (0.0, 0.0)], 1.0).centroids.tolist() == [[-0.5, 0.0], [1.0, 0.0]]
+    assert cluster_points([(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)], 1.0).centroids.tolist() == [[0.5, 0.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "points, radius",
+    [
+        ([(1e300, -1e300), (1e300, -1e300), (-1e300, 1e300)], 1e-300),  # x / (2 * radius) is infinite
+        ([(0.0, 0.0), (1e-200, 0.0), (2e-200, 1e-200)], 1e-300),  # squares underflow to 0 <= 0
+        ([(1.5e308, 0.0), (-1.5e308, 0.0), (1.5e308, 1e308)], 1e200),  # radius * radius is infinite
+        ([(1e308, 0.0), (1e308, 0.0)], 1.0),  # the running sum overflows
+        ([(1.5e308, 0.0), (-1.5e308, 0.0)], 1e300),  # differences overflow to infinite squares
+    ],
+    ids=["tiny-radius-huge-offset", "underflow", "infinite-radius-square", "sum-overflow", "infinite-distance"],
+)
+def test_cluster_extremes_match_the_oracle(points, radius):
+    expected = greedy_clusters_oracle(points, radius)
+    if np.isfinite(expected).all():
+        np.testing.assert_array_equal(cluster_points(points, radius).centroids, expected)
+    else:
+        with pytest.raises(ValueError, match="centroids must be finite"):
+            cluster_points(points, radius)
+
+
+def test_cluster_and_assign_blocks_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(11)
+    pts = np.round(rng.normal(0.0, 400.0, size=(500, 2)))
+    cmap = cluster_points(pts, 100.0)
+    ids = assign_points(pts, cmap)
+    np.testing.assert_array_equal(cmap.centroids, greedy_clusters_oracle(pts, 100.0))
+    np.testing.assert_array_equal(ids, nearest_cell_oracle(pts, cmap.centroids))
+    monkeypatch.setattr(cellspace, "CLUSTER_CHUNK", 7)
+    monkeypatch.setattr(cellspace, "ASSIGN_BLOCK", 5 * cmap.n_cells + 3)
+    np.testing.assert_array_equal(cluster_points(pts, 100.0).centroids, cmap.centroids)
+    np.testing.assert_array_equal(assign_points(pts, cmap), ids)
 
 
 def test_cluster_deterministic():
@@ -125,6 +212,20 @@ def test_assign_derived_example():
     dists = np.sqrt(np.sum((cmap.centroids - np.array([3.0, 4.0])) ** 2, axis=1))
     assert dists[0] == pytest.approx(dists[2])
     assert assign_points([(3.0, 4.0)], cmap).tolist() == [1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    points=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40),
+    centroids=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=12),
+    scale=st.sampled_from([1e-300, 0.5, 1.0, 3.0, 1e6, 1e150, 1e300]),
+    offset=st.sampled_from([0.0, 1e6, -1e12, 1e300]),
+)
+def test_assign_equals_oracle_with_equidistant_centroids(points, centroids, scale, offset):
+    # small integer lattices make many centroids equidistant from a point
+    pts = offset + scale * np.array(points, dtype=float)
+    cmap = CellMap(centroids=offset + scale * np.array(centroids, dtype=float), radius=1.0)
+    np.testing.assert_array_equal(assign_points(pts, cmap), nearest_cell_oracle(pts, cmap.centroids))
 
 
 def test_assign_rejects_non_finite():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -156,6 +157,43 @@ def test_evaluate_without_tasks_lists_only_the_score_file(pipeline, tmp_path):
                  "--out", str(out)]) == 0
     assert len((out / "scores.tsv").read_text().splitlines()) == 1
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["scores.tsv"]
+
+
+def test_evaluate_counts_sequences_without_a_listed_g(pipeline, tmp_path, capsys):
+    # every test sequence with m >= 2 is too short for g = 50, and each is counted
+    records = corpus.load_sequences(pipeline / "disc" / "sequences.tsv").test
+    splittable = sum(rec.m >= 2 for rec in records)
+    assert splittable > 0
+    out = tmp_path / "e"
+    assert main(["evaluate", "--ckpt", str(pipeline / "rnn" / "model.ckpt"),
+                 "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--g-policy", "50", "--k", "2",
+                 "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["skipped_no_g"] == splittable
+    assert diagnostics["skipped_short"] + diagnostics["skipped_unknown_cell"] + splittable == len(records)
+    assert f"{splittable} without a listed g" in capsys.readouterr().out
+
+
+# sha256 of the front-half files of the golden run below, recorded before
+# clustering, discretization and accumulation were vectorized
+FRONT_HALF_SHA256 = {
+    "synth/trips.tsv": "925fbd656a8f8c8fc012625b394486e9f46260e2dae04733fc83402dcedbbb7d",
+    "disc/cellmap.tsv": "51e086d5afaf99537290a1f79aec146e5d68b87022822101ada9b9b629890e35",
+    "disc/sequences.tsv": "d8a363dab6fbc4fefd572d945a8096e0e778f76c6fce5af238de1e2798e6beed",
+    "acc/accumulation.tsv": "9511051d98037fc14e4db4e8276e9dde7aa3210b6a5257683b67b172a90a6124",
+}
+
+
+def test_front_half_outputs_match_golden_hashes(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--rows", "3", "--cols", "4", "--trips", "120",
+                 "--horizon-min", "120", "--seed", "11"]) == 0
+    assert main(["discretize", "--in", str(tmp_path / "synth" / "trips.tsv"), "--out", str(tmp_path / "disc"),
+                 "--radius", "135", "--seed", "3"]) == 0
+    assert main(["accumulate", "--trips", str(tmp_path / "synth" / "trips.tsv"),
+                 "--cellmap", str(tmp_path / "disc" / "cellmap.tsv"),
+                 "--sequences", str(tmp_path / "disc" / "sequences.tsv"), "--out", str(tmp_path / "acc")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FRONT_HALF_SHA256}
+    assert digests == FRONT_HALF_SHA256
 
 
 def test_score_file_has_expected_header(pipeline):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellseq import corpus
 from cellseq.cellspace import CellMap, RawTrajectory
 from cellseq.corpus import (
     AccumulationSeries,
@@ -24,6 +25,8 @@ from cellseq.corpus import (
     write_trajectories,
 )
 from cellseq.tokens import END, START
+
+from oracles import accumulation_oracle
 
 TWO_CELLS = CellMap(centroids=np.array([(0.0, 0.0), (1000.0, 0.0)]), radius=300.0)
 
@@ -184,6 +187,54 @@ def test_conservation_of_vehicles(seed, n_trips):
         mark = minute * 60.0
         active = sum(1 for t in trips if t.times[0] <= mark <= t.times[-1])
         assert series.counts[minute - series.minute0].sum() == active
+
+
+@st.composite
+def trip_sets(draw):
+    """Trips over a few cells: one-point trips, trips within one minute,
+    points exactly on minute marks and repeated timestamps, at offsets up
+    to epoch scale."""
+    base = draw(st.sampled_from([0.0, -3_600.0, 1.7e9]))
+    step = draw(st.sampled_from([0.5, 1.0, 7.5, 30.0, 60.0]))
+    trips = []
+    for _ in range(draw(st.integers(1, 8))):
+        t = base + step * draw(st.integers(-40, 120))
+        rows = []
+        for _ in range(draw(st.integers(1, 6))):
+            t += step * draw(st.integers(0, 3))  # 0 repeats a timestamp
+            rows.append((100.0 * draw(st.integers(-2, 2)), 100.0 * draw(st.integers(-2, 2)), t))
+        trips.append(np.array(rows))
+    return trips
+
+
+CORNERS = np.array([(-100.0, -100.0), (100.0, -100.0), (-100.0, 100.0), (100.0, 100.0), (0.0, 0.0)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(trips=trip_sets(), pad=st.integers(0, 3))
+def test_accumulation_equals_oracle(trips, pad):
+    series = compute_accumulation([RawTrajectory(f"v{i}", t) for i, t in enumerate(trips)],
+                                  CellMap(centroids=CORNERS, radius=100.0), pad_minutes=pad)
+    minute0, counts = accumulation_oracle(trips, CORNERS, pad)
+    assert series.minute0 == minute0
+    np.testing.assert_array_equal(series.counts, counts)
+    np.testing.assert_array_equal(series.maxima, counts.max(axis=0).astype(float))
+
+
+def test_accumulation_chunks_do_not_change_counts(monkeypatch):
+    rng = np.random.default_rng(4)
+    trips = []
+    for i in range(40):
+        times = np.sort(np.round(rng.uniform(0.0, 900.0, size=rng.integers(1, 9)), 1)) + 60.0 * i
+        trips.append(np.column_stack((rng.uniform(-150, 150, (len(times), 2)), times)))
+    raw = [RawTrajectory(f"v{i}", t) for i, t in enumerate(trips)]
+    cmap = CellMap(centroids=CORNERS, radius=100.0)
+    minute0, counts = accumulation_oracle(trips, CORNERS, 10)
+    for chunk in (1, 3, 256):
+        monkeypatch.setattr(corpus, "ACCUMULATION_CHUNK", chunk)
+        series = compute_accumulation(raw, cmap)
+        assert series.minute0 == minute0
+        np.testing.assert_array_equal(series.counts, counts)
 
 
 # ---------------------------------------------------------------------------

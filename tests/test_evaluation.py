@@ -45,20 +45,20 @@ def memorized_model():
 
 
 def test_make_tasks_default_policy():
-    tasks, skipped = make_tasks([record("a", [1, 2, 3])])
+    tasks, skipped, no_g = make_tasks([record("a", [1, 2, 3])])
     assert [(t.g) for t in tasks] == [1, 2]
-    assert skipped == 0
+    assert skipped == no_g == 0
 
 
 def test_make_tasks_counts_short_sequences():
-    tasks, skipped = make_tasks([record("a", [1])])
+    tasks, skipped, no_g = make_tasks([record("a", [1])])
     assert tasks == []
-    assert skipped == 1
+    assert (skipped, no_g) == (1, 0)
 
 
 def test_make_tasks_counting_example():
     recs = [record(f"t{i}", [1, 2, 3, 4, 5]) for i in range(10)]  # m = 5
-    tasks, _ = make_tasks(recs)
+    tasks, _, _ = make_tasks(recs)
     assert len(tasks) == 40
 
 
@@ -70,8 +70,19 @@ def test_task_invariant_g_less_than_m():
 
 
 def test_g_policy_filtering():
-    tasks, _ = make_tasks([record("a", [1, 2, 3, 4])], g_policy=[1, 3, 9])
+    tasks, _, _ = make_tasks([record("a", [1, 2, 3, 4])], g_policy=[1, 3, 9])
     assert [t.g for t in tasks] == [1, 3]
+
+
+def test_g_policy_counts_sequences_without_a_listed_g():
+    recs = [record("short", [1]), record("m3", [1, 2, 3]), record("m5", [1, 2, 3, 4, 5])]
+    tasks, short, no_g = make_tasks(recs, g_policy=[3, 4])
+    assert [(t.trip_id, t.g) for t in tasks] == [("m5", 3), ("m5", 4)]
+    assert (short, no_g) == (1, 1)
+    assert make_tasks(recs)[1:] == (1, 0)
+    model = models.RnnModel.init(Vocab([1, 2, 3, 4, 5]), ModelDims(d_e=2, d_h=2), seed=0)
+    out, diag = evaluate_records(recs, model, None, master_seed=0, k=2, g_policy=[50])
+    assert out == [] and (diag.skipped_short, diag.skipped_no_g) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
