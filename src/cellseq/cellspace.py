@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import read_table, write_table
 from .tokens import END, START, Token, is_virtual
 
 CELLMAP_VERSION = "cellmap-v1"
@@ -238,67 +238,14 @@ def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> CellSequence:
 
 def save_cellmap(path: str | Path, cmap: CellMap) -> None:
     """Versioned header, then one ``index<TAB>x<TAB>y`` row per cell."""
-    lines = [f"{cmap.version}\tradius={float(cmap.radius)!r}\tn={cmap.n_cells}"]
-    for i, (x, y) in enumerate(cmap.centroids, start=1):
-        lines.append(f"{i}\t{float(x)!r}\t{float(y)!r}")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def header_fields(
-    path: str | Path, parts: Sequence[str], types: Mapping[str, Callable[[str], object]],
-    defaults: Mapping[str, str] | None = None,
-) -> dict[str, object]:
-    """Typed ``key=value`` fields of a header line (line 1 of ``path``).
-
-    Every key of ``types`` must be present or have a default; unknown keys
-    are ignored. A part without ``=``, a missing key or a value its type
-    rejects raises ValueError naming ``path:1``.
-    """
-    raw = dict(defaults or {})
-    for part in parts:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:1: header field {part!r} is not key=value")
-        raw[key] = value
-    fields = {}
-    for key, kind in types.items():
-        if key not in raw:
-            raise ValueError(f"{path}:1: header has no {key}= field")
-        try:
-            fields[key] = kind(raw[key])
-        except ValueError:
-            raise ValueError(f"{path}:1: header field {key}={raw[key]!r} is not {kind.__name__}") from None
-    return fields
+    rows = [f"{i}\t{x!r}\t{y!r}" for i, (x, y) in enumerate(cmap.centroids.tolist(), start=1)]
+    write_table(path, cmap.version, {"radius": float(cmap.radius), "n": cmap.n_cells}, rows)
 
 
 def load_cellmap(path: str | Path) -> CellMap:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}:1: empty cell map file")
-    header = lines[0].split("\t")
-    if not header or header[0] != CELLMAP_VERSION:
-        raise ValueError(f"{path}:1: unsupported cell map version: {lines[0]!r}")
-    fields = header_fields(path, header[1:], {"radius": float, "n": int})
-    radius, n = fields["radius"], fields["n"]
-    cents = np.zeros((n, 2))
-    seen: set[int] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            idx, x, y = line.split("\t")
-            i, xy = int(idx), (float(x), float(y))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected index<TAB>x<TAB>y") from None
-        if not 1 <= i <= n:
-            raise ValueError(f"{path}:{lineno}: cell index {i} outside 1..{n}")
-        if i in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate cell index {i}")
-        seen.add(i)
-        cents[i - 1] = xy
-    if len(seen) < n:
-        missing = min(set(range(1, n + 1)) - seen)
-        raise ValueError(f"{path}:{len(lines)}: file ends after {len(seen)} of {n} cells; "
-                         f"cell {missing} has no row")
-    return CellMap(centroids=cents, radius=radius)
+    table = read_table(path, CELLMAP_VERSION, {"radius": float}, count="n")
+    rows = table.parse([("index", int), ("x", float), ("y", float)], key=[0])
+    n = table.fields["n"]
+    if bad := [i for i, row in enumerate(rows) if not 1 <= row[0] <= n]:
+        raise table.error(bad[0], f"cell index {rows[bad[0]][0]} outside 1..{n}")
+    return CellMap(centroids=np.array([xy for _, *xy in sorted(rows)]), radius=table.fields["radius"])

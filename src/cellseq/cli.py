@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage(cmd_evaluate, "prefix-split evaluation with k candidates per task", sequences, accumulation, seed, out)
     p.add_argument("--ckpt", "--model", dest="ckpt", required=True, help="model checkpoint path")
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=corpus.SPLITS, default="test")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--g-policy", default="all", help='"all" or comma-separated g values')
     p.add_argument("--limit", type=int, default=0, help="cap the number of sequences (0 = all)")

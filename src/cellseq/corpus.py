@@ -9,18 +9,21 @@ cell (piecewise-constant occupancy between detections).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._files import atomic_open
-from .cellspace import (CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory,
-                        header_fields)
+from ._files import one_of, read_table, write_table
+from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory
 from .tokens import END, START, Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
+SEQUENCES_VERSION = "sequences-v2"
+TRIPS_VERSION = "trips-v1"
+SPLITS = ("train", "validation", "test")  # the fields of Dataset
 TRIP_GAP_SECONDS = 3600.0
 WINDOW_MINUTES = 10
 ACCUMULATION_CHUNK = 256  # trips per vectorized pass of compute_accumulation
@@ -55,59 +58,52 @@ class Dataset:
 
 
 def read_trajectory_rows(path: str | Path) -> list[Row]:
-    """Parse the point file: one ``trip_id<TAB>t<TAB>x<TAB>y`` row per line."""
-    rows: list[Row] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed row: expected 4 fields, got {len(parts)}")
-            try:
-                rows.append((parts[0], float(parts[1]), float(parts[2]), float(parts[3])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row: non-numeric field") from None
+    """The rows of a trips file, one ``trip_id<TAB>t<TAB>x<TAB>y`` per line,
+    each trip's rows in one block in time order. A file without the
+    ``trips-v1`` header line is read as bare rows, with no count to check."""
+    table = read_table(path, TRIPS_VERSION, {}, bare=True)
+    rows = table.parse([("trip_id", str), ("t", float), ("x", float), ("y", float)])
+    _trip_blocks(rows, table.error)
     return rows
 
 
 def write_trajectories(path: str | Path, trips: Iterable[RawTrajectory]) -> None:
-    with atomic_open(path) as fh:
-        fh.write("# trip_id\tt\tx\ty\n")
-        for trip in trips:
-            tid = trip.trip_id
-            fh.write("".join([f"{tid}\t{t!r}\t{x!r}\t{y!r}\n" for x, y, t in trip.points.tolist()]))
+    trips = list(trips)
+    blocks = ("\n".join([f"{trip.trip_id}\t{t!r}\t{x!r}\t{y!r}" for x, y, t in trip.points.tolist()]) for trip in trips)
+    write_table(path, TRIPS_VERSION, {"rows": sum(map(len, trips))}, blocks)  # one block of rows per trip
+
+
+def _trip_blocks(rows: Sequence[Row],
+                 error: Callable[[int, str], ValueError] = lambda j, m: ValueError(m)) -> list[int]:
+    """Where each trip id's block of rows starts. A row out of the order trip
+    rows keep (each trip id in one block, its times non-decreasing) raises
+    ``error(its index, what is wrong)``."""
+    seen: set[str] = set()
+    starts: list[int] = []
+    last_id, last_t = None, 0.0
+    for j, (trip_id, t, _, _) in enumerate(rows):
+        if trip_id != last_id:
+            if trip_id in seen:
+                raise error(j, f"input not sorted: trip id {trip_id!r} appears in separate blocks")
+            seen.add(trip_id)
+            starts.append(j)
+        elif t < last_t:
+            raise error(j, f"input not sorted: time decreases within {trip_id!r}")
+        last_id, last_t = trip_id, t
+    return starts
 
 
 def load_and_terminate(rows: Sequence[Row], gap_seconds: float = TRIP_GAP_SECONDS) -> list[RawTrajectory]:
     """Group rows by device and cut a new trip wherever the time gap between
     consecutive points exceeds ``gap_seconds``."""
+    starts = _trip_blocks(rows)
     trips: list[RawTrajectory] = []
-    seen: set[str] = set()
-    i = 0
-    n = len(rows)
-    while i < n:
-        device = rows[i][0]
-        if device in seen:
-            raise ValueError(f"input not sorted: trip id {device!r} appears in separate blocks")
-        seen.add(device)
-        j = i
-        while j < n and rows[j][0] == device:
-            if j > i and rows[j][1] < rows[j - 1][1]:
-                raise ValueError(f"input not sorted: time decreases within {device!r}")
-            j += 1
-        block = rows[i:j]
-        part = 0
-        seg_start = 0
-        for k in range(1, len(block) + 1):
-            if k == len(block) or block[k][1] - block[k - 1][1] > gap_seconds:
-                pts = np.array([(x, y, t) for _, t, x, y in block[seg_start:k]])
-                suffix = f"#{part:02d}" if (seg_start > 0 or k < len(block)) else ""
-                trips.append(RawTrajectory(trip_id=device + suffix, points=pts))
-                part += 1
-                seg_start = k
-        i = j
+    for a, b in zip(starts, [*starts[1:], len(rows)]):
+        block = rows[a:b]
+        cuts = [k for k in range(1, len(block)) if block[k][1] - block[k - 1][1] > gap_seconds]
+        for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(block)])):
+            pts = np.array([(x, y, t) for _, t, x, y in block[lo:hi]])
+            trips.append(RawTrajectory(trip_id=block[0][0] + (f"#{part:02d}" if cuts else ""), points=pts))
     return trips
 
 
@@ -333,103 +329,48 @@ def build(
 
 def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
     """Versioned header, per-cell maxima, then one row of counts per minute."""
-    kind = "normalized" if series.normalized else "raw"
-    lines = [
-        f"{ACCUMULATION_VERSION}\tkind={kind}\tn={len(series.cells)}"
-        f"\tminute0={series.minute0}\tminutes={series.n_minutes}\tclamped={series.clamped}"
-    ]
-    lines.append("cells\t" + "\t".join(str(c) for c in series.cells))
-    lines.append("maxima\t" + "\t".join(repr(float(v)) for v in series.maxima))
     value = float if series.normalized else int  # repr of an int is its str
-    for row in series.counts:
-        lines.append("\t".join([repr(value(v)) for v in row.tolist()]))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ["\t".join(["cells", *map(str, series.cells)]), "\t".join(["maxima", *map(repr, series.maxima.tolist())])]
+    rows += ["\t".join([repr(value(v)) for v in row.tolist()]) for row in series.counts]
+    fields = {"kind": "normalized" if series.normalized else "raw", "n": len(series.cells),
+              "minute0": series.minute0, "minutes": series.n_minutes, "clamped": series.clamped}
+    write_table(path, ACCUMULATION_VERSION, fields, rows)
 
 
 def load_accumulation(path: str | Path) -> AccumulationSeries:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split("\t") if lines else [""]
-    if header[0] != ACCUMULATION_VERSION:
-        raise ValueError(f"{path}:1: unsupported accumulation version: {header[0]!r}")
-    fields = header_fields(path, header[1:], {"kind": str, "n": int, "minute0": int, "minutes": int,
-                                              "clamped": int}, defaults={"clamped": "0"})
-    normalized = fields["kind"] == "normalized"
-    n, minutes = fields["n"], fields["minutes"]
-    if len(lines) < 3:
-        raise ValueError(f"{path}:{len(lines)}: file ends before the cells and maxima rows")
-    cells_row, maxima_row = lines[1].split("\t"), lines[2].split("\t")
-    for lineno, label, row in ((2, "cells", cells_row), (3, "maxima", maxima_row)):
-        if row[0] != label:
-            raise ValueError(f"{path}:{lineno}: expected the {label} row, got {row[0]!r}")
-        if len(row) - 1 != n:
-            raise ValueError(f"{path}:{lineno}: {label} row has {len(row) - 1} value(s), header says n={n}")
-    try:
-        cells = tuple(int(c) for c in cells_row[1:])
-    except ValueError:
-        raise ValueError(f"{path}:2: non-integer cell id in {lines[1]!r}") from None
-    try:
-        maxima = np.array([float(v) for v in maxima_row[1:]])
-    except ValueError:
-        raise ValueError(f"{path}:3: non-numeric maximum in {lines[2]!r}") from None
-    found = len(lines) - 3
-    if found < minutes:
-        raise ValueError(f"{path}:{len(lines)}: file ends after {found} of {minutes} count rows")
-    if found > minutes:
-        raise ValueError(f"{path}:{4 + minutes}: {found - minutes} row(s) beyond the {minutes} count rows")
-    dtype = float if normalized else np.int64
-    counts = np.empty((minutes, n), dtype=dtype)
-    for i, line in enumerate(lines[3:]):
-        row = line.split("\t")
-        if len(row) != n:
-            raise ValueError(f"{path}:{4 + i}: expected {n} counts, got {len(row)}")
-        try:
-            counts[i] = [dtype(v) for v in row]
-        except (ValueError, OverflowError):
-            raise ValueError(f"{path}:{4 + i}: non-numeric count in {line!r}") from None
-    return AccumulationSeries(cells, minute0=fields["minute0"], counts=counts, maxima=maxima,
-                              normalized=normalized, clamped=fields["clamped"])
-
-
-SEQUENCES_VERSION = "sequences-v1"
+    table = read_table(path, ACCUMULATION_VERSION, {"kind": one_of("raw", "normalized"), "n": int, "minute0": int,
+                                                    "clamped": int}, count="minutes", head=2)
+    n, normalized = table.fields["n"], table.fields["kind"] == "normalized"
+    [(_, *cells)] = table.parse([("label", one_of("cells"))] + [("cell", int)] * n, 0, 1)
+    [(_, *maxima)] = table.parse([("label", one_of("maxima"))] + [("maximum", float)] * n, 1, 2)
+    columns, shape = [("count", float if normalized else int)] * n, (table.fields["minutes"], n)
+    try:  # block by block, never holding every count as a Python number
+        values = itertools.chain.from_iterable(itertools.chain.from_iterable(table.blocks(columns, 2)))
+        counts = np.fromiter(values, float if normalized else np.int64, shape[0] * n).reshape(shape)
+    except OverflowError:  # a raw count beyond int64, which the check below finds
+        counts = np.array(table.parse(columns, 2), dtype=object).reshape(shape)
+    if bad := np.flatnonzero(~((counts >= 0) & (counts < 2**63)).all(axis=1)).tolist():  # NaN fails both
+        raise table.error(2 + bad[0], f"counts must lie in [0, 2**63), got {counts[bad[0]].tolist()}")
+    return AccumulationSeries(tuple(cells), minute0=table.fields["minute0"], counts=counts, maxima=np.array(maxima),
+                              normalized=normalized, clamped=table.fields["clamped"])
 
 
 def save_sequences(path: str | Path, dataset: Dataset) -> None:
     """One row per trip: id, split, start time, space-joined interior cells."""
-    lines = [f"{SEQUENCES_VERSION}"]
-    for split_name in ("train", "validation", "test"):
-        for rec in getattr(dataset, split_name):
-            cells = " ".join(str(t) for t in rec.tokens[1:-1])
-            lines.append(f"{rec.trip_id}\t{split_name}\t{rec.start_time!r}\t{cells}")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{rec.trip_id}\t{split_name}\t{rec.start_time!r}\t{' '.join(map(str, rec.tokens[1:-1]))}"
+            for split_name in SPLITS for rec in getattr(dataset, split_name)]
+    write_table(path, SEQUENCES_VERSION, {"rows": len(rows)}, rows)
 
 
 def load_sequences(path: str | Path) -> Dataset:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != SEQUENCES_VERSION:
-        raise ValueError(f"{path}:1: unsupported sequences file")
-    buckets: dict[str, list[SequenceRecord]] = {"train": [], "validation": [], "test": []}
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        trip_id, split_name, start, cells = fields
-        if split_name not in buckets:
-            raise ValueError(f"{path}:{lineno}: unknown split {split_name!r}")
-        first = first_line.setdefault(trip_id, lineno)
-        if first != lineno:
-            raise ValueError(f"{path}:{lineno}: repeated trip_id {trip_id!r}, first on line {first}")
-        try:
-            tokens = (START, *map(int, cells.split()), END)
-            buckets[split_name].append(SequenceRecord(trip_id, float(start), tokens))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric start time or non-integer cell id") from None
-    return Dataset(
-        train=tuple(buckets["train"]),
-        validation=tuple(buckets["validation"]),
-        test=tuple(buckets["test"]),
-    )
+    table = read_table(path, SEQUENCES_VERSION, {})
+    columns = [("trip_id", str), ("split", one_of(*SPLITS)), ("start", float), ("cells", cell_tokens)]
+    buckets: dict[str, list[SequenceRecord]] = {name: [] for name in SPLITS}
+    for trip_id, split_name, start, tokens in table.parse(columns, key=[0]):
+        buckets[split_name].append(SequenceRecord(trip_id, start, tokens))
+    return Dataset(**{name: tuple(records) for name, records in buckets.items()})
+
+
+def cell_tokens(text: str) -> tuple[Token, ...]:
+    """The tokens of a sequence whose cells ``text`` lists, space-separated."""
+    return (START, *map(int, text.split()), END)

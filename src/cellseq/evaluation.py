@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import models
-from ._files import atomic_open
+from ._files import atomic_open, read_table, write_table
 from .corpus import SequenceRecord, TrafficLookup
 from .metrics import ScoreVector, _scores, score_vector
 from .models import _GOLDEN, Fork, RnnModel, _mix64, default_max_len, sample_forks
@@ -39,6 +39,7 @@ from .tokens import Token, Vocab, strip_virtual
 SEED_MIXING = ("key = splitmix64(blake2b64(master:trip_id:g) + (candidate + 1) * 0x9E3779B97F4A7C15); "
                "u = (splitmix64(key + position * 0x9E3779B97F4A7C15) >> 11) / 2**53")
 SCORE_NAMES = ScoreVector.NAMES
+SCORES_VERSION = "scores-v1"
 
 
 @dataclass(frozen=True)
@@ -391,39 +392,22 @@ def improvement_rate(
 
 def write_scores(path: str | Path, records: Sequence[ScoreRecord]) -> None:
     """Delimited score rows sorted by (trip_id, g); byte-stable given the data."""
-    lines = ["trip_id\tg\tm\t" + "\t".join(SCORE_NAMES)]
-    for rec in sorted(records, key=lambda r: (r.trip_id, r.g)):
-        scores = "\t".join(repr(getattr(rec.mean, name)) for name in SCORE_NAMES)
-        lines.append(f"{rec.trip_id}\t{rec.g}\t{rec.m}\t{scores}")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{rec.trip_id}\t{rec.g}\t{rec.m}\t" + "\t".join(repr(getattr(rec.mean, name)) for name in SCORE_NAMES)
+            for rec in sorted(records, key=lambda r: (r.trip_id, r.g))]
+    write_table(path, SCORES_VERSION, {"rows": len(rows)}, rows)
 
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:
     """The rows of a ``write_scores`` file; a malformed row, or a second row
     for one (trip_id, g), is rejected with its ``path:line``."""
-    lines = Path(path).read_text().splitlines()
-    expected = "trip_id\tg\tm\t" + "\t".join(SCORE_NAMES)
-    if not lines or lines[0] != expected:
-        raise ValueError(f"{path}:1: unsupported score file header")
+    table = read_table(path, SCORES_VERSION, {})
     out = []
-    first_line: dict[tuple[str, int], int] = {}  # (trip_id, g) -> the line that holds it
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 + len(SCORE_NAMES):
-            raise ValueError(f"{path}:{lineno}: expected {3 + len(SCORE_NAMES)} tab-separated fields, "
-                             f"got {len(parts)}")
+    columns = [("trip_id", str), ("g", int), ("m", int)] + [(name, float) for name in SCORE_NAMES]
+    for i, (trip_id, g, m, *scores) in enumerate(table.parse(columns, key=[0, 1])):
         try:
-            rec = ScoreRecord(parts[0], int(parts[1]), int(parts[2]), ScoreVector(*map(float, parts[3:])))
-        except ValueError as exc:  # a non-numeric field or a score out of range
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        first = first_line.setdefault((rec.trip_id, rec.g), lineno)
-        if first != lineno:
-            raise ValueError(f"{path}:{lineno}: repeated trip_id {rec.trip_id!r} and g {rec.g}, "
-                             f"first on line {first}")
-        out.append(rec)
+            out.append(ScoreRecord(trip_id, g, m, ScoreVector(*scores)))
+        except ValueError as exc:  # a score out of range
+            raise table.error(i, str(exc)) from None
     return out
 
 

@@ -350,12 +350,12 @@ def test_cellmap_io_roundtrip(tmp_path):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        (["1\t0.0\t0.0", "2\t1.0\t1.0"], ":3: .*cell 3 has no row"),
+        (["1\t0.0\t0.0", "2\t1.0\t1.0"], ":3: line 1 counts 3 rows after it, the file holds 2"),
         (["0\t0.0\t0.0", "2\t1.0\t1.0", "3\t2.0\t2.0"], ":2: cell index 0 outside 1..3"),
         (["1\t0.0\t0.0", "4\t1.0\t1.0", "3\t2.0\t2.0"], ":3: cell index 4 outside 1..3"),
-        (["1\t0.0\t0.0", "1\t1.0\t1.0", "3\t2.0\t2.0"], ":3: duplicate cell index 1"),
-        (["1\t0.0\t0.0", "2\t1.0", "3\t2.0\t2.0"], ":3: expected index<TAB>x<TAB>y"),
-        (["1\t0.0\t0.0", "2\tx\t1.0", "3\t2.0\t2.0"], ":3: expected index<TAB>x<TAB>y"),
+        (["1\t0.0\t0.0", "1\t1.0\t1.0", "3\t2.0\t2.0"], ":3: repeated index 1, first on line 2"),
+        (["1\t0.0\t0.0", "2\t1.0", "3\t2.0\t2.0"], ":3: expected 3 tab-separated fields, got 2"),
+        (["1\t0.0\t0.0", "2\tx\t1.0", "3\t2.0\t2.0"], ":3: field x='x' is not float"),
     ],
     ids=["truncated", "index-zero", "index-too-large", "duplicate", "short-row", "non-numeric"],
 )
@@ -368,7 +368,8 @@ def test_cellmap_load_rejects_bad_rows(tmp_path, rows, message):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("", "empty cell map file"), ("cellmap-v0\tradius=100.0\tn=1\n1\t0.0\t0.0\n", "unsupported cell map version")],
+    [("", "unsupported version '', expected cellmap-v1"),
+     ("cellmap-v0\tradius=100.0\tn=1\n1\t0.0\t0.0\n", "unsupported version 'cellmap-v0', expected cellmap-v1")],
     ids=["empty", "foreign-version"],
 )
 def test_cellmap_load_rejects_foreign_file_naming_it(tmp_path, text, message):
@@ -383,8 +384,8 @@ def test_cellmap_load_rejects_foreign_file_naming_it(tmp_path, text, message):
     [
         ("cellmap-v1\tradius=100.0", ":1: header has no n= field"),
         ("cellmap-v1\tn=3", ":1: header has no radius= field"),
-        ("cellmap-v1\tradius=100.0\tn=three", ":1: header field n='three' is not int"),
-        ("cellmap-v1\tradius=wide\tn=3", ":1: header field radius='wide' is not float"),
+        ("cellmap-v1\tradius=100.0\tn=three", ":1: field n='three' is not int"),
+        ("cellmap-v1\tradius=wide\tn=3", ":1: field radius='wide' is not float"),
         ("cellmap-v1\tradius\tn=3", ":1: header field 'radius' is not key=value"),
     ],
     ids=["no-n", "no-radius", "non-numeric-n", "non-numeric-radius", "no-equals"],

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellseq import cli, corpus, evaluation, models
-from cellseq.cellspace import save_cellmap
+from cellseq.cellspace import RawTrajectory, save_cellmap
 from cellseq.cli import _apply_config, build_parser, main
 from cellseq.tokens import END, START
 
@@ -174,12 +175,14 @@ def test_evaluate_counts_sequences_without_a_listed_g(pipeline, tmp_path, capsys
     assert f"{splittable} without a listed g" in capsys.readouterr().out
 
 
-# sha256 of the front-half files of the golden run below, recorded before
-# clustering, discretization and accumulation were vectorized
+# sha256 of the front-half files of the golden run below. cellmap.tsv and
+# accumulation.tsv were recorded before clustering, discretization and
+# accumulation were vectorized; trips.tsv and sequences.tsv when their line 1
+# took a row count (the lines after it are unchanged)
 FRONT_HALF_SHA256 = {
-    "synth/trips.tsv": "925fbd656a8f8c8fc012625b394486e9f46260e2dae04733fc83402dcedbbb7d",
+    "synth/trips.tsv": "fdd6c4017cb04c398e239d3aa1ae7b7ce7a4f36da256f49aa1a744b32c0456e3",
     "disc/cellmap.tsv": "51e086d5afaf99537290a1f79aec146e5d68b87022822101ada9b9b629890e35",
-    "disc/sequences.tsv": "d8a363dab6fbc4fefd572d945a8096e0e778f76c6fce5af238de1e2798e6beed",
+    "disc/sequences.tsv": "de6d1ca19f5f4b88e885c971fde75f0cee92f32515353d99556c506d5d7fd4e3",
     "acc/accumulation.tsv": "9511051d98037fc14e4db4e8276e9dde7aa3210b6a5257683b67b172a90a6124",
 }
 
@@ -197,8 +200,8 @@ def test_front_half_outputs_match_golden_hashes(tmp_path):
 
 
 def test_score_file_has_expected_header(pipeline):
-    header = (pipeline / "eval_rnn" / "scores.tsv").read_text().splitlines()[0]
-    assert header == "trip_id\tg\tm\tbleu1\tbleu2\tbleu3\tbleu4\tmeteor"
+    header, *rows = (pipeline / "eval_rnn" / "scores.tsv").read_text().split("\n")
+    assert header == f"scores-v1\trows={len(rows) - 1}" and rows[-1] == ""
 
 
 def test_train_is_byte_reproducible(pipeline, tmp_path):
@@ -450,7 +453,8 @@ def test_negative_limit_rejected_before_any_work(tmp_path, capsys, stage, flags)
 def test_repeated_trip_id_fails_evaluate_without_a_manifest(pipeline, tmp_path, capsys):
     lines = (pipeline / "disc" / "sequences.tsv").read_text().splitlines()
     seqs = tmp_path / "sequences.tsv"
-    seqs.write_text("\n".join(lines + [lines[1].replace("\ttrain\t", "\ttest\t")]) + "\n")
+    header = lines[0].replace(f"rows={len(lines) - 1}", f"rows={len(lines)}")  # counts the added row
+    seqs.write_text("\n".join([header, *lines[1:], lines[1].replace("\ttrain\t", "\ttest\t")]) + "\n")
     out = tmp_path / "e"
     assert main(["evaluate", "--ckpt", str(pipeline / "rnn" / "model.ckpt"), "--sequences", str(seqs),
                  "--k", "2", "--out", str(out)]) == 1
@@ -488,3 +492,29 @@ def test_hypersearch_command(pipeline, tmp_path):
     history = (out / "history.tsv").read_text().splitlines()
     assert len(history) == 2 + 3  # header comment, column row, three trials
     assert_manifest(out, "hypersearch")
+
+
+def test_report_on_a_cut_score_file_fails_naming_file_and_line(pipeline, tmp_path, capsys):
+    lines = (pipeline / "eval_rnn" / "scores.tsv").read_text().split("\n")
+    cut = tmp_path / "scores.tsv"
+    cut.write_text("\n".join(lines[:-2]) + "\n")  # the last row is gone
+    assert main(["report", "--rnn", str(cut), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (f"error: {cut}:{len(lines) - 2}: line 1 counts {len(lines) - 2} rows "
+                                       f"after it, the file holds {len(lines) - 3}\n")
+
+
+@pytest.mark.parametrize("command", ["discretize", "accumulate"])
+@pytest.mark.parametrize(
+    "points, line, message",
+    [([("a", 0.0), ("b", 60.0), ("a", 120.0)], 4, "trip id 'a' appears in separate blocks"),
+     ([("a", 60.0), ("a", 0.0), ("b", 120.0)], 3, "time decreases within 'a'")],
+    ids=["id-in-two-blocks", "time-decreases"],
+)
+def test_unsorted_trips_fail_naming_file_and_line(pipeline, tmp_path, capsys, command, points, line, message):
+    trips = tmp_path / "trips.tsv"  # one point per row, from line 2 on
+    corpus.write_trajectories(trips, [RawTrajectory(trip, np.array([[0.0, 0.0, t]])) for trip, t in points])
+    args = {"discretize": ["--in", str(trips)],
+            "accumulate": ["--trips", str(trips), "--cellmap", str(pipeline / "disc" / "cellmap.tsv"),
+                           "--sequences", str(pipeline / "disc" / "sequences.tsv")]}[command]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {trips}:{line}: input not sorted: {message}\n"

@@ -80,13 +80,27 @@ def test_malformed_row_reports_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row, message", [("d1\t0\t0", "expected 4 fields, got 3"), ("d1\t0\tx\t0", "non-numeric field")],
+    "row, message",
+    [("d1\t0\t0", "expected 4 tab-separated fields, got 3"), ("d1\t0\tx\t0", "field x='x' is not float")],
     ids=["short-row", "non-numeric"],
 )
 def test_malformed_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "trips.tsv"
     path.write_text(row + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: malformed row: {message}')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
+        read_trajectory_rows(path)
+
+
+def test_bare_trips_file_loads_without_a_count(tmp_path):
+    # a file without the trips-v1 line: lines stripped, blank and # lines skipped, CRLF line ends
+    path = tmp_path / "trips.tsv"
+    path.write_bytes(b"# trip_id\tt\tx\ty\r\n\r\n  d1\t0\t1.5\t2\r\nd1\t60\t3\t4\n# end")
+    assert read_trajectory_rows(path) == [("d1", 0.0, 1.5, 2.0), ("d1", 60.0, 3.0, 4.0)]
+    path.write_bytes(b"# trip_id\tt\tx\ty\n\nd1\t0\t0\t0\nd1\tx\t0\t0")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: field t='x' is not float")):
+        read_trajectory_rows(path)
+    path.write_bytes(b"# trip_id\tt\tx\ty\n\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: no rows")):
         read_trajectory_rows(path)
 
 
@@ -94,11 +108,12 @@ def test_trajectory_io_roundtrip(tmp_path):
     trips = [
         RawTrajectory("a", np.array([[0.0, 1.0, 0.0], [2.0, 3.0, 60.0]])),
         RawTrajectory("b", np.array([[5.0, 5.0, 30.0]])),
+        RawTrajectory("c\x0cd", np.array([[6.0, 6.0, 40.0]])),
     ]
     path = tmp_path / "trips.tsv"
     write_trajectories(path, trips)
     loaded = load_and_terminate(read_trajectory_rows(path))
-    assert [t.trip_id for t in loaded] == ["a", "b"]
+    assert [t.trip_id for t in loaded] == ["a", "b", "c\x0cd"]
     np.testing.assert_allclose(loaded[0].points, trips[0].points)
 
 
@@ -358,9 +373,9 @@ def test_accumulation_io_roundtrip(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: lines[:-1], ":5: file ends after 2 of 3 count rows"),
-        (lambda lines: lines + lines[-1:], ":7: 1 row\\(s\\) beyond the 3 count rows"),
-        (lambda lines: lines[:-1] + ["4\t1\t0"], ":6: expected 2 counts, got 3"),
+        (lambda lines: lines[:-1], ":5: line 1 counts 5 rows after it, the file holds 4"),
+        (lambda lines: lines + lines[-1:], ":7: line 1 counts 5 rows after it, the file holds 6"),
+        (lambda lines: lines[:-1] + ["4\t1\t0"], ":6: expected 2 tab-separated fields, got 3"),
     ],
     ids=["truncated", "over-long", "wide-row"],
 )
@@ -379,18 +394,20 @@ def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
         (lambda lines: [lines[0].replace("\tminutes=3", "")] + lines[1:], ":1: header has no minutes= field"),
         (lambda lines: [lines[0].replace("kind=raw\t", "")] + lines[1:], ":1: header has no kind= field"),
         (lambda lines: [lines[0].replace("minute0=", "minute0=x")] + lines[1:],
-         ":1: header field minute0='x.*' is not int"),
-        (lambda lines: lines[:4] + ["x\t4"] + lines[5:], ":5: non-numeric count in 'x"),
-        (lambda lines: lines[:1] + ["cells\t1\ttwo"] + lines[2:], ":2: non-integer cell id"),
-        (lambda lines: lines[:2] + ["maxima\t5.0\thigh"] + lines[3:], ":3: non-numeric maximum"),
-        (lambda lines: lines[:1], ":1: file ends before the cells and maxima rows"),
-        (lambda lines: [lines[0], lines[2], lines[1]] + lines[3:], ":2: expected the cells row, got 'maxima'"),
-        (lambda lines: lines[:2] + ["max\t5.0\t6.0"] + lines[3:], ":3: expected the maxima row, got 'max'"),
-        (lambda lines: lines[:1] + ["cells\t1"] + lines[2:], ":2: cells row has 1 value\\(s\\), header says n=2"),
+         ":1: field minute0='x.*' is not int"),
+        (lambda lines: [lines[0].replace("kind=raw", "kind=Raw")] + lines[1:],
+         ":1: field kind='Raw' is not raw\\|normalized"),
+        (lambda lines: lines[:4] + ["x\t4"] + lines[5:], ":5: field count='x' is not int"),
+        (lambda lines: lines[:1] + ["cells\t1\ttwo"] + lines[2:], ":2: field cell='two' is not int"),
+        (lambda lines: lines[:2] + ["maxima\t5.0\thigh"] + lines[3:], ":3: field maximum='high' is not float"),
+        (lambda lines: lines[:1], ":1: line 1 counts 5 rows after it, the file holds 0"),
+        (lambda lines: [lines[0], lines[2], lines[1]] + lines[3:], ":2: field label='maxima' is not cells"),
+        (lambda lines: lines[:2] + ["max\t5.0\t6.0"] + lines[3:], ":3: field label='max' is not maxima"),
+        (lambda lines: lines[:1] + ["cells\t1"] + lines[2:], ":2: expected 3 tab-separated fields, got 2"),
         (lambda lines: lines[:2] + ["maxima\t5.0\t6.0\t1.0"] + lines[3:],
-         ":3: maxima row has 3 value\\(s\\), header says n=2"),
+         ":3: expected 3 tab-separated fields, got 4"),
     ],
-    ids=["no-n", "no-minutes", "no-kind", "non-numeric-minute0", "non-numeric-count",
+    ids=["no-n", "no-minutes", "no-kind", "non-numeric-minute0", "unknown-kind", "non-numeric-count",
          "non-integer-cell", "non-numeric-maximum", "header-only", "rows-swapped", "bad-maxima-label",
          "short-cells", "long-maxima"],
 )
@@ -407,17 +424,36 @@ def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
     save_accumulation(path, normalize(make_series(np.array([[1, 2], [3, 4]]))))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3] + ["0.5\tnan?"] + lines[4:]) + "\n")
-    with pytest.raises(ValueError, match=f"{path}:4: non-numeric count in '0.5"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: field count='nan?' is not float")):
         load_accumulation(path)
 
 
-@pytest.mark.parametrize("text", ["", "cellmap-v1\tradius=1.0\tn=1\n"], ids=["empty", "foreign"])
+@pytest.mark.parametrize(
+    "counts, row, message",
+    [(np.array([[1, 2], [3, 4]]), "-1\t4", "counts must lie in [0, 2**63), got [-1, 4]"),
+     (np.array([[1, 2], [3, 4]]), f"{2**63}\t4", f"counts must lie in [0, 2**63), got [{2**63}, 4]"),
+     (np.array([[0.5, 1.0], [0.25, 0.0]]), "nan\t0.5", "counts must lie in [0, 2**63), got [nan, 0.5]")],
+    ids=["negative", "beyond-int64", "nan"],
+)
+def test_accumulation_load_rejects_counts_out_of_range(tmp_path, counts, row, message):
+    path = tmp_path / "acc.tsv"
+    series = make_series(counts)
+    save_accumulation(path, normalize(series) if counts.dtype == float else series)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + [row]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: {message}")):
+        load_accumulation(path)
+
+
+@pytest.mark.parametrize("text", ["", "cellmap-v1\tradius=1.0\tn=1\n", "sequences-v1\n"],
+                         ids=["empty", "foreign", "old-sequences"])
 def test_loaders_reject_foreign_first_line_naming_file(tmp_path, text):
     path = tmp_path / "other.tsv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported accumulation version")):
+    version = repr(re.split("[\t\n]", text)[0])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported version {version}, expected accum-v1")):
         load_accumulation(path)
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported sequences file")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported version {version}, expected sequences-v2")):
         load_sequences(path)
 
 
@@ -425,7 +461,9 @@ def test_sequences_io_roundtrip(tmp_path):
     ds = Dataset(
         train=(SequenceRecord("a", 12.5, (START, 1, 2, END)),),
         validation=(SequenceRecord("b", 90.0, (START, 3, END)),),
-        test=(SequenceRecord("c", 180.0, (START, 2, 1, 2, END)),),
+        # \x0c, \x1c and \r end a line for str.splitlines, but only "\n" ends a row
+        test=(SequenceRecord("c", 180.0, (START, 2, 1, 2, END)),
+              SequenceRecord("d\x0ce\x1cf\rg", 200.0, (START, 3, END))),
     )
     path = tmp_path / "seqs.tsv"
     save_sequences(path, ds)
@@ -433,21 +471,23 @@ def test_sequences_io_roundtrip(tmp_path):
     assert loaded == ds
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("b\ttrain\t90.0", "expected 4 tab-separated fields, got 3"),
-        ("b\ttrain\t90.0\t3 4\textra", "expected 4 tab-separated fields, got 5"),
-        ("b\ttrain\t90.0\t3 x", "non-integer cell id"),
-        ("b\ttrain\t90.0\t3 4.5", "non-integer cell id"),
-        ("b\ttrain\tnoon\t3", "non-numeric start time"),
-        ("b\ttrian\t90.0\t3", "unknown split 'trian'"),
-        ("a\ttest\t90.0\t3", "repeated trip_id 'a', first on line 2"),
-    ],
-)
+SEQUENCE_ROW_FAULTS = [  # a bad row, the fault it holds, and what the loader says of it
+    ("b\ttrain\t90.0", "expected 4 tab-separated fields, got 3", "expected 4 tab-separated fields, got 3"),
+    ("b\ttrain\t90.0\t3 4\textra", "expected 4 tab-separated fields, got 5", "expected 4 tab-separated fields, got 5"),
+    ("b\ttrain\t90.0\t3 x", "non-integer cell id", "field cells='3 x' is not cell_tokens"),
+    ("b\ttrain\t90.0\t3 4.5", "non-integer cell id", "field cells='3 4.5' is not cell_tokens"),
+    ("b\ttrain\tnoon\t3", "non-numeric start time", "field start='noon' is not float"),
+    ("b\ttrian\t90.0\t3", "unknown split 'trian'", "field split='trian' is not train|validation|test"),
+    ("a\ttest\t90.0\t3", "repeated trip_id 'a', first on line 2", "repeated trip_id 'a', first on line 2"),
+    ("", "blank line", "expected 4 tab-separated fields, got 1"),
+]
+
+
+@pytest.mark.parametrize("row, message", [(row, message) for row, _, message in SEQUENCE_ROW_FAULTS],
+                         ids=[f"{row}-{fault}" for row, fault, _ in SEQUENCE_ROW_FAULTS])
 def test_sequences_malformed_row_names_file_and_line(tmp_path, row, message):
     path = tmp_path / "seqs.tsv"
-    save_sequences(path, Dataset(train=(SequenceRecord("a", 12.5, (START, 1, 2, END)),), validation=(), test=()))
-    path.write_text(path.read_text() + "\n" + row + "\n")  # a blank line 3, the bad row on line 4
-    with pytest.raises(ValueError, match=f"{path}:4: .*{message}"):
+    path.write_text(f"sequences-v2\trows=2\na\ttrain\t12.5\t1 2\n{row}\n")  # the bad row on line 3
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
         load_sequences(path)
+

@@ -523,9 +523,9 @@ def test_score_file_rejects_wrong_field_count(tmp_path, fields):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        (1, "two", "invalid literal for int()"),
-        (2, "3.5", "invalid literal for int()"),
-        (3, "high", "could not convert string to float"),
+        (1, "two", "field g='two' is not int"),
+        (2, "3.5", "field m='3.5' is not int"),
+        (3, "high", "field bleu1='high' is not float"),
         (7, "1.5", "score out of range: 1.5"),
     ],
     ids=["non-numeric-g", "non-integer-m", "non-numeric-score", "score-out-of-range"],
@@ -535,8 +535,9 @@ def test_score_file_rejects_bad_value_naming_file_and_line(tmp_path, field, valu
     write_scores(path, [make_score_record("a", 1, 3, 0.5)])
     header, row = path.read_text().splitlines()
     bad = row.split("\t")
+    bad[0] = "b"  # a task of its own, so that the value is the row's one fault
     bad[field] = value
-    path.write_text(f"{header}\n{row}\n" + "\t".join(bad) + "\n")  # the bad row on line 3
+    path.write_text(f"{header.replace('rows=1', 'rows=2')}\n{row}\n" + "\t".join(bad) + "\n")  # the bad row on line 3
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
         read_scores(path)
 
@@ -547,7 +548,7 @@ def test_score_file_rejects_repeated_task_naming_file_and_line(tmp_path):
     write_scores(path, [make_score_record("a", 1, 3, 0.5), make_score_record("a", 2, 3, 0.25)])
     header, first, second = path.read_text().splitlines()
     repeat = first.replace("0.5", "0.75")
-    path.write_text(f"{header}\n{first}\n{second}\n{repeat}\n")
+    path.write_text(f"{header.replace('rows=2', 'rows=3')}\n{first}\n{second}\n{repeat}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: repeated trip_id 'a' and g 1, first on line 2")):
         read_scores(path)
 
@@ -556,7 +557,8 @@ def test_score_file_rejects_repeated_task_naming_file_and_line(tmp_path):
 def test_score_file_rejects_foreign_header_naming_file(tmp_path, text):
     path = tmp_path / "scores.tsv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported score file header")):
+    version = repr(text.split("\t")[0])
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: unsupported version {version}, expected scores-v1")):
         read_scores(path)
 
 

@@ -1,10 +1,17 @@
-"""Writers replace their file whole or leave it as it was."""
+"""Writers replace their file whole or leave it as it was, and loaders refuse
+a table that was cut short or corrupted."""
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from cellseq import _files, nncore
-from cellseq.cellspace import RawTrajectory
-from cellseq.corpus import read_trajectory_rows, write_trajectories
+from cellseq.cellspace import RawTrajectory, load_cellmap
+from cellseq.cli import main
+from cellseq.corpus import (load_accumulation, load_and_terminate, load_sequences, read_trajectory_rows,
+                            write_trajectories)
+from cellseq.evaluation import read_scores
 
 
 def test_atomic_open_replaces_the_file_whole(tmp_path):
@@ -53,3 +60,81 @@ def test_checkpoint_write_that_raises_partway_keeps_the_previous_file(tmp_path):
         nncore.save_checkpoint(path, {"w": np.zeros(3), "x": np.array(["not a number"])}, {})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+# ---------------------------------------------------------------------------
+# truncation and corruption: every table cellseq writes, damaged, fails to load
+# with an error naming the file and the damaged line
+
+LOADERS = {
+    "synth/trips.tsv": lambda path: load_and_terminate(read_trajectory_rows(path)),
+    "disc/cellmap.tsv": load_cellmap,
+    "disc/sequences.tsv": load_sequences,
+    "acc/accumulation.tsv": load_accumulation,
+    "eval/scores.tsv": read_scores,
+}
+FREE_TEXT = {"synth/trips.tsv": 0, "disc/sequences.tsv": 0, "eval/scores.tsv": 0}  # the trip_id column
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The five tables of a small seeded run, by path under the run directory."""
+    root = tmp_path_factory.mktemp("run")
+    trips, disc = str(root / "synth" / "trips.tsv"), root / "disc"
+    for argv in (
+        ["synth", "--out", str(root / "synth"), "--rows", "2", "--cols", "3", "--trips", "40",
+         "--horizon-min", "90", "--seed", "4"],
+        ["discretize", "--in", trips, "--out", str(disc), "--radius", "135", "--split", "0.6,0.2,0.2",
+         "--seed", "1"],
+        ["accumulate", "--trips", trips, "--cellmap", str(disc / "cellmap.tsv"),
+         "--sequences", str(disc / "sequences.tsv"), "--out", str(root / "acc")],
+        ["train", "--sequences", str(disc / "sequences.tsv"), "--model", "rnn", "--d-e", "4", "--d-h", "4",
+         "--epochs", "1", "--seed", "2", "--out", str(root / "rnn")],
+        ["evaluate", "--ckpt", str(root / "rnn" / "model.ckpt"), "--sequences", str(disc / "sequences.tsv"),
+         "--k", "2", "--seed", "3", "--out", str(root / "eval")],
+    ):
+        assert main(argv) == 0, argv
+    return {name: (root / name).read_bytes() for name in LOADERS}
+
+
+def damaged(name: str, data: bytes):
+    """(what was done, the damaged bytes, the line the error must name)."""
+    lines = data.split(b"\n")[:-1]
+    ends = list(itertools.accumulate(len(line) + 1 for line in lines))[:-1]  # after each line but the last
+    for k, end in enumerate(ends, start=1):
+        yield f"cut after line {k}", data[:end], k
+    for offset in range(len(lines[0]) + 1):
+        yield f"cut at byte {offset} of line 1", data[:offset], 1
+    for offset in random.Random(7).sample(range(1, len(data)), min(200, len(data) - 1)):
+        cut = data[:offset]
+        yield f"cut at byte {offset}", cut, cut.count(b"\n") + (not cut.endswith(b"\n"))
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split(b"\t")
+        for f, field in enumerate(fields):
+            key, sep, _ = field.partition(b"=")
+            bad = [field + b"\tx"]  # one field too many
+            if lineno == 1 or f != FREE_TEXT.get(name):
+                bad.append(key + b"=?" if lineno == 1 and sep else b"?")  # a value its type rejects
+            for field_bad in bad:
+                line_bad = b"\t".join(fields[:f] + [field_bad] + fields[f + 1:])
+                yield f"line {lineno} field {f} as {field_bad!r}", b"\n".join(
+                    lines[:lineno - 1] + [line_bad] + lines[lineno:]) + b"\n", lineno
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_every_damaged_table_fails_naming_file_and_line(written, tmp_path, name):
+    load, path = LOADERS[name], tmp_path / name.split("/")[1]
+    path.write_bytes(written[name])
+    load(path)  # the whole file loads
+    faults = []
+    for what, data, line in damaged(name, written[name]):
+        path.write_bytes(data)
+        try:
+            load(path)
+            faults.append(f"{what}: loaded")
+        except ValueError as exc:
+            if not str(exc).startswith(f"{path}:{line}: "):
+                faults.append(f"{what}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - any other type is a fault too
+            faults.append(f"{what}: {type(exc).__name__}: {exc}")
+    assert not faults, f"{len(faults)} damaged files: " + "; ".join(faults[:5])
