@@ -76,7 +76,7 @@ class CellMap:
             raise ValueError("cell map needs at least one centroid")
         if not np.all(np.isfinite(cents)):
             raise ValueError("centroids must be finite")
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too
             raise ValueError("radius must be positive")
         object.__setattr__(self, "centroids", cents)
 
@@ -244,8 +244,12 @@ def save_cellmap(path: str | Path, cmap: CellMap) -> None:
 
 def load_cellmap(path: str | Path) -> CellMap:
     table = read_table(path, CELLMAP_VERSION, {"radius": float}, count="n")
+    if not table.fields["radius"] > 0:
+        raise ValueError(f"{path}:1: radius must be positive, got {table.fields['radius']!r}")
     rows = table.parse([("index", int), ("x", float), ("y", float)], key=[0])
     n = table.fields["n"]
     if bad := [i for i, row in enumerate(rows) if not 1 <= row[0] <= n]:
         raise table.error(bad[0], f"cell index {rows[bad[0]][0]} outside 1..{n}")
+    if bad := [i for i, (_, x, y) in enumerate(rows) if not (math.isfinite(x) and math.isfinite(y))]:
+        raise table.error(bad[0], f"centroid {rows[bad[0]][1:]} is not finite")
     return CellMap(centroids=np.array([xy for _, *xy in sorted(rows)]), radius=table.fields["radius"])

@@ -10,6 +10,7 @@ cell (piecewise-constant occupancy between detections).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -58,11 +59,15 @@ class Dataset:
 
 
 def read_trajectory_rows(path: str | Path) -> list[Row]:
-    """The rows of a trips file, one ``trip_id<TAB>t<TAB>x<TAB>y`` per line,
-    each trip's rows in one block in time order. A file without the
-    ``trips-v1`` header line is read as bare rows, with no count to check."""
+    """The rows of a trips file, one ``trip_id<TAB>t<TAB>x<TAB>y`` per line
+    with t, x and y finite, each trip's rows in one block in time order. A
+    file without the ``trips-v1`` header line is read as bare rows, with no
+    count to check."""
     table = read_table(path, TRIPS_VERSION, {}, bare=True)
     rows = table.parse([("trip_id", str), ("t", float), ("x", float), ("y", float)])
+    txy = np.fromiter(rows, "O,f8,f8,f8", len(rows))  # one pass, cheaper than a finiteness check per field
+    if bad := np.flatnonzero(~np.isfinite([txy["f1"], txy["f2"], txy["f3"]]).all(axis=0)).tolist():
+        raise table.error(bad[0], f"t, x and y must be finite, got {rows[bad[0]][1:]}")
     _trip_blocks(rows, table.error)
     return rows
 
@@ -341,16 +346,21 @@ def load_accumulation(path: str | Path) -> AccumulationSeries:
     table = read_table(path, ACCUMULATION_VERSION, {"kind": one_of("raw", "normalized"), "n": int, "minute0": int,
                                                     "clamped": int}, count="minutes", head=2)
     n, normalized = table.fields["n"], table.fields["kind"] == "normalized"
+    if table.fields["clamped"] < 0:
+        raise ValueError(f"{path}:1: clamped must be >= 0, got {table.fields['clamped']}")
     [(_, *cells)] = table.parse([("label", one_of("cells"))] + [("cell", int)] * n, 0, 1)
     [(_, *maxima)] = table.parse([("label", one_of("maxima"))] + [("maximum", float)] * n, 1, 2)
+    if bad := [m for m in maxima if not 0 <= m < math.inf]:  # NaN too
+        raise table.error(1, f"maxima must be finite and >= 0, got {bad[0]!r}")
     columns, shape = [("count", float if normalized else int)] * n, (table.fields["minutes"], n)
     try:  # block by block, never holding every count as a Python number
         values = itertools.chain.from_iterable(itertools.chain.from_iterable(table.blocks(columns, 2)))
         counts = np.fromiter(values, float if normalized else np.int64, shape[0] * n).reshape(shape)
     except OverflowError:  # a raw count beyond int64, which the check below finds
         counts = np.array(table.parse(columns, 2), dtype=object).reshape(shape)
-    if bad := np.flatnonzero(~((counts >= 0) & (counts < 2**63)).all(axis=1)).tolist():  # NaN fails both
-        raise table.error(2 + bad[0], f"counts must lie in [0, 2**63), got {counts[bad[0]].tolist()}")
+    top, span = (1, "[0, 1]") if normalized else (2**63 - 1, "[0, 2**63)")
+    if bad := np.flatnonzero(~((counts >= 0) & (counts <= top)).all(axis=1)).tolist():  # NaN fails both
+        raise table.error(2 + bad[0], f"counts must lie in {span}, got {counts[bad[0]].tolist()}")
     return AccumulationSeries(tuple(cells), minute0=table.fields["minute0"], counts=counts, maxima=np.array(maxima),
                               normalized=normalized, clamped=table.fields["clamped"])
 
@@ -366,7 +376,11 @@ def load_sequences(path: str | Path) -> Dataset:
     table = read_table(path, SEQUENCES_VERSION, {})
     columns = [("trip_id", str), ("split", one_of(*SPLITS)), ("start", float), ("cells", cell_tokens)]
     buckets: dict[str, list[SequenceRecord]] = {name: [] for name in SPLITS}
-    for trip_id, split_name, start, tokens in table.parse(columns, key=[0]):
+    for i, (trip_id, split_name, start, tokens) in enumerate(table.parse(columns, key=[0])):
+        if not math.isfinite(start):
+            raise table.error(i, f"start time {start!r} is not finite")
+        if min(tokens[1:-1], default=1) < 1:
+            raise table.error(i, f"cell id {min(tokens[1:-1])} is below 1")
         buckets[split_name].append(SequenceRecord(trip_id, start, tokens))
     return Dataset(**{name: tuple(records) for name, records in buckets.items()})
 

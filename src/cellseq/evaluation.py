@@ -23,14 +23,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import models
-from ._files import atomic_open, read_table, write_table
+from ._files import read_table, write_table
 from .corpus import SequenceRecord, TrafficLookup
 from .metrics import ScoreVector, _scores, score_vector
 from .models import _GOLDEN, Fork, RnnModel, _mix64, default_max_len, sample_forks
@@ -40,6 +40,9 @@ SEED_MIXING = ("key = splitmix64(blake2b64(master:trip_id:g) + (candidate + 1) *
                "u = (splitmix64(key + position * 0x9E3779B97F4A7C15) >> 11) / 2**53")
 SCORE_NAMES = ScoreVector.NAMES
 SCORES_VERSION = "scores-v1"
+AGGREGATES_VERSION = "aggregates-v1"
+IMPROVEMENT_GM_VERSION = "improvement-gm-v1"
+IMPROVEMENT_M_VERSION = "improvement-m-v1"
 
 
 @dataclass(frozen=True)
@@ -412,29 +415,18 @@ def read_scores(path: str | Path) -> list[ScoreRecord]:
 
 
 def write_aggregates(path: str | Path, agg: dict[int, dict[str, Stats]]) -> None:
-    lines = ["m\tscore\tcount\tmean\tq1\tmedian\tq3\tmin\tmax"]
-    for m, per_score in agg.items():
-        for name in SCORE_NAMES:
-            s = per_score[name]
-            lines.append(
-                f"{m}\t{name}\t{s.count}\t{s.mean!r}\t{s.q1!r}\t{s.median!r}\t{s.q3!r}\t{s.min!r}\t{s.max!r}"
-            )
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One row per (m, score): its count, mean, quartiles, min and max."""
+    rows = [f"{m}\t{name}\t" + "\t".join(map(repr, astuple(per_score[name])))
+            for m, per_score in agg.items() for name in SCORE_NAMES]
+    write_table(path, AGGREGATES_VERSION, {"rows": len(rows)}, rows)
 
 
 def write_improvement(path_gm: str | Path, path_m: str | Path, report: ImprovementReport) -> None:
-    lines = ["g\tm\t" + "\t".join(SCORE_NAMES)]
-    for (g, m), per_score in report.per_gm.items():
-        vals = "\t".join(repr(per_score[name]) for name in SCORE_NAMES)
-        lines.append(f"{g}\t{m}\t{vals}")
-    with atomic_open(path_gm) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    lines = ["m\tscore\tavg\tmin\tmax"]
-    for m, per_score in report.per_m.items():
-        for name in SCORE_NAMES:
-            avg, mn, mx = per_score[name]
-            lines.append(f"{m}\t{name}\t{avg!r}\t{mn!r}\t{mx!r}")
-    with atomic_open(path_m) as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One row of ratios per (g, m) to ``path_gm``, and one row of their avg,
+    min and max per (m, score) to ``path_m``."""
+    rows = [f"{g}\t{m}\t" + "\t".join(repr(per_score[name]) for name in SCORE_NAMES)
+            for (g, m), per_score in report.per_gm.items()]
+    write_table(path_gm, IMPROVEMENT_GM_VERSION, {"rows": len(rows)}, rows)
+    rows = [f"{m}\t{name}\t" + "\t".join(map(repr, per_score[name]))
+            for m, per_score in report.per_m.items() for name in SCORE_NAMES]
+    write_table(path_m, IMPROVEMENT_M_VERSION, {"rows": len(rows)}, rows)

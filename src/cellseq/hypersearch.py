@@ -17,11 +17,11 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from ._files import atomic_open
+from ._files import write_table
 from .models import ModelDims, TrainingExample, TrainingDiverged
 from .tokens import Vocab
 
-HISTORY_VERSION = "search-v1"
+HISTORY_VERSION = "search-v2"
 
 _GRID_LENGTHSCALES = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)
 _GRID_SIGNALS = (0.5, 1.0, 2.0)
@@ -322,19 +322,10 @@ def derive_trial_seed(seed: int, index: int) -> int:
 
 def write_history(path: str | Path, result: SearchResult) -> None:
     """One row per trial; the incumbent is flagged. Search ranges are
-    recorded in the header so every history file is self-describing."""
+    recorded on line 1 so every history file is self-describing."""
     sp = result.space
-    lines = [
-        f"# {HISTORY_VERSION}\tseed={result.seed}"
-        f"\tlr_range={sp.learning_rate[0]!r},{sp.learning_rate[1]!r}"
-        f"\td_e_range={sp.d_e[0]},{sp.d_e[1]}\td_h_range={sp.d_h[0]},{sp.d_h[1]}",
-        "trial\tlearning_rate\td_e\td_h\tobjective\tstatus\twall_time\tincumbent",
-    ]
-    for t in result.trials:
-        mark = "*" if t.index == result.best.index else ""
-        lines.append(
-            f"{t.index}\t{t.config.learning_rate!r}\t{t.config.d_e}\t{t.config.d_h}"
-            f"\t{t.objective!r}\t{t.status}\t{t.wall_time:.3f}\t{mark}"
-        )
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [f"{t.index}\t{t.config.learning_rate!r}\t{t.config.d_e}\t{t.config.d_h}\t{t.objective!r}"
+            f"\t{t.status}\t{t.wall_time:.3f}\t{'*' if t.index == result.best.index else ''}" for t in result.trials]
+    fields = {"seed": result.seed, "lr_range": f"{sp.learning_rate[0]!r},{sp.learning_rate[1]!r}",
+              "d_e_range": f"{sp.d_e[0]},{sp.d_e[1]}", "d_h_range": f"{sp.d_h[0]},{sp.d_h[1]}", "rows": len(rows)}
+    write_table(path, HISTORY_VERSION, fields, rows)

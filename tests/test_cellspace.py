@@ -59,6 +59,12 @@ def test_cluster_empty_and_invalid():
         cluster_points([(0.0, 0.0)], radius=float("nan"))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_cellmap_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        cellspace.CellMap(centroids=np.zeros((1, 2)), radius=radius)
+
+
 points_strategy = st.lists(
     st.tuples(
         st.floats(min_value=-5000, max_value=5000),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from cellseq.cli import _apply_config, build_parser, main
 from cellseq.tokens import END, START
 
 from oracles import sample_oracle
+from report_tables import read_aggregates, read_improvement_gm, read_improvement_m
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,23 @@ def test_pipeline_outputs_exist(pipeline):
     assert (pipeline / "eval_rnn" / "aggregates.tsv").exists()
     assert (pipeline / "report" / "improvement_gm.tsv").exists()
     assert (pipeline / "report" / "improvement_m.tsv").exists()
+
+
+def test_report_tables_hold_what_they_report(pipeline):
+    rnn, arnn = (evaluation.read_scores(pipeline / stage / "scores.tsv") for stage in ("eval_rnn", "eval_arnn"))
+    for path, records in ((pipeline / "eval_rnn" / "aggregates.tsv", rnn),
+                          (pipeline / "eval_arnn" / "aggregates.tsv", arnn),
+                          (pipeline / "report" / "aggregates_rnn.tsv", rnn),
+                          (pipeline / "report" / "aggregates_arnn.tsv", arnn)):
+        expected = [((m, name), dataclasses.astuple(stats))
+                    for m, per_score in evaluation.aggregate_by_length(records).items()
+                    for name, stats in per_score.items()]
+        assert list(read_aggregates(path).items()) == expected, path
+    report = evaluation.improvement_rate(arnn, rnn)  # NaN marks a cell whose every baseline was zero
+    np.testing.assert_equal(list(read_improvement_gm(pipeline / "report" / "improvement_gm.tsv").items()),
+                            list(report.per_gm.items()))
+    np.testing.assert_equal(list(read_improvement_m(pipeline / "report" / "improvement_m.tsv").items()),
+                            list(report.per_m.items()))
 
 
 def test_stages_write_what_corpus_build_gives(pipeline, tmp_path):
@@ -490,7 +509,7 @@ def test_hypersearch_command(pipeline, tmp_path):
                "--limit", "30", "--seed", "0", "--out", str(out)])
     assert rc == 0
     history = (out / "history.tsv").read_text().splitlines()
-    assert len(history) == 2 + 3  # header comment, column row, three trials
+    assert len(history) == 1 + 3  # line 1, three trials
     assert_manifest(out, "hypersearch")
 
 

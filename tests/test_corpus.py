@@ -432,8 +432,9 @@ def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
     "counts, row, message",
     [(np.array([[1, 2], [3, 4]]), "-1\t4", "counts must lie in [0, 2**63), got [-1, 4]"),
      (np.array([[1, 2], [3, 4]]), f"{2**63}\t4", f"counts must lie in [0, 2**63), got [{2**63}, 4]"),
-     (np.array([[0.5, 1.0], [0.25, 0.0]]), "nan\t0.5", "counts must lie in [0, 2**63), got [nan, 0.5]")],
-    ids=["negative", "beyond-int64", "nan"],
+     (np.array([[0.5, 1.0], [0.25, 0.0]]), "nan\t0.5", "counts must lie in [0, 1], got [nan, 0.5]"),
+     (np.array([[0.5, 1.0], [0.25, 0.0]]), "1.5\t0.5", "counts must lie in [0, 1], got [1.5, 0.5]")],
+    ids=["negative", "beyond-int64", "nan", "normalized-above-1"],
 )
 def test_accumulation_load_rejects_counts_out_of_range(tmp_path, counts, row, message):
     path = tmp_path / "acc.tsv"

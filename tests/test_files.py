@@ -12,6 +12,7 @@ from cellseq.cli import main
 from cellseq.corpus import (load_accumulation, load_and_terminate, load_sequences, read_trajectory_rows,
                             write_trajectories)
 from cellseq.evaluation import read_scores
+from report_tables import read_aggregates, read_history, read_improvement_gm, read_improvement_m
 
 
 def test_atomic_open_replaces_the_file_whole(tmp_path):
@@ -72,13 +73,25 @@ LOADERS = {
     "disc/sequences.tsv": load_sequences,
     "acc/accumulation.tsv": load_accumulation,
     "eval/scores.tsv": read_scores,
+    "eval/aggregates.tsv": read_aggregates,
+    "report/improvement_gm.tsv": read_improvement_gm,
+    "report/improvement_m.tsv": read_improvement_m,
+    "search/history.tsv": read_history,
 }
 FREE_TEXT = {"synth/trips.tsv": 0, "disc/sequences.tsv": 0, "eval/scores.tsv": 0}  # the trip_id column
+ROWS, EVERY = range(2, 1 << 31), range(1 << 31)  # every line after line 1; every field
+INVALID = {  # (lines, fields, values): values the field's type parses but the loader must refuse
+    "synth/trips.tsv": [(ROWS, [1, 2, 3], [b"nan", b"-inf", b"1e999"])],
+    "disc/cellmap.tsv": [([1], [1], [b"nan", b"0.0", b"-1.0"]), (ROWS, [1, 2], [b"nan", b"inf"])],
+    "disc/sequences.tsv": [(ROWS, [2], [b"nan", b"inf"]), (ROWS, [3], [b"0", b"-3", b"2 0"])],
+    "acc/accumulation.tsv": [([1], [5], [b"-4"]), ([3], EVERY[1:], [b"nan", b"inf", b"-2.0"]),
+                             (ROWS[2:], EVERY, [b"1.5", b"nan", b"-0.5"])],
+}
 
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """The five tables of a small seeded run, by path under the run directory."""
+    """The tables of a small seeded run, by path under the run directory."""
     root = tmp_path_factory.mktemp("run")
     trips, disc = str(root / "synth" / "trips.tsv"), root / "disc"
     for argv in (
@@ -92,6 +105,13 @@ def written(tmp_path_factory):
          "--epochs", "1", "--seed", "2", "--out", str(root / "rnn")],
         ["evaluate", "--ckpt", str(root / "rnn" / "model.ckpt"), "--sequences", str(disc / "sequences.tsv"),
          "--k", "2", "--seed", "3", "--out", str(root / "eval")],
+        ["evaluate", "--ckpt", str(root / "rnn" / "model.ckpt"), "--sequences", str(disc / "sequences.tsv"),
+         "--k", "2", "--seed", "4", "--out", str(root / "eval4")],
+        # two seeds of one model stand in for the two generators
+        ["report", "--arnn", str(root / "eval4" / "scores.tsv"), "--rnn", str(root / "eval" / "scores.tsv"),
+         "--out", str(root / "report")],
+        ["hypersearch", "--sequences", str(disc / "sequences.tsv"), "--model", "rnn", "--trials", "3",
+         "--epochs", "1", "--d-e-range", "2,4", "--d-h-range", "2,4", "--seed", "5", "--out", str(root / "search")],
     ):
         assert main(argv) == 0, argv
     return {name: (root / name).read_bytes() for name in LOADERS}
@@ -112,9 +132,11 @@ def damaged(name: str, data: bytes):
         fields = line.split(b"\t")
         for f, field in enumerate(fields):
             key, sep, _ = field.partition(b"=")
+            values = [b"?"] if lineno == 1 or f != FREE_TEXT.get(name) else []  # a value its type rejects
+            values += [v for lines_in, fields_in, vs in INVALID.get(name, ()) if lineno in lines_in and f in fields_in
+                       for v in vs]
             bad = [field + b"\tx"]  # one field too many
-            if lineno == 1 or f != FREE_TEXT.get(name):
-                bad.append(key + b"=?" if lineno == 1 and sep else b"?")  # a value its type rejects
+            bad += [key + b"=" + v if lineno == 1 and sep else v for v in values]
             for field_bad in bad:
                 line_bad = b"\t".join(fields[:f] + [field_bad] + fields[f + 1:])
                 yield f"line {lineno} field {f} as {field_bad!r}", b"\n".join(

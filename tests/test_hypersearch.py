@@ -17,6 +17,8 @@ from cellseq.hypersearch import (
 from cellseq.models import make_example
 from cellseq.tokens import END, START, Vocab
 
+from report_tables import read_history
+
 
 # ---------------------------------------------------------------------------
 # Gaussian process
@@ -227,8 +229,15 @@ def test_search_runs_and_is_deterministic(tiny_data, tmp_path):
     write_history(path, a)
     text = path.read_text()
     assert "lr_range=" in text.splitlines()[0]
-    assert text.count("\n") == len(a.trials) + 2
+    assert text.count("\n") == len(a.trials) + 1
     assert "*" in text
+    fields, rows = read_history(path)
+    assert fields == {"seed": 0, "lr_range": space.learning_rate, "d_e_range": space.d_e, "d_h_range": space.d_h,
+                      "rows": len(a.trials)}
+    np.testing.assert_equal([row[:6] + row[7:] for row in rows],
+                            [(t.index, t.config.learning_rate, t.config.d_e, t.config.d_h, t.objective, t.status,
+                              "*" if t is a.best else "") for t in a.trials])
+    assert [row[6] for row in rows] == [round(t.wall_time, 3) for t in a.trials]
 
 
 def test_search_rejects_unknown_kind(tiny_data):
