@@ -2,8 +2,10 @@
 """Attention-vs-baseline experiment on the two-corridor synthetic world.
 
 Trains both generators on the same corpus, evaluates every (sequence, g)
-task on a held-out test subset, and prints the per-m improvement-rate
-table plus the pre-divergence (g = 1) METEOR comparison. The world's two
+task on a held-out test subset, and prints each model's evaluation
+diagnostics (what was skipped, distinct and unterminated candidates, inexact
+alignments), the per-m improvement-rate table and the pre-divergence (g = 1)
+METEOR comparison. The world's two
 corridors have different lengths, so the pre-trip accumulation pattern
 identifies which corridor is currently favored; only the attention model
 can read it.
@@ -53,6 +55,11 @@ def main() -> int:
         scores[kind], diag = evaluation.evaluate_records(test_records, model, traffic, master_seed=99, k=args.k)
         print(f"{kind}: evaluated {len(scores[kind])} tasks in {diag.generate_s + diag.score_s:.2f}s "
               f"(generate {diag.generate_s:.2f}s, score {diag.score_s:.2f}s)")
+        print(f"{kind}: {diag.candidates} candidates, {diag.distinct_candidates} distinct, "
+              f"{diag.unterminated} unterminated, {diag.alignment_fallbacks} with an inexact METEOR alignment; "
+              f"skipped {diag.skipped_short} short, {diag.skipped_no_g} g-less and {diag.skipped_unknown_cell} "
+              f"unknown-cell sequences, "
+              f"and {diag.skipped_at_cap} tasks whose prefix fills the length cap")
 
     rnn_g1 = np.mean([r.mean.meteor for r in scores["rnn"] if r.g == 1])
     arnn_g1 = np.mean([r.mean.meteor for r in scores["arnn"] if r.g == 1])

@@ -205,7 +205,11 @@ def assign_points(points: np.ndarray, cmap: CellMap) -> np.ndarray:
 
     Squared distances are ``dx*dx + dy*dy``, computed one axis at a time
     over a block of points against every centroid, the block sized so that
-    it holds at most ``ASSIGN_BLOCK`` distances.
+    it holds at most ``ASSIGN_BLOCK`` distances. A difference or square too
+    large for a float (coordinates near 1e300) is inf, as intended: it is
+    farther than every finite distance, infinite distances tie, and the tie
+    goes to the lowest index like any other. numpy's overflow warnings for
+    them are silenced.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
@@ -213,14 +217,15 @@ def assign_points(points: np.ndarray, cmap: CellMap) -> np.ndarray:
     cx, cy = cmap.centroids.T.copy()
     cells = np.empty(len(pts), dtype=np.intp)
     step = max(1, ASSIGN_BLOCK // len(cx))
-    for lo in range(0, len(pts), step):
-        block = pts[lo : lo + step]
-        d2 = block[:, 0:1] - cx
-        d2 *= d2
-        dy = block[:, 1:2] - cy
-        dy *= dy
-        d2 += dy
-        cells[lo : lo + step] = d2.argmin(axis=1)  # argmin takes the first minimum
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(pts), step):
+            block = pts[lo : lo + step]
+            d2 = block[:, 0:1] - cx
+            d2 *= d2
+            dy = block[:, 1:2] - cy
+            dy *= dy
+            d2 += dy
+            cells[lo : lo + step] = d2.argmin(axis=1)  # argmin takes the first minimum
     return cells + 1
 
 

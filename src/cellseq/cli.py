@@ -31,10 +31,17 @@ def _run_params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config", "debug")}
 
 
+# the destinations of the flags that name input files (synth's --trips is a count)
+INPUT_FILES = ("infile", "trips", "cellmap", "sequences", "accumulation", "ckpt", "arnn", "rnn")
+
+
 def _config_hash(args: argparse.Namespace) -> str:
-    """The one hash of a run's parameters, in its manifest and checkpoint."""
+    """The one hash of a run's parameters, in its manifest and checkpoint.
+    An input file enters by the sha256 of its bytes, not by its path, so
+    that equal inputs give equal hashes wherever they sit."""
     # the output directory is where results land, not part of the computation
-    hashed = {k: v for k, v in _run_params(args).items() if k != "out"}
+    hashed = {k: hashlib.sha256(Path(v).read_bytes()).hexdigest() if k in INPUT_FILES and isinstance(v, str) else v
+              for k, v in _run_params(args).items() if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -210,13 +217,15 @@ def cmd_evaluate(args) -> dict:
         evaluation.write_aggregates(out / "aggregates.tsv", evaluation.aggregate_by_length(score_records))
     print(f"scored {len(score_records)} tasks "
           f"({diag.skipped_short} short, {diag.skipped_no_g} without a listed g, "
-          f"{diag.skipped_unknown_cell} unknown-cell sequences skipped)")
+          f"{diag.skipped_unknown_cell} unknown-cell sequences skipped; {diag.skipped_at_cap} tasks whose prefix "
+          f"fills the length cap skipped)")
     return {
         "outputs": ["scores.tsv", "aggregates.tsv"] if score_records else ["scores.tsv"],
         "seed_mixing": evaluation.SEED_MIXING,
         "diagnostics": {
             "skipped_short": diag.skipped_short,
             "skipped_no_g": diag.skipped_no_g,
+            "skipped_at_cap": diag.skipped_at_cap,
             "skipped_unknown_cell": diag.skipped_unknown_cell,
             "unterminated_candidates": diag.unterminated,
             "candidates": diag.candidates,

@@ -11,8 +11,11 @@ prefix, each candidate drawing from the counter-based stream of its key, and
 each distinct state (a task and the ids sampled so far) stepped once for
 all the candidates that share it, at most ``models.ROW_CAP`` states at a
 time), and only then scores them in one pass over the block
-(``_score_block``): trained models repeat candidates within a task, so each
-distinct continuation is scored once, from arrays on the fast path of
+(``_score_block``). The pass returns the leaves of its generation tree, each
+distinct sampled sequence of a task once, and each candidate's leaf; trained
+models repeat candidates within a task, so leaves are few, and one
+``np.unique`` over the leaves without their markers gives the distinct
+continuations. Each is scored once, from arrays on the fast path of
 ``_fast_counts`` and by ``metrics.score_vector`` off it. The scores and
 their means are those of ``metrics.score_vector`` on every candidate.
 Aggregations by original sequence length m and the attention-vs-baseline
@@ -80,6 +83,7 @@ class EvalDiagnostics:
     skipped_short: int = 0
     skipped_no_g: int = 0  # long enough to split, but the g policy lists no g below their m
     skipped_unknown_cell: int = 0
+    skipped_at_cap: int = 0  # tasks, not sequences: the prefix fills default_max_len, so nothing can be sampled
     unterminated: int = 0
     candidates: int = 0
     distinct_candidates: int = 0  # summed per task: what was scored
@@ -118,32 +122,32 @@ def make_tasks(
     return tasks, short, no_g
 
 
-def _seeds(master_seed: int, trip_id: str, g: int, candidates: np.ndarray) -> list[int]:
-    """``derive_seed`` of each of a task's candidates (a uint64 array): the
-    task is hashed once, and each key is one SplitMix64 output from there."""
-    digest = hashlib.blake2b(f"{master_seed}:{trip_id}:{g}".encode(), digest_size=8).digest()
-    return _mix64(np.uint64(int.from_bytes(digest, "big")) + (candidates + 1) * _GOLDEN).tolist()
+def _seeds(master_seed: int, tasks: Sequence[tuple[str, int]], candidates: np.ndarray) -> np.ndarray:
+    """``derive_seed`` of each candidate (a uint64 array) of each (trip_id,
+    g) task, [tasks, candidates]: each task is hashed once, and the keys are
+    one SplitMix64 expression from there."""
+    digests = b"".join(hashlib.blake2b(f"{master_seed}:{trip_id}:{g}".encode(), digest_size=8).digest()
+                       for trip_id, g in tasks)
+    return _mix64(np.frombuffer(digests, ">u8").astype(np.uint64)[:, None] + (candidates + 1) * _GOLDEN)
 
 
 def derive_seed(master_seed: int, trip_id: str, g: int, candidate: int) -> int:
     """Stable 64-bit stream key of a candidate: SplitMix64's output number
     ``candidate + 1`` from the 8-byte blake2b digest of
     ``master_seed:trip_id:g``."""
-    return _seeds(master_seed, trip_id, g, np.array([candidate], dtype=np.uint64))[0]
+    return int(_seeds(master_seed, [(trip_id, g)], np.array([candidate], dtype=np.uint64))[0, 0])
 
 
-def _generate(
-    tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int
-) -> list[list[tuple[int, ...]]]:
-    """The sampled ids of every task's candidates, from one batched pass in
-    which each distinct sequence is teacher-forced once and each distinct
-    sampled prefix of a task is stepped once."""
+def _generate(tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int):
+    """The leaves (``sample_forks``) of the candidates of every task, a fork
+    each, from one batched pass in which each distinct sequence is
+    teacher-forced once and each distinct sampled prefix of a task is
+    stepped once."""
     trips: dict[tuple, int] = {}
-    forks = []
-    for task in tasks:
-        trip = trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips))
-        seeds = _seeds(master_seed, task.trip_id, task.g, np.arange(task.k, dtype=np.uint64))
-        forks.append(Fork(trip, task.g + 1, seeds, default_max_len(len(task.tokens))))
+    keys = _seeds(master_seed, [(task.trip_id, task.g) for task in tasks],
+                  np.arange(max((task.k for task in tasks), default=0), dtype=np.uint64))
+    forks = [Fork(trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips)), task.g + 1,
+                  seeds[: task.k], default_max_len(len(task.tokens))) for task, seeds in zip(tasks, keys)]
     traffic = None
     if model.kind == "arnn" and trips:
         if traffic_lookup is None:
@@ -152,30 +156,22 @@ def _generate(
     return sample_forks(model, [tokens for _, tokens, _ in trips], traffic, forks)
 
 
-def _continuations(sampled: Sequence[Sequence[tuple[int, ...]]], end_id: int):
-    """A block's distinct continuations, from each task's sampled ids in
-    candidate order: a row each of its task, then its ids without the markers
-    (0 and 1) padded with 0, and its size; each candidate's row, [tasks, k];
-    and per task the candidates that did not end at #end."""
-    rows: list[tuple[int, ...]] = []  # each task's distinct id rows, task by task
-    picks, offsets = [], []  # per task, per candidate: its row in the task's; the task's first row
-    for ids_of_task in sampled:
-        index: dict[tuple[int, ...], int] = {}
-        picks.append([index.setdefault(ids, len(index)) for ids in ids_of_task])
-        offsets.append(len(rows))
-        rows += index
-    picks = np.array(picks) + np.array(offsets)[:, None]
-    lens = np.fromiter(map(len, rows), np.intp, len(rows))
-    ids = np.fromiter(itertools.chain.from_iterable(rows), np.int64, lens.sum())
-    unterminated = (ids[np.cumsum(lens) - 1] != end_id)[picks].sum(axis=1)
-    of_row, real = np.repeat(np.arange(len(rows)), lens), ids > 1
-    size = np.bincount(of_row[real], minlength=len(rows))
-    pad = np.zeros((len(rows), 1 + size.max()), np.int64)
-    pad[:, 0] = np.repeat(np.arange(len(sampled)), np.diff(offsets + [len(rows)]))
-    pad[of_row[real], 1 + np.arange(real.sum()) - (np.cumsum(size) - size)[of_row[real]]] = ids[real]
-    # one row per continuation: id rows that differ only by markers merge
-    pad, first, inverse = np.unique(pad, axis=0, return_index=True, return_inverse=True)
-    return pad, size[first], inverse.reshape(-1)[picks], unterminated
+def _continuations(leaves: tuple[np.ndarray, np.ndarray, np.ndarray], n_tasks: int, end_id: int):
+    """A block's distinct continuations, from the leaves of its tasks' forks
+    (``sample_forks``, a fork per task): a row each of its task, then its ids
+    without the markers (0 and 1) padded with 0, and its size; each
+    candidate's row, [tasks, k]; and per task the candidates that did not
+    end at #end. Leaves that differ only by a marker (an interior #start)
+    merge into one row."""
+    ids, task, leaf = leaves
+    real = ids > 1  # neither a marker nor padding
+    pad = np.zeros((len(ids), 1 + real.sum(axis=1).max()), np.int64)
+    pad[:, 0] = task
+    pad[np.nonzero(real)[0], np.cumsum(real, axis=1)[real]] = ids[real]
+    pad, inverse = np.unique(pad, axis=0, return_inverse=True)
+    last = ids[np.arange(len(ids)), np.count_nonzero(ids >= 0, axis=1) - 1]
+    return (pad, np.count_nonzero(pad[:, 1:], axis=1), inverse.reshape(-1)[leaf].reshape(n_tasks, -1),
+            (last != end_id)[leaf].reshape(n_tasks, -1).sum(axis=1))
 
 
 def _fast_counts(pad: np.ndarray, refs: Sequence[Sequence[int]], n_ids: int):
@@ -212,16 +208,16 @@ def _fast_counts(pad: np.ndarray, refs: Sequence[Sequence[int]], n_ids: int):
     return slow, found, found[:, 0] - np.bincount(at[:-1][both & (np.abs(step) == 1)], minlength=len(pad))
 
 
-def _score_block(tasks: Sequence[EvalTask], sampled: Sequence[Sequence[tuple[int, ...]]],
+def _score_block(tasks: Sequence[EvalTask], leaves: tuple[np.ndarray, np.ndarray, np.ndarray],
                  vocab: Vocab) -> list[ScoreRecord]:
-    """Score the candidates of a block of tasks of one k (per task, the
-    sampled ids in candidate order) against each task's reference, in one
+    """Score the candidates of a block of tasks of one k (the leaves of
+    ``sample_forks``, a fork per task) against each task's reference, in one
     pass over the block's distinct continuations. A continuation is
     everything generated after the prefix, markers removed. Candidates that
     hit the length cap are scored as-is and counted, and so are the distinct
     continuations whose METEOR alignment search hit its budget. Pairs off
     the fast path (``_fast_counts``) are scored by ``score_vector``."""
-    pad, size, continuation, unterminated = _continuations(sampled, vocab.end_id)
+    pad, size, continuation, unterminated = _continuations(leaves, len(tasks), vocab.end_id)
     task, refs = pad[:, 0], [vocab.encode(strip_virtual(t.tokens[t.g + 1 : -1])) for t in tasks]
     slow, found, chunks = _fast_counts(pad, refs, len(vocab))
     grams = size[:, None] - np.arange(4)
@@ -255,16 +251,13 @@ def evaluate_records(
 ) -> tuple[list[ScoreRecord], EvalDiagnostics]:
     """Score every task for the given sequences, in deterministic task order:
     per block of sequences, all candidates are generated in one batched
-    pass, then scored."""
-    diag = EvalDiagnostics()
-    usable = []
-    for rec in records:
-        if any(t not in model.vocab for t in rec.tokens):
-            diag.skipped_unknown_cell += 1
-            continue
-        usable.append(rec)
+    pass, then scored. Tasks whose prefix fills ``default_max_len`` are
+    skipped and counted."""
+    usable = [rec for rec in records if all(t in model.vocab for t in rec.tokens)]
+    diag = EvalDiagnostics(skipped_unknown_cell=len(records) - len(usable))
     tasks, diag.skipped_short, diag.skipped_no_g = make_tasks(usable, g_policy=g_policy, k=k)
-    tasks.sort(key=lambda t: (t.trip_id, t.g))
+    fit = sorted((t for t in tasks if t.g + 1 < default_max_len(len(t.tokens))), key=lambda t: (t.trip_id, t.g))
+    tasks, diag.skipped_at_cap = fit, len(tasks) - len(fit)
     # a block of sequences at a time, so that sampled candidates wait for
     # scoring in bounded memory
     by_trip = [list(group) for _, group in itertools.groupby(tasks, key=lambda t: t.trip_id)]
@@ -272,9 +265,9 @@ def evaluate_records(
     for lo in range(0, len(by_trip), models.MEAN_LOSS_CHUNK):
         block = [task for group in by_trip[lo : lo + models.MEAN_LOSS_CHUNK] for task in group]
         started = time.perf_counter()
-        sampled = _generate(block, model, traffic_lookup, master_seed)
+        leaves = _generate(block, model, traffic_lookup, master_seed)
         scoring = time.perf_counter()
-        out += _score_block(block, sampled, model.vocab)
+        out += _score_block(block, leaves, model.vocab)
         diag.generate_s += scoring - started
         diag.score_s += time.perf_counter() - scoring
     for record in out:

@@ -21,7 +21,9 @@ in one batched pass (``sample_forks``): each source sequence is
 teacher-forced once, every fork's candidates start from the state after its
 prefix, each drawing the uniform of a token from a counter-based hash of its
 seed and the token's position (``_uniforms``, SplitMix64), and each distinct
-sampled prefix is stepped once for all the candidates that share it.
+sampled prefix is stepped once for all the candidates that share it. The
+pass returns the leaves of that generation tree as arrays: each distinct
+sampled sequence of a fork once, and each candidate's leaf.
 ``generate_batch`` is its one-prefix case.
 
 A model's parameters are one flat float64 vector, ``model.flat``, and
@@ -31,7 +33,6 @@ and returns a copy, which training clips and feeds to Adam whole.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
@@ -560,23 +561,26 @@ def sample_forks(
     trips: Sequence[Sequence[Token]],
     traffic: Sequence[np.ndarray] | None,
     forks: Sequence[Fork],
-) -> list[list[tuple[int, ...]]]:
-    """Sample every fork's continuations in one batched pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample every fork's continuations in one batched pass, and return the
+    leaves of their generation tree.
 
     Every sequence in ``trips`` (with its window ``traffic[i]`` for the
     attention model) is teacher-forced once, up to its longest fork prefix,
     in one unroll that keeps (h, c) after every position, so callers bound
     how many they pass. A fork's rows start from the state after its prefix,
     and row i draws its token at sequence position j with the uniform
-    ``_uniforms`` gives the key ``seeds[i]`` (an int in [0, 2**64)) and j, so
-    no stream state is carried. A row's state depends only on its fork and
-    the ids it sampled, so the rows advance one token per level and each
-    distinct state is stepped once, ``ROW_CAP`` states at a time: rows that
-    drew #end or reached their limit end, and the rest, grouped by (state,
-    token), make the next level's states.
+    ``_uniforms`` gives the key ``seeds[i]`` (an int in [0, 2**64); a uint64
+    array is taken as it is) and j, so no stream state is carried. A row's
+    state depends only on its fork and the ids it sampled, so the rows
+    advance one token per level, and one stable sort of a level's rows by
+    (state, token) makes its nodes. A node whose token is #end, or whose rows
+    reach their limit, is a leaf; the rest are the next level's states, each
+    stepped once, ``ROW_CAP`` states at a time.
 
-    Returns per fork, per row in seed order, the tuple of sampled ids (the
-    last is #end's if it terminated).
+    Returns (ids, fork, leaf): each leaf's sampled ids, padded with -1, [leaves,
+    longest]; each leaf's fork; and each row's leaf, rows in fork then seed
+    order. No two leaves of one fork are equal.
     """
     need = [0] * len(trips)  # longest prefix forked from each sequence
     for i, fork in enumerate(forks):
@@ -589,13 +593,14 @@ def sample_forks(
         need[fork.trip] = max(need[fork.trip], fork.n)
     if any(END in trip[:n] for trip, n in zip(trips, need)):
         raise ValueError("prefix must not contain #end")
-    seeds = [operator.index(seed) for fork in forks for seed in fork.seeds]  # TypeError for a seed not an int
-    if seeds and (min(seeds) < 0 or max(seeds) >= 2**64):
-        raise ValueError("seeds must lie in [0, 2**64)")
-    if not forks:
-        return []
+    if not sum(len(f.seeds) for f in forks):  # no rows
+        return np.zeros((0, 0), dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    try:  # TypeError for a seed not an int
+        keys = np.concatenate([f.seeds if getattr(f.seeds, "dtype", None) == np.uint64
+                               else np.fromiter(map(operator.index, f.seeds), np.uint64, len(f.seeds)) for f in forks])
+    except OverflowError:
+        raise ValueError("seeds must lie in [0, 2**64)") from None
     attend = model.kind == "arnn"
-    keys = np.array(seeds, dtype=np.uint64)  # per row
     x = np.zeros((len(trips), max(need)), dtype=np.intp)
     for b, (seq, k) in enumerate(zip(trips, need)):
         x[b, :k] = model.vocab.encode(list(seq[:k]))
@@ -603,11 +608,12 @@ def sample_forks(
     run = _Unroll(model, x, windows, keep=False)  # raises for the attention model without windows
     p, v, cap = model.params, len(model.vocab), ROW_CAP
     seq_of, n, max_len = np.array([(f.trip, f.n, f.max_len) for f in forks], dtype=np.intp).T
-    h, c = run.hs[n - 1, seq_of], run.cs[n - 1, seq_of]  # level 0: one state per fork
-    state = np.repeat(np.arange(len(forks)), [len(f.seeds) for f in forks])  # per row, ascending
-    row, left, out = np.arange(state.size), (max_len - n)[state], [None] * state.size
+    h, c, fork = run.hs[n - 1, seq_of], run.cs[n - 1, seq_of], np.arange(len(forks))  # level 0: a state per fork
+    state = np.repeat(fork, [len(f.seeds) for f in forks])  # per row, ascending
+    row, left, leaf = np.arange(state.size), (max_len - n)[state], np.empty(state.size, dtype=np.intp)
     start = n[state].astype(np.uint64)  # per row, the position of its first sampled token
     paths = np.zeros((len(forks), 0), dtype=np.intp)  # the ids sampled to reach each state, a column per level
+    levels = []  # per level, its leaves' ids and forks
     # features and fu, and the arrays that take a chunk's rows of them, allocated once
     work = [(a, np.empty((cap,) + a.shape[1:])) for a in run.att[:2]] if attend else []
     while row.size:
@@ -617,24 +623,29 @@ def sample_forks(
         for s0, lo, hi in zip(range(0, len(h), cap), bounds[:-1], bounds[1:]):
             probs = softmax(h[s0 : s0 + cap] @ p["dec_W"] + p["dec_b"])
             tids[lo:hi] = _sample(probs, u[lo:hi], state[lo:hi] - s0)
-        done = (tids == model.vocab.end_id) | (left == 0)
-        for r, ids in zip(row[done].tolist(), np.column_stack([paths[state[done]], tids[done]]).tolist()):
-            out[r] = tuple(ids)
-        key = state * v + tids  # a row's next state: (state, token)
-        go = np.flatnonzero(~done)[np.argsort(key[~done], kind="stable")]  # the rows that go on, by next state
-        key, first = key[go], np.diff(key[go], prepend=-1) != 0  # first: the first row of each next state
-        state, row, left = np.cumsum(first) - 1, row[go], left[go]
+        key = state * v + tids  # a row's node: (state, token)
+        order = np.argsort(key, kind="stable")
+        key, row, left = key[order], row[order], left[order]
+        first = np.diff(key, prepend=-1) != 0  # the first row of each node
+        node = np.cumsum(first) - 1  # per row
         parent, tok = np.divmod(key[first], v)
+        ends = (tok == model.vocab.end_id) | (left[first] == 0)  # per node: a leaf
+        at = ends[node]  # per row: its node is a leaf
+        leaf[row[at]] = sum(len(f) for _, f in levels) + (np.cumsum(ends) - 1)[node[at]]
+        levels.append((np.column_stack([paths[parent[ends]], tok[ends]]), fork[parent[ends]]))
+        state, row, left = (np.cumsum(~ends) - 1)[node[~at]], row[~at], left[~at]
+        parent, tok = parent[~ends], tok[~ends]
         paths = np.column_stack([paths[parent], tok])
-        del u, tids, done, key, go, first  # freed before the steps allocate theirs
-        h, c, seq_of = h[parent], c[parent], seq_of[parent]  # stepped in place below
+        del u, tids, key, order, first, node, ends, at  # freed before the steps allocate theirs
+        h, c, fork = h[parent], c[parent], fork[parent]  # stepped in place below
         for chunk in (slice(s0, s0 + cap) for s0 in range(0, parent.size, cap)):
-            gathered = [np.take(a, seq_of[chunk], axis=0, out=w[: len(tok[chunk])]) for a, w in work]
+            gathered = [np.take(a, seq_of[fork[chunk]], axis=0, out=w[: len(tok[chunk])]) for a, w in work]
             att = (*gathered, *run.att[2:]) if attend else None
             xw = p["embed"][tok[chunk]] @ p["lstm_W"][: model.dims.d_e] + p["lstm_b"]
             h[chunk], c[chunk], _ = _step(model, xw, h[chunk], c[chunk], att)
-    sampled = iter(out)
-    return [list(itertools.islice(sampled, len(f.seeds))) for f in forks]
+    width = len(levels)  # the last level's leaves are the longest
+    ids = np.concatenate([np.hstack([a, np.full((len(a), width - a.shape[1]), -1)]) for a, _ in levels])
+    return ids, np.concatenate([f for _, f in levels]), leaf
 
 
 def generate_batch(
@@ -649,8 +660,9 @@ def generate_batch(
     continuations that sample the same ids share their steps."""
     prefix = list(prefix)
     fork = Fork(0, len(prefix), seeds, max_len)
-    (rows,) = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
-    return [GenerationResult(prefix + model.vocab.decode(ids), ids[-1] == model.vocab.end_id) for ids in rows]
+    ids, _, leaf = sample_forks(model, [prefix], None if traffic is None else [traffic], [fork])
+    tokens = [model.vocab.decode(row[row >= 0].tolist()) for row in ids]  # per leaf
+    return [GenerationResult(prefix + tokens[i], tokens[i][-1] == END) for i in leaf.tolist()]
 
 
 # ---------------------------------------------------------------------------

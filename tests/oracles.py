@@ -180,9 +180,11 @@ def greedy_clusters_oracle(points, radius):
 
 def nearest_cell_oracle(points, centroids):
     """1-based index of each point's nearest centroid, ties to the lowest,
-    through the full [P, N, 2] difference array summed over its last axis."""
+    through the full [P, N, 2] difference array summed over its last axis.
+    Distances that overflow are inf, as in the package, without a warning."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d2 = np.sum((pts[:, None, :] - np.asarray(centroids, dtype=float)[None, :, :]) ** 2, axis=2)
+    with np.errstate(over="ignore"):
+        d2 = np.sum((pts[:, None, :] - np.asarray(centroids, dtype=float)[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1) + 1
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ def test_assign_equals_oracle_with_equidistant_centroids(points, centroids, scal
     pts = offset + scale * np.array(points, dtype=float)
     cmap = CellMap(centroids=offset + scale * np.array(centroids, dtype=float), radius=1.0)
     np.testing.assert_array_equal(assign_points(pts, cmap), nearest_cell_oracle(pts, cmap.centroids))
+
+
+def test_assign_overflowing_distances_equal_the_oracle_without_warnings():
+    # differences and squares near 1e300 overflow to inf, as intended:
+    # infinite distances tie and go to the lowest index, and nothing warns
+    pts = np.array([(1e300, -1e300), (-1.5e308, 1e308), (1e300, 1e300), (0.0, 0.0)])
+    cmap = CellMap(centroids=np.array([(-1e300, 1e300), (1.5e308, -1e308), (1e300, 1e300), (1e100, 0.0)]), radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = assign_points(pts, cmap)
+        expect = nearest_cell_oracle(pts, cmap.centroids)
+    np.testing.assert_array_equal(got, expect)
+    assert got.tolist() == [1, 1, 3, 4]
 
 
 def test_assign_rejects_non_finite():

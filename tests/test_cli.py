@@ -273,6 +273,27 @@ def test_one_train_run_writes_one_config_hash(pipeline):
         assert meta["config_hash"] == manifest["config_hash"]
 
 
+def test_config_hash_follows_input_bytes_not_paths(pipeline, tmp_path):
+    # byte-identical inputs in two directories give equal checkpoints; a
+    # changed file at the same path gives another hash; params keep the paths
+    ckpts = []
+    for name in ("a", "b"):
+        seqs = tmp_path / name / "sequences.tsv"
+        seqs.parent.mkdir()
+        seqs.write_bytes((pipeline / "disc" / "sequences.tsv").read_bytes())
+        assert main(["train", "--sequences", str(seqs), "--d-e", "4", "--d-h", "4", "--epochs", "1",
+                     "--seed", "3", "--out", str(tmp_path / name / "out")]) == 0
+        ckpts.append((tmp_path / name / "out" / "model.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
+    scores, manifests = tmp_path / "scores.tsv", []
+    for source in ("eval_rnn", "eval_arnn"):
+        scores.write_bytes((pipeline / source / "scores.tsv").read_bytes())
+        assert main(["report", "--rnn", str(scores), "--out", str(tmp_path / source)]) == 0
+        manifests.append(json.loads((tmp_path / source / "manifest.json").read_text()))
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+    assert manifests[0]["params"]["rnn"] == manifests[1]["params"]["rnn"] == str(scores)
+
+
 def test_train_records_gradient_norm_per_epoch(pipeline):
     for name in ("rnn", "arnn"):
         manifest = json.loads((pipeline / name / "manifest.json").read_text())

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cellseq import evaluation, metrics, models
@@ -24,6 +24,7 @@ from cellseq.metrics import ScoreVector, score_vector
 from cellseq.models import ArnnModel, ModelDims, RnnModel, make_example
 from cellseq.tokens import END, START, Vocab, strip_virtual
 
+from leaves import leaves_of, rows_of
 from oracles import GOLDEN_GAMMA, sample_oracle, splitmix64_oracle
 
 
@@ -137,7 +138,7 @@ def test_score_means_equal_np_mean_bit_for_bit(k):
     task = EvalTask("trip", (START, *range(1, 10), END), 0.0, g=1, k=k)
     rng = np.random.default_rng(k)
     rows = [(*map(int, rng.integers(2, len(vocab), rng.integers(1, 12))), vocab.end_id) for _ in range(k)]
-    (rec,) = evaluation._score_block([task], [rows], vocab)
+    (rec,) = evaluation._score_block([task], leaves_of([rows]), vocab)
     assert len(rec.raw) == k
     for name in ScoreVector.NAMES:
         assert getattr(rec.mean, name).hex() == float(np.mean([getattr(r, name) for r in rec.raw])).hex()
@@ -146,7 +147,7 @@ def test_score_means_equal_np_mean_bit_for_bit(k):
 def check_block(tasks, sampled, vocab):
     """``_score_block`` against ``score_vector`` on each candidate alone,
     bit for bit, and against brute-force counts."""
-    records = evaluation._score_block(tasks, sampled, vocab)
+    records = evaluation._score_block(tasks, leaves_of(sampled), vocab)
     assert [(r.trip_id, r.g, r.m) for r in records] == [(t.trip_id, t.g, len(t.tokens) - 2) for t in tasks]
     for task, rows, rec in zip(tasks, sampled, records):
         reference = task.tokens[task.g + 1 : -1]
@@ -210,7 +211,7 @@ def test_score_block_dedupes_marker_variants_and_scores_only_slow_pairs_alone(mo
              EvalTask("b", (START, 1, 2, 2, 3, 2, END), 0.0, g=1, k=6)]
     # cells (1, 2, 3) three times, once unterminated; (3, 2, 2); no cells, once unterminated
     rows = [(2, 3, 4, 1), (0, 2, 3, 4, 1), (2, 3, 0, 4), (4, 3, 3, 1), (1,), (0, 0, 0, 0)]
-    records = evaluation._score_block(tasks, [rows, rows], vocab)
+    records = evaluation._score_block(tasks, leaves_of([rows, rows]), vocab)
     assert [(r.distinct, r.unterminated) for r in records] == [(3, 2), (3, 2)]
     # (3, 2, 2) repeats a shared cell against both references, (1, 2, 3)
     # shares the cell that b's reference repeats: three pairs off the fast path
@@ -282,6 +283,52 @@ def test_evaluate_records_counts_candidates(memorized_model):
     assert diag.distinct_candidates == sum(r.distinct for r in out)
     assert len(out) <= diag.distinct_candidates <= diag.candidates
     assert diag.alignment_fallbacks == sum(r.alignment_fallbacks for r in out) == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n_cells=st.integers(1, 4), init_seed=st.integers(0, 9999), k=st.integers(1, 8))
+def test_leaves_are_distinct_per_fork_and_merge_marker_variants(data, n_cells, init_seed, k):
+    # an untrained model that favours #start samples it inside continuations,
+    # so that leaves of one fork can differ only by it and must score as one
+    # continuation
+    vocab = Vocab(range(1, n_cells + 1))
+    model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=init_seed)
+    model.params["dec_b"][vocab.encode([START])] += 2.0
+    cells = st.lists(st.integers(1, n_cells), min_size=2, max_size=6)
+    seqs = [(START, *data.draw(cells), END) for _ in range(data.draw(st.integers(1, 3)))]
+    tasks, forks = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        trip = data.draw(st.integers(0, len(seqs) - 1))
+        g = data.draw(st.integers(1, len(seqs[trip]) - 3))
+        tasks.append(EvalTask(f"t{trip}", seqs[trip], 0.0, g=g, k=k))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k))
+        forks.append(models.Fork(trip, g + 1, seeds, g + 1 + data.draw(st.integers(1, 8))))
+    leaves = models.sample_forks(model, seqs, None, forks)
+    ids, fork, _ = leaves
+    named = [(f, tuple(row[row >= 0].tolist())) for f, row in zip(fork.tolist(), ids)]
+    assert len(set(named)) == len(named)
+    rows = rows_of(leaves, len(forks))
+    assert rows == [[sample_oracle(model, seqs[f.trip][: f.n], seed, f.max_len) for seed in f.seeds] for f in forks]
+    records = evaluation._score_block(tasks, leaves, vocab)
+    assert [r.distinct for r in records] == [len({tuple(strip_virtual(vocab.decode(ids))) for ids in task_rows})
+                                             for task_rows in rows]
+    assume(any(vocab.encode([START])[0] in ids for task_rows in rows for ids in task_rows))
+
+
+def test_evaluate_skips_tasks_whose_prefix_fills_the_length_cap():
+    # default_max_len caps a 101-cell sequence at 100 tokens, prefix
+    # included, so its tasks g = 99 and 100 leave nothing to sample; every
+    # other task scores as it does alone
+    vocab = Vocab(range(1, 6))
+    model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=1)
+    records = [record("long", [1 + i % 5 for i in range(101)]), record("short", [1, 2, 3])]
+    out, diag = evaluate_records(records, model, None, master_seed=4, k=2)
+    assert diag.skipped_at_cap == 2
+    assert [(r.trip_id, r.g) for r in out] == [("long", g) for g in range(1, 99)] + [("short", 1), ("short", 2)]
+    by_id = {rec.trip_id: rec for rec in records}
+    for rec in out:
+        task = EvalTask(rec.trip_id, by_id[rec.trip_id].tokens, by_id[rec.trip_id].start_time, rec.g, k=2)
+        assert (rec.raw, rec.unterminated) == reference_task(task, model, None, master_seed=4)
 
 
 class FixedWindows:

@@ -19,6 +19,7 @@ from cellseq.models import (
 from cellseq.nncore import softmax
 from cellseq.tokens import END, START, Vocab
 
+from leaves import rows_of
 from oracles import (GOLDEN_GAMMA, forward_oracle, grad_check, pick_oracle, sample_oracle, splitmix64_oracle,
                      uniform_oracle)
 
@@ -599,7 +600,7 @@ def test_sample_forks_refills_slots_across_sequences(cls, monkeypatch):
     assert min(lengths) == 1 and max(lengths) >= 15
     for row_cap in (1, 2, 3, 64):
         monkeypatch.setattr(models, "ROW_CAP", row_cap)
-        assert models.sample_forks(model, trips, windows, forks) == expect
+        assert rows_of(models.sample_forks(model, trips, windows, forks), len(forks)) == expect
 
 
 @pytest.mark.parametrize("cls", [RnnModel, ArnnModel])
@@ -624,7 +625,7 @@ def test_sample_forks_matches_one_prefix_at_a_time(cls, data, n_cells, d_e, d_h,
     expect = _oracle_rows(model, trips, windows, forks)
     for row_cap in (1, 3, 64):
         with mock.patch.object(models, "ROW_CAP", row_cap):
-            assert models.sample_forks(model, trips, windows, forks) == expect
+            assert rows_of(models.sample_forks(model, trips, windows, forks), len(forks)) == expect
 
 
 def test_sample_forks_steps_each_distinct_state_once(overfit_model, monkeypatch):
@@ -647,7 +648,7 @@ def test_sample_forks_steps_each_distinct_state_once(overfit_model, monkeypatch)
     trips = [[START, 1, 2, END], [START, 1]]
     forks = [models.Fork(0, 2, range(200), 12), models.Fork(1, 2, range(200, 400), 12),
              models.Fork(0, 1, range(50), 6)]
-    rows = models.sample_forks(overfit_model, trips, None, forks)
+    rows = rows_of(models.sample_forks(overfit_model, trips, None, forks), len(forks))
     nodes = {(f, ids[:j]) for f, fork_rows in enumerate(rows) for ids in fork_rows for j in range(1, len(ids))}
     assert sum(stepped) == len(nodes)
     assert max(stepped) <= 2
@@ -661,7 +662,8 @@ def test_sample_forks_rejects_forks_outside_the_sequences(overfit_model):
                        (models.Fork(1, 3, [5], 6), "n=3"), (models.Fork(0, 0, [5], 6), "n=0")):
         with pytest.raises(ValueError, match=f"^fork 1: .*{named}"):
             models.sample_forks(overfit_model, trips, None, [good, bad])
-    assert models.sample_forks(overfit_model, trips, None, [models.Fork(0, 3, [5], 6)])  # the whole sequence
+    (rows,) = rows_of(models.sample_forks(overfit_model, trips, None, [models.Fork(0, 3, [5], 6)]), 1)
+    assert len(rows) == 1  # the whole sequence
 
 
 # Each row's uniforms come from a counter-based hash of its key and the
@@ -747,6 +749,15 @@ def test_generate_takes_int_seeds_only(overfit_model):
         generate_batch(overfit_model, [START], [1, np.random.default_rng(0)], max_len=10)
     assert generate_batch(overfit_model, [START], [np.int64(42)], max_len=10)[0].tokens == \
         generate_batch(overfit_model, [START], [42], max_len=10)[0].tokens
+
+
+def test_generate_without_seeds_samples_nothing(overfit_model):
+    assert generate_batch(overfit_model, [START], [], max_len=10) == []
+    ids, fork, leaf = models.sample_forks(overfit_model, [[START, 1]], None, [models.Fork(0, 2, [], 6)] * 2)
+    assert ids.size == fork.size == leaf.size == 0
+    rows, none = rows_of(models.sample_forks(overfit_model, [[START, 1]], None,
+                                             [models.Fork(0, 2, [3, 4], 6), models.Fork(0, 1, [], 6)]), 2)
+    assert len(rows) == 2 and none == []
 
 
 def test_generate_max_len_cap():
