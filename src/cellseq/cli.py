@@ -67,6 +67,17 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> float | None:
+    """The peak resident set of this process so far, in MB (null where the
+    ``resource`` module is missing, as on Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 2)
+
+
 def _write_manifest(args: argparse.Namespace, fields: dict) -> None:
     manifest = {
         "package": "cellseq",
@@ -75,6 +86,7 @@ def _write_manifest(args: argparse.Namespace, fields: dict) -> None:
         "params": _run_params(args),
         "config_hash": _config_hash(args),
         "environment": _environment(),
+        "peak_rss_mb": _peak_rss_mb(),
         **fields,
     }
     with atomic_open(Path(args.out) / "manifest.json") as fh:

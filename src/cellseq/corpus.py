@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._files import one_of, read_table, write_table
-from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points, discretize_trajectory
+from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points
 from .tokens import END, START, Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
@@ -65,9 +65,9 @@ def read_trajectory_rows(path: str | Path) -> list[Row]:
     count to check."""
     table = read_table(path, TRIPS_VERSION, {}, bare=True)
     rows = table.parse([("trip_id", str), ("t", float), ("x", float), ("y", float)])
-    txy = np.fromiter(rows, "O,f8,f8,f8", len(rows))  # one pass, cheaper than a finiteness check per field
-    if bad := np.flatnonzero(~np.isfinite([txy["f1"], txy["f2"], txy["f3"]]).all(axis=0)).tolist():
-        raise table.error(bad[0], f"t, x and y must be finite, got {rows[bad[0]][1:]}")
+    if not math.isfinite(sum([t + x + y for _, t, x, y in rows])):  # any NaN or inf gets here; so may an overflow
+        if bad := [j for j, (_, *txy) in enumerate(rows) if not all(map(math.isfinite, txy))]:
+            raise table.error(bad[0], f"t, x and y must be finite, got {rows[bad[0]][1:]}")
     _trip_blocks(rows, table.error)
     return rows
 
@@ -145,17 +145,24 @@ def discretize_split(
     cell map, and discretize every trip into its split.
 
     The training points are concatenated in split order, which the greedy
-    clustering depends on.
+    clustering depends on. Every trip is discretized as
+    ``discretize_trajectory`` would, but with the points of all trips
+    assigned in one call and consecutive repeats collapsed in one pass.
     """
     split = split_indices(len(trips), fractions, seed)
     if not split[0]:
         raise ValueError("training split is empty; cannot build a cell map")
     cmap = cluster_points(np.concatenate([trips[i].xy for i in split[0]]), radius=radius)
-
-    def record(trip: RawTrajectory) -> SequenceRecord:
-        return SequenceRecord(trip.trip_id, trip.start_time, discretize_trajectory(trip, cmap).tokens)
-
-    return cmap, Dataset(*(tuple(record(trips[i]) for i in indices) for indices in split))
+    order = [trips[i] for indices in split for i in indices]
+    cells = assign_points(np.concatenate([trip.xy for trip in order]), cmap)
+    ends = np.cumsum([len(trip) for trip in order])
+    keep = np.ones(len(cells), dtype=bool)  # each trip's first point, and every point that changes cell
+    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    keep[ends[:-1]] = True
+    kept, bounds = cells[keep].tolist(), np.cumsum(keep)[ends - 1].tolist()
+    records = iter([SequenceRecord(trip.trip_id, trip.start_time, (START, *kept[lo:hi], END))
+                    for trip, lo, hi in zip(order, [0, *bounds], bounds)])
+    return cmap, Dataset(*(tuple(itertools.islice(records, len(indices))) for indices in split))
 
 
 def train_vocab(dataset: Dataset) -> Vocab:
@@ -283,12 +290,12 @@ def normalized_accumulation(
     return normalize(compute_accumulation(trips, cmap), maxima=train_series.maxima)
 
 
-def traffic_window(series: AccumulationSeries, trip_start: float, columns: Sequence[int] | None = None) -> np.ndarray:
-    """Normalized [N, 10] tensor for the ten minutes before the trip start.
+def traffic_window(series: AccumulationSeries, trip_start: float) -> np.ndarray:
+    """Normalized [N, 10] tensor for the ten minutes before the trip start:
+    a read-only view into ``series.counts``, not a copy.
 
-    Rows are the series' cells at the indices ``columns`` (default: every
-    cell, in series order); a row holds minutes start-10 .. start-1 in
-    chronological order.
+    Rows are the series' cells in series order; a row holds minutes
+    start-10 .. start-1 in chronological order.
     """
     if not series.normalized:
         raise ValueError("traffic window requires a normalized series")
@@ -297,15 +304,20 @@ def traffic_window(series: AccumulationSeries, trip_start: float, columns: Seque
     hi = start_minute - series.minute0
     if lo < 0 or hi > series.n_minutes:
         raise ValueError("insufficient history")
-    block = series.counts[lo:hi]  # [10, n_cells]
-    if columns is not None:
-        block = block[:, columns]
-    return block.T.copy()
+    window = series.counts[lo:hi].T  # [n_cells, 10]
+    window.flags.writeable = False
+    return window
 
 
 class TrafficLookup:
     """Window extractor bound to a normalized series and an active-cell order.
-    Every cell must have a column in the series."""
+    Every cell must have a column in the series.
+
+    The cells' columns are gathered once into one read-only C-contiguous
+    float64 array, and every window is a read-only view into it, so the
+    windows of any number of sequences take O(cells x minutes) memory, not
+    O(sequences x cells). ``series`` stays the series given.
+    """
 
     def __init__(self, series: AccumulationSeries, cells: Sequence[int] | None = None):
         if not series.normalized:
@@ -316,10 +328,13 @@ class TrafficLookup:
         missing = [c for c in self.cells if c not in column]
         if missing:
             raise ValueError(f"accumulation series has no counts for cells {missing}")
-        self._columns = np.array([column[c] for c in self.cells], dtype=np.intp)
+        columns = np.array([column[c] for c in self.cells], dtype=np.intp)
+        counts = np.ascontiguousarray(series.counts[:, columns], dtype=np.float64)
+        counts.flags.writeable = False
+        self._gathered = replace(series, cells=self.cells, counts=counts, maxima=series.maxima[columns])
 
     def window(self, trip_start: float) -> np.ndarray:
-        return traffic_window(self.series, trip_start, self._columns)
+        return traffic_window(self._gathered, trip_start)
 
 
 def build(

@@ -137,7 +137,8 @@ def _base_params(rng: np.random.Generator, v: int, dims: ModelDims, input_dim: i
 
 def encode_traffic(traffic: np.ndarray, model: ArnnModel) -> np.ndarray:
     """Per-cell features tanh(traffic @ W_f): [N, 10] -> [N, d_f], or
-    [B, N, 10] -> [B, N, d_f]."""
+    [B, N, 10] -> [B, N, d_f]. The window is only read; it may be a
+    read-only view such as ``TrafficLookup.window`` returns."""
     traffic = np.asarray(traffic, dtype=float)
     if traffic.ndim not in (2, 3) or traffic.shape[-1] != WINDOW_MINUTES:
         raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}], got {traffic.shape}")
@@ -334,6 +335,11 @@ class _Unroll:
 
 @dataclass(frozen=True)
 class TrainingExample:
+    """One teacher-forced sequence: input and target ids and, for the
+    attention model, its [N, 10] traffic window. A window from a
+    ``TrafficLookup`` is a read-only view shared with every other window of
+    that lookup, not a copy; ``_batch`` stacks windows into a new array."""
+
     x_ids: np.ndarray
     y_ids: np.ndarray
     traffic: np.ndarray | None = None

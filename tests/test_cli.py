@@ -115,6 +115,13 @@ def test_manifests_written_everywhere(pipeline):
         assert_manifest(pipeline / stage, command)
 
 
+def test_train_manifest_records_peak_memory(pipeline):
+    for kind in ("rnn", "arnn"):
+        manifest = json.loads((pipeline / kind / "manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in models.load_model(pipeline / kind / "model.ckpt")[1]  # manifests only
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
 @pytest.mark.parametrize("kind", ["rnn", "arnn"])
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(pipeline, tmp_path, kind):

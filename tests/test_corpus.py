@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellseq import corpus
-from cellseq.cellspace import CellMap, RawTrajectory
+from cellseq.cellspace import CellMap, RawTrajectory, cluster_points, discretize_trajectory
 from cellseq.corpus import (
     AccumulationSeries,
     Dataset,
     SequenceRecord,
     TrafficLookup,
     compute_accumulation,
+    discretize_split,
     load_accumulation,
     load_and_terminate,
     load_sequences,
@@ -117,6 +119,29 @@ def test_trajectory_io_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded[0].points, trips[0].points)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_trip_field_names_its_line(tmp_path, value):
+    rng = np.random.default_rng(4)
+    trips = [RawTrajectory(f"t{k}", np.column_stack([rng.random((n, 2)) * 500, np.arange(n) * 30.0]))
+             for k, n in enumerate([3, 1, 4])]
+    path = tmp_path / "trips.tsv"
+    write_trajectories(path, trips)
+    lines = path.read_text().split("\n")
+    for line in range(2, len(lines)):  # the rows follow the header on line 1
+        for column in (1, 2, 3):
+            fields = lines[line - 1].split("\t")
+            fields[column] = value
+            path.write_text("\n".join(lines[: line - 1] + ["\t".join(fields)] + lines[line:]))
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: t, x and y must be finite')}"):
+                read_trajectory_rows(path)
+
+
+def test_finite_rows_whose_sum_overflows_load(tmp_path):
+    path = tmp_path / "trips.tsv"
+    path.write_text("d1\t0\t1e308\t1e308\nd1\t60\t1.5e308\t-1e308\n")
+    assert read_trajectory_rows(path) == [("d1", 0.0, 1e308, 1e308), ("d1", 60.0, 1.5e308, -1e308)]
+
+
 # ---------------------------------------------------------------------------
 # splits
 
@@ -144,6 +169,20 @@ def test_split_rejects_bad_input():
         split_indices(0, (0.8, 0.1, 0.1), seed=0)
     with pytest.raises(ValueError):
         split_indices(10, (0.8, 0.3, 0.1), seed=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8),
+                min_size=2, max_size=12), st.integers(0, 5))
+def test_discretize_split_matches_per_trip_discretization(paths, seed):
+    trips = [RawTrajectory(f"t{k}", np.array([(100.0 * x, 100.0 * y, 60.0 * j) for j, (x, y) in enumerate(path)]))
+             for k, path in enumerate(paths)]
+    cmap, dataset = discretize_split(trips, 150.0, (0.5, 0.25, 0.25), seed)
+    split = split_indices(len(trips), (0.5, 0.25, 0.25), seed)
+    assert np.array_equal(cmap.centroids, cluster_points(np.concatenate([trips[i].xy for i in split[0]]), 150.0).centroids)
+    expected = [tuple(SequenceRecord(trips[i].trip_id, trips[i].start_time, discretize_trajectory(trips[i], cmap).tokens)
+                      for i in indices) for indices in split]
+    assert dataset == Dataset(*expected)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +385,53 @@ def test_traffic_lookup_rejects_cells_the_series_lacks():
     series = normalize(make_series(np.zeros((20, 3), dtype=np.int64)))  # cells 1, 2, 3
     with pytest.raises(ValueError, match=re.escape("accumulation series has no counts for cells [9, 4]")):
         TrafficLookup(series, cells=[1, 9, 2, 4])
+
+
+def test_lookup_windows_are_read_only_views_of_one_array():
+    rng = np.random.default_rng(3)
+    lookup = TrafficLookup(normalize(make_series(rng.integers(0, 5, size=(40, 6)))), cells=[4, 2, 6])
+    windows = [lookup.window(60.0 * minute) for minute in (15, 16, 20, 24)]  # all hold minute 14
+    for w in windows:
+        assert not w.flags.writeable and not w.flags.owndata and w.base is windows[0].base
+        assert all(np.shares_memory(w, other) for other in windows)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            w += 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.integers(11, 40), st.integers(-50, 50), st.randoms(use_true_random=False))
+def test_lookup_window_equals_the_gathered_copy(n_cells, n_minutes, minute0, random):
+    rng = np.random.default_rng(random.getrandbits(32))
+    counts = rng.integers(0, 7, size=(n_minutes, n_cells))
+    series = normalize(AccumulationSeries(tuple(range(1, n_cells + 1)), minute0, counts,
+                                          counts.max(axis=0).astype(float)))
+    cells = [int(c) for c in rng.permutation(np.arange(1, n_cells + 1))[: rng.integers(1, n_cells + 1)]]
+    lookup = TrafficLookup(series, cells)
+    columns = [c - 1 for c in cells]
+    for start in range(minute0 + 10, minute0 + n_minutes + 1):  # every start minute with ten minutes of history
+        lo = start - 10 - minute0
+        expected = series.counts[lo : lo + 10][:, columns].T.copy()
+        window = lookup.window(start * 60.0 + rng.random() * 59.0)
+        assert window.shape == expected.shape and window.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="insufficient history"):
+        lookup.window((minute0 + 9) * 60.0)
+    with pytest.raises(ValueError, match="insufficient history"):
+        lookup.window((minute0 + n_minutes + 1) * 60.0)
+
+
+def test_lookup_windows_allocate_no_copy():
+    rng = np.random.default_rng(5)
+    lookup = TrafficLookup(normalize(make_series(rng.integers(0, 9, size=(200, 300)))))
+    lookup.window(600.0)
+    tracemalloc.start()
+    try:
+        windows = [lookup.window(60.0 * (10 + i % 190)) for i in range(1000)]
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 1000 and allocated / 1000 < 512  # a copy is 300 x 10 x 8 = 24,000 bytes
 
 
 # ---------------------------------------------------------------------------
