@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._files import read_table, write_table
-from .tokens import END, START, Token, is_virtual
+from .tokens import END, START, Token
 
 CELLMAP_VERSION = "cellmap-v1"
 CLUSTER_CHUNK = 1024  # points converted to Python floats at a time by cluster_points
@@ -86,34 +86,18 @@ class CellMap:
 
 
 @dataclass(frozen=True)
-class CellSequence:
-    """Visited cells wrapped in the virtual #start / #end markers."""
+class SequenceRecord:
+    """One discretized trip: id, departure time, and its visited cells, with
+    no cell twice in a row, wrapped in the virtual #start / #end markers."""
 
+    trip_id: str
+    start_time: float
     tokens: tuple[Token, ...]
-
-    def __post_init__(self):
-        toks = tuple(self.tokens)
-        if len(toks) < 2 or toks[0] != START or toks[-1] != END:
-            raise ValueError("sequence must start with #start and end with #end")
-        interior = toks[1:-1]
-        if any(is_virtual(t) for t in interior):
-            raise ValueError("virtual tokens are only allowed at the ends")
-        for a, b in zip(interior, interior[1:]):
-            if a == b:
-                raise ValueError("consecutive duplicate cells are not allowed")
-        object.__setattr__(self, "tokens", toks)
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return self.tokens[1:-1]  # type: ignore[return-value]
 
     @property
     def m(self) -> int:
         """Number of interior (real) cells."""
         return len(self.tokens) - 2
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def cluster_points(points: Iterable[Sequence[float]] | np.ndarray, radius: float) -> CellMap:
@@ -229,16 +213,14 @@ def assign_points(points: np.ndarray, cmap: CellMap) -> np.ndarray:
     return cells + 1
 
 
-def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> CellSequence:
+def discretize_trajectory(tr: RawTrajectory, cmap: CellMap) -> SequenceRecord:
     """Map points to cells, collapse consecutive repeats, wrap with markers."""
-    if len(tr) == 0:
-        raise ValueError("empty trajectory")
     collapsed: list[Token] = [START]
     for c in assign_points(tr.xy, cmap).tolist():
         if c != collapsed[-1]:
             collapsed.append(c)
     collapsed.append(END)
-    return CellSequence(tokens=tuple(collapsed))
+    return SequenceRecord(tr.trip_id, tr.start_time, tuple(collapsed))
 
 
 def save_cellmap(path: str | Path, cmap: CellMap) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._files import one_of, read_table, write_table
-from .cellspace import CellMap, RawTrajectory, assign_points, cluster_points
+from .cellspace import CellMap, RawTrajectory, SequenceRecord, assign_points, cluster_points
 from .tokens import END, START, Token, Vocab
 
 ACCUMULATION_VERSION = "accum-v1"
@@ -30,19 +30,6 @@ WINDOW_MINUTES = 10
 ACCUMULATION_CHUNK = 256  # trips per vectorized pass of compute_accumulation
 
 Row = tuple[str, float, float, float]  # trip_id, t, x, y
-
-
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One discretized trip: id, departure time, full token sequence."""
-
-    trip_id: str
-    start_time: float
-    tokens: tuple[Token, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.tokens) - 2
 
 
 @dataclass(frozen=True)
@@ -98,14 +85,14 @@ def _trip_blocks(rows: Sequence[Row],
     return starts
 
 
-def load_and_terminate(rows: Sequence[Row], gap_seconds: float = TRIP_GAP_SECONDS) -> list[RawTrajectory]:
+def load_and_terminate(rows: Sequence[Row]) -> list[RawTrajectory]:
     """Group rows by device and cut a new trip wherever the time gap between
-    consecutive points exceeds ``gap_seconds``."""
+    consecutive points exceeds ``TRIP_GAP_SECONDS``."""
     starts = _trip_blocks(rows)
     trips: list[RawTrajectory] = []
     for a, b in zip(starts, [*starts[1:], len(rows)]):
         block = rows[a:b]
-        cuts = [k for k in range(1, len(block)) if block[k][1] - block[k - 1][1] > gap_seconds]
+        cuts = [k for k in range(1, len(block)) if block[k][1] - block[k - 1][1] > TRIP_GAP_SECONDS]
         for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(block)])):
             pts = np.array([(x, y, t) for _, t, x, y in block[lo:hi]])
             trips.append(RawTrajectory(trip_id=block[0][0] + (f"#{part:02d}" if cuts else ""), points=pts))
@@ -118,7 +105,7 @@ def split_indices(
     """Disjoint index assignment for n items under a seeded shuffle."""
     if n < 1:
         raise ValueError("no sequences to split")
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
+    if len(fractions) != 3 or any(not f >= 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
         raise ValueError("fractions must be three non-negative values summing to at most 1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -202,14 +189,10 @@ class AccumulationSeries:
         return self.counts.shape[0]
 
 
-def compute_accumulation(
-    trips: Sequence[RawTrajectory],
-    cmap: CellMap,
-    pad_minutes: int = WINDOW_MINUTES,
-) -> AccumulationSeries:
+def compute_accumulation(trips: Sequence[RawTrajectory], cmap: CellMap) -> AccumulationSeries:
     """Count vehicles present per cell at every epoch-minute mark.
 
-    The series is padded ``pad_minutes`` before the earliest trip so that a
+    The series is padded ``WINDOW_MINUTES`` before the earliest trip so that a
     traffic window is available for every trip start. Maxima are the
     column-wise peaks of this series.
 
@@ -226,12 +209,12 @@ def compute_accumulation(
     n_cells = cmap.n_cells
     cells = tuple(range(1, n_cells + 1))
     if not trips:
-        counts = np.zeros((pad_minutes + 1, n_cells), dtype=np.int64)
+        counts = np.zeros((WINDOW_MINUTES + 1, n_cells), dtype=np.int64)
         return AccumulationSeries(cells, 0, counts, counts.max(axis=0).astype(float))
 
     first = min(int(np.floor(t.start_time / 60.0)) for t in trips)
     last = max(int(np.floor(t.times[-1] / 60.0)) for t in trips)
-    minute0 = first - pad_minutes
+    minute0 = first - WINDOW_MINUTES
     counts = np.zeros((last - minute0 + 1, n_cells), dtype=np.int64)
     flat = counts.reshape(-1)
     for lo in range(0, len(trips), ACCUMULATION_CHUNK):
@@ -253,7 +236,7 @@ def compute_accumulation(
     return AccumulationSeries(cells, minute0, counts, counts.max(axis=0).astype(float))
 
 
-def normalize(series: AccumulationSeries, maxima: np.ndarray | None = None) -> AccumulationSeries:
+def normalize(series: AccumulationSeries, maxima: np.ndarray) -> AccumulationSeries:
     """Divide each cell's counts by its historical maximum, clamped to [0, 1].
 
     Cells with zero maximum map to zero everywhere. Counts above the maximum
@@ -262,7 +245,7 @@ def normalize(series: AccumulationSeries, maxima: np.ndarray | None = None) -> A
     """
     if series.normalized:
         raise ValueError("series already normalized")
-    maxima = series.maxima if maxima is None else np.asarray(maxima, dtype=float)
+    maxima = np.asarray(maxima, dtype=float)
     if maxima.shape != (len(series.cells),):
         raise ValueError("one maximum per cell required")
     safe = np.where(maxima > 0, maxima, 1.0)
@@ -319,11 +302,11 @@ class TrafficLookup:
     O(sequences x cells). ``series`` stays the series given.
     """
 
-    def __init__(self, series: AccumulationSeries, cells: Sequence[int] | None = None):
+    def __init__(self, series: AccumulationSeries, cells: Sequence[int]):
         if not series.normalized:
             raise ValueError("traffic lookup requires a normalized series")
         self.series = series
-        self.cells = tuple(cells) if cells is not None else series.cells
+        self.cells = tuple(cells)
         column = {c: i for i, c in enumerate(series.cells)}
         missing = [c for c in self.cells if c not in column]
         if missing:
@@ -348,36 +331,35 @@ def build(
 
 
 def save_accumulation(path: str | Path, series: AccumulationSeries) -> None:
-    """Versioned header, per-cell maxima, then one row of counts per minute."""
-    value = float if series.normalized else int  # repr of an int is its str
+    """Versioned header, per-cell maxima, then one row of normalized counts
+    per minute. Only a normalized series is saved: it is the one a
+    ``TrafficLookup`` takes."""
+    if not series.normalized:
+        raise ValueError("only a normalized accumulation series can be saved")
     rows = ["\t".join(["cells", *map(str, series.cells)]), "\t".join(["maxima", *map(repr, series.maxima.tolist())])]
-    rows += ["\t".join([repr(value(v)) for v in row.tolist()]) for row in series.counts]
-    fields = {"kind": "normalized" if series.normalized else "raw", "n": len(series.cells),
-              "minute0": series.minute0, "minutes": series.n_minutes, "clamped": series.clamped}
+    rows += ["\t".join(map(repr, row.tolist())) for row in series.counts]
+    fields = {"kind": "normalized", "n": len(series.cells), "minute0": series.minute0, "minutes": series.n_minutes,
+              "clamped": series.clamped}
     write_table(path, ACCUMULATION_VERSION, fields, rows)
 
 
 def load_accumulation(path: str | Path) -> AccumulationSeries:
-    table = read_table(path, ACCUMULATION_VERSION, {"kind": one_of("raw", "normalized"), "n": int, "minute0": int,
+    table = read_table(path, ACCUMULATION_VERSION, {"kind": one_of("normalized"), "n": int, "minute0": int,
                                                     "clamped": int}, count="minutes", head=2)
-    n, normalized = table.fields["n"], table.fields["kind"] == "normalized"
+    n = table.fields["n"]
     if table.fields["clamped"] < 0:
         raise ValueError(f"{path}:1: clamped must be >= 0, got {table.fields['clamped']}")
     [(_, *cells)] = table.parse([("label", one_of("cells"))] + [("cell", int)] * n, 0, 1)
     [(_, *maxima)] = table.parse([("label", one_of("maxima"))] + [("maximum", float)] * n, 1, 2)
     if bad := [m for m in maxima if not 0 <= m < math.inf]:  # NaN too
         raise table.error(1, f"maxima must be finite and >= 0, got {bad[0]!r}")
-    columns, shape = [("count", float if normalized else int)] * n, (table.fields["minutes"], n)
-    try:  # block by block, never holding every count as a Python number
-        values = itertools.chain.from_iterable(itertools.chain.from_iterable(table.blocks(columns, 2)))
-        counts = np.fromiter(values, float if normalized else np.int64, shape[0] * n).reshape(shape)
-    except OverflowError:  # a raw count beyond int64, which the check below finds
-        counts = np.array(table.parse(columns, 2), dtype=object).reshape(shape)
-    top, span = (1, "[0, 1]") if normalized else (2**63 - 1, "[0, 2**63)")
-    if bad := np.flatnonzero(~((counts >= 0) & (counts <= top)).all(axis=1)).tolist():  # NaN fails both
-        raise table.error(2 + bad[0], f"counts must lie in {span}, got {counts[bad[0]].tolist()}")
+    # block by block, never holding every count as a Python number
+    values = itertools.chain.from_iterable(itertools.chain.from_iterable(table.blocks([("count", float)] * n, 2)))
+    counts = np.fromiter(values, float, table.fields["minutes"] * n).reshape(table.fields["minutes"], n)
+    if bad := np.flatnonzero(~((counts >= 0) & (counts <= 1)).all(axis=1)).tolist():  # NaN fails both
+        raise table.error(2 + bad[0], f"counts must lie in [0, 1], got {counts[bad[0]].tolist()}")
     return AccumulationSeries(tuple(cells), minute0=table.fields["minute0"], counts=counts, maxima=np.array(maxima),
-                              normalized=normalized, clamped=table.fields["clamped"])
+                              normalized=True, clamped=table.fields["clamped"])
 
 
 def save_sequences(path: str | Path, dataset: Dataset) -> None:

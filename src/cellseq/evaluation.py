@@ -54,14 +54,11 @@ class EvalTask:
     tokens: tuple[Token, ...]
     start_time: float
     g: int
-    k: int
 
     def __post_init__(self):
         m = len(self.tokens) - 2
         if not 1 <= self.g < m:
             raise ValueError(f"need 1 <= g < m, got g={self.g}, m={m}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class EvalDiagnostics:
 def make_tasks(
     records: Sequence[SequenceRecord],
     g_policy: str | Iterable[int] = "all",
-    k: int = 100,
 ) -> tuple[list[EvalTask], int, int]:
     """One task per (sequence, g). Default policy: every g in 1..m-1.
 
@@ -118,7 +114,7 @@ def make_tasks(
         if not gs:
             no_g += 1
         for g in gs:
-            tasks.append(EvalTask(rec.trip_id, rec.tokens, rec.start_time, g, k))
+            tasks.append(EvalTask(rec.trip_id, rec.tokens, rec.start_time, g))
     return tasks, short, no_g
 
 
@@ -138,16 +134,16 @@ def derive_seed(master_seed: int, trip_id: str, g: int, candidate: int) -> int:
     return int(_seeds(master_seed, [(trip_id, g)], np.array([candidate], dtype=np.uint64))[0, 0])
 
 
-def _generate(tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int):
-    """The leaves (``sample_forks``) of the candidates of every task, a fork
-    each, from one batched pass in which each distinct sequence is
+def _generate(tasks: Sequence[EvalTask], model: RnnModel, traffic_lookup: TrafficLookup | None, master_seed: int,
+              k: int):
+    """The leaves (``sample_forks``) of the k candidates of every task, a
+    fork each, from one batched pass in which each distinct sequence is
     teacher-forced once and each distinct sampled prefix of a task is
     stepped once."""
     trips: dict[tuple, int] = {}
-    keys = _seeds(master_seed, [(task.trip_id, task.g) for task in tasks],
-                  np.arange(max((task.k for task in tasks), default=0), dtype=np.uint64))
+    keys = _seeds(master_seed, [(task.trip_id, task.g) for task in tasks], np.arange(k, dtype=np.uint64))
     forks = [Fork(trips.setdefault((task.trip_id, task.tokens, task.start_time), len(trips)), task.g + 1,
-                  seeds[: task.k], default_max_len(len(task.tokens))) for task, seeds in zip(tasks, keys)]
+                  seeds, default_max_len(len(task.tokens))) for task, seeds in zip(tasks, keys)]
     traffic = None
     if model.kind == "arnn" and trips:
         if traffic_lookup is None:
@@ -210,7 +206,7 @@ def _fast_counts(pad: np.ndarray, refs: Sequence[Sequence[int]], n_ids: int):
 
 def _score_block(tasks: Sequence[EvalTask], leaves: tuple[np.ndarray, np.ndarray, np.ndarray],
                  vocab: Vocab) -> list[ScoreRecord]:
-    """Score the candidates of a block of tasks of one k (the leaves of
+    """Score the k candidates of each of a block of tasks (the leaves of
     ``sample_forks``, a fork per task) against each task's reference, in one
     pass over the block's distinct continuations. A continuation is
     everything generated after the prefix, markers removed. Candidates that
@@ -249,13 +245,15 @@ def evaluate_records(
     k: int = 100,
     g_policy: str | Iterable[int] = "all",
 ) -> tuple[list[ScoreRecord], EvalDiagnostics]:
-    """Score every task for the given sequences, in deterministic task order:
-    per block of sequences, all candidates are generated in one batched
-    pass, then scored. Tasks whose prefix fills ``default_max_len`` are
-    skipped and counted."""
+    """Score every task for the given sequences, k >= 1 candidates each, in
+    deterministic task order: per block of sequences, all candidates are
+    generated in one batched pass, then scored. Tasks whose prefix fills
+    ``default_max_len`` are skipped and counted."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     usable = [rec for rec in records if all(t in model.vocab for t in rec.tokens)]
     diag = EvalDiagnostics(skipped_unknown_cell=len(records) - len(usable))
-    tasks, diag.skipped_short, diag.skipped_no_g = make_tasks(usable, g_policy=g_policy, k=k)
+    tasks, diag.skipped_short, diag.skipped_no_g = make_tasks(usable, g_policy=g_policy)
     fit = sorted((t for t in tasks if t.g + 1 < default_max_len(len(t.tokens))), key=lambda t: (t.trip_id, t.g))
     tasks, diag.skipped_at_cap = fit, len(tasks) - len(fit)
     # a block of sequences at a time, so that sampled candidates wait for
@@ -265,7 +263,7 @@ def evaluate_records(
     for lo in range(0, len(by_trip), models.MEAN_LOSS_CHUNK):
         block = [task for group in by_trip[lo : lo + models.MEAN_LOSS_CHUNK] for task in group]
         started = time.perf_counter()
-        leaves = _generate(block, model, traffic_lookup, master_seed)
+        leaves = _generate(block, model, traffic_lookup, master_seed, k)
         scoring = time.perf_counter()
         out += _score_block(block, leaves, model.vocab)
         diag.generate_s += scoring - started

@@ -70,11 +70,11 @@ class SearchSpace:
 # Gaussian process
 
 
-def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(K: np.ndarray) -> np.ndarray:
     jitter = 0.0
     while True:
         try:
-            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0])), jitter
+            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = 1e-8
@@ -108,7 +108,7 @@ class GaussianProcess:
             raise ValueError("need one objective per point")
         z = (y - self.y_mean) / self.y_scale
         K = self._kernel(X, X) + self.noise**2 * np.eye(X.shape[0])
-        L, _ = _chol_with_jitter(K)
+        L = _chol_with_jitter(K)
         self._X = X
         self._chol = L
         self._alpha = np.linalg.solve(L.T, np.linalg.solve(L, z))
@@ -176,11 +176,10 @@ def _norm_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
 
-def expected_improvement(gp: GaussianProcess, x: np.ndarray, best: float) -> float | np.ndarray:
-    """Closed-form EI for minimization; zero where sigma = 0 and mean >= best."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    mean, var = gp.predict(np.atleast_2d(x))
+def expected_improvement(gp: GaussianProcess, pool: np.ndarray, best: float) -> np.ndarray:
+    """Closed-form EI for minimization at each point of a [P, dim] pool;
+    zero where sigma = 0 and mean >= best."""
+    mean, var = gp.predict(pool)
     sigma = np.sqrt(var)
     improve = best - mean
     ei = np.where(sigma > 1e-12, 0.0, np.maximum(improve, 0.0))
@@ -190,7 +189,7 @@ def expected_improvement(gp: GaussianProcess, x: np.ndarray, best: float) -> flo
         ei_ok = improve[ok] * _norm_cdf(z) + sigma[ok] * _norm_pdf(z)
         ei = ei.copy()
         ei[ok] = np.maximum(ei_ok, 0.0)
-    return float(ei[0]) if single else ei
+    return ei
 
 
 def halton(n: int, dim: int, seed: int) -> np.ndarray:

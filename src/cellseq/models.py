@@ -62,8 +62,9 @@ class ModelDims:
     d_a: int | None = None
 
     def __post_init__(self):
-        if self.d_e < 1 or self.d_h < 1:
-            raise ValueError("dimensions must be >= 1")
+        given = {"d_e": self.d_e, "d_h": self.d_h, "d_f": self.d_f, "d_a": self.d_a}
+        if bad := [f"{name}={d}" for name, d in given.items() if d is not None and d < 1]:
+            raise ValueError(f"dims must be ints >= 1, got {', '.join(bad)}")
 
     @property
     def feat(self) -> int:
@@ -136,12 +137,7 @@ def _base_params(rng: np.random.Generator, v: int, dims: ModelDims, input_dim: i
 
 
 def encode_traffic(traffic: np.ndarray, model: ArnnModel) -> np.ndarray:
-    """Per-cell features tanh(traffic @ W_f): [N, 10] -> [N, d_f], or
-    [B, N, 10] -> [B, N, d_f]. The window is only read; it may be a
-    read-only view such as ``TrafficLookup.window`` returns."""
-    traffic = np.asarray(traffic, dtype=float)
-    if traffic.ndim not in (2, 3) or traffic.shape[-1] != WINDOW_MINUTES:
-        raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}], got {traffic.shape}")
+    """Per-cell features tanh(traffic @ W_f): [B, N, 10] -> [B, N, d_f]."""
     return np.tanh(traffic @ model.params["traffic_W"])
 
 
@@ -208,8 +204,8 @@ class _Unroll:
     tanh matrix, in [T, B, ...] arrays, for ``backward``."""
 
     def __init__(self, model: RnnModel, ids: np.ndarray, traffic: np.ndarray | None, keep: bool):
-        if traffic is not None and np.ndim(traffic) != 3:
-            raise ValueError(f"traffic tensor must be [N, {WINDOW_MINUTES}] per sequence")
+        if traffic is not None and (np.ndim(traffic) != 3 or np.shape(traffic)[2] != WINDOW_MINUTES):
+            raise ValueError(f"traffic tensor must be [B, N, {WINDOW_MINUTES}], got {np.shape(traffic)}")
         p, d_e = model.params, model.dims.d_e
         self.model, self.ids, self.traffic = model, ids.T, traffic
         n_steps, n_rows = self.ids.shape
@@ -449,8 +445,6 @@ def train(
     and positive. The order of sequences is reshuffled every epoch from the
     given seed.
     """
-    if not examples:
-        raise ValueError("no training examples")
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     if epochs < 1:
@@ -530,14 +524,13 @@ def default_max_len(reference_len: int) -> int:
     return min(100, 4 * reference_len)
 
 
-def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Inverse-CDF draw per uniform u[i] from row ``rows[i]`` of probs [S, V]
-    (default row i): the first index whose cumulative mass exceeds u times
-    the row total (``searchsorted(side="right")`` on the row's cumsum),
-    clamped to V - 1. numpy orders complex numbers by real, then imaginary
-    part, so one exact search over keys row + 1j * cumsum serves all rows."""
+def _sample(probs: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per uniform u[i] from row ``rows[i]`` of probs [S, V]:
+    the first index whose cumulative mass exceeds u times the row total
+    (``searchsorted(side="right")`` on the row's cumsum), clamped to V - 1.
+    numpy orders complex numbers by real, then imaginary part, so one exact
+    search over keys row + 1j * cumsum serves all rows."""
     cum = np.cumsum(probs, axis=1)
-    rows = np.arange(len(u)) if rows is None else rows
     keys = (np.arange(len(cum))[:, None] + 1j * cum).reshape(-1)
     idx = np.searchsorted(keys, rows + 1j * (u * cum[rows, -1]), side="right") - rows * cum.shape[1]
     return np.minimum(idx, probs.shape[1] - 1)
@@ -698,7 +691,7 @@ def load_model(path: str | Path) -> tuple[RnnModel, dict]:
         raise ValueError(f"{path}: unknown model kind {kind!r}, expected one of {sorted(KINDS)}")
     try:
         dims, cells = ModelDims(**meta["dims"]), meta["cells"]
-        if not all(type(d) is int and d >= 1 for d in (dims.d_e, dims.d_h, dims.feat, dims.attn)):
+        if not all(type(d) is int for d in (dims.d_e, dims.d_h, dims.feat, dims.attn)):
             raise ValueError(f"dims must be ints >= 1, got {meta['dims']}")
         if not (isinstance(cells, list) and all(type(c) is int for c in cells)):
             raise ValueError("cells must be a list of ints")

@@ -25,6 +25,7 @@ from ._files import atomic_open
 Params = dict[str, np.ndarray]
 
 CHECKPOINT_VERSION = "ckpt-v1"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -36,22 +37,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Loss -log softmax(logits)[label], summed over the rows of an [M, V]
-    matrix with one label each (or a vector and one label), and its
-    gradient wrt the logits. Labels must lie in [0, V): a caller that takes
-    them from outside checks them first with ``check_labels``, once for all
-    its rows (the model does where its examples enter)."""
+    matrix with one label each, and its gradient wrt the logits. Labels must
+    lie in [0, V): a caller that takes them from outside checks them first
+    with ``check_labels``, once for all its rows (the model does where its
+    examples enter)."""
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
-    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
-        raise ValueError("logits must be a vector with one label or a matrix with one label per row")
-    labels, n_classes = labels.reshape(-1), logits.shape[-1]
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ValueError(f"logits must be [M, V] with one label per row, got {logits.shape} and {labels.shape}")
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     grad = np.exp(z)
-    total = np.add.reduce(grad, axis=-1, keepdims=True)
+    total = np.add.reduce(grad, axis=1, keepdims=True)
     rows = np.arange(labels.size)
-    loss = float(np.add.reduce(np.log(total).reshape(-1) - z.reshape(-1, n_classes)[rows, labels]))
+    loss = float(np.add.reduce(np.log(total).reshape(-1) - z[rows, labels]))
     grad /= total
-    grad.reshape(-1, n_classes)[rows, labels] -= 1.0
+    grad[rows, labels] -= 1.0
     return loss, grad
 
 
@@ -127,9 +127,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -141,26 +138,28 @@ class AdamState:
         return cls(params, np.zeros(size), np.zeros(size))
 
 
-def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, norm: float | None = None) -> None:
-    """One bias-corrected Adam step on a flat parameter vector, in place.
+def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float, norm: float) -> None:
+    """One bias-corrected Adam step on a flat parameter vector, in place,
+    with b1, b2 and eps the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``.
 
     ``lr`` must be finite and positive. A gradient with a non-finite entry
     raises FloatingPointError naming its parameter, and nothing changes.
     Such a gradient has a non-finite global norm, so only then is it
-    scanned by name; ``norm`` is that norm if the caller has it (from
-    ``clip_global_norm``), else it is computed here. The bias corrections
-    are folded into two scalars: lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t) is
-    lr * sqrt(1 - beta2^t) / (1 - beta1^t) * m / (sqrt(v) + eps * sqrt(1 - beta2^t)).
+    scanned by name; ``norm`` is that norm, as ``clip_global_norm``
+    returns it. The bias corrections are folded into two scalars:
+    lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t) and
+    v_hat = v / (1 - b2^t) is
+    lr * sqrt(1 - b2^t) / (1 - b1^t) * m / (sqrt(v) + eps * sqrt(1 - b2^t)).
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    if not math.isfinite(clip_global_norm(grad, None) if norm is None else norm):
+    if not math.isfinite(norm):
         bad = [name for name, g in views(grad, state.layout).items() if not np.isfinite(g).all()]
         if bad:  # a finite gradient whose squares overflow passes
             raise FloatingPointError(f"diverged: non-finite gradient for {bad[0]!r}")
     state.step += 1
-    t, b1, b2, m, v, buf = state.step, state.beta1, state.beta2, state.m, state.v, state.scratch
+    t, b1, b2, m, v, buf = state.step, ADAM_BETA1, ADAM_BETA2, state.m, state.v, state.scratch
     m *= b1
     m += np.multiply(grad, 1.0 - b1, out=buf)
     v *= b2
@@ -168,7 +167,7 @@ def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
     v += np.multiply(buf, grad, out=buf)
     root_c2 = math.sqrt(1.0 - b2**t)
     np.sqrt(v, out=buf)
-    buf += state.eps * root_c2
+    buf += ADAM_EPS * root_c2
     np.divide(m, buf, out=buf)
     buf *= lr * root_c2 / (1.0 - b1**t)
     flat -= buf

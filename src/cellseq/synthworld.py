@@ -39,6 +39,11 @@ class World:
         levels = np.asarray(self.load_levels, dtype=float)
         if levels.shape != (2, self.horizon_minutes):
             raise ValueError("load levels must be [2, horizon_minutes]")
+        if not 0 <= self.epsilon <= 1:  # NaN too
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
+        for name in ("free_speed", "congested_speed"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         object.__setattr__(self, "load_levels", levels)
 
     @property
@@ -77,8 +82,8 @@ def generate_world(
     """Grid of centroids plus an alternating-block congestion schedule."""
     if rows < 2 or cols < 2:
         raise ValueError("degenerate grid: need at least 2x2 cells")
-    if spacing <= 0:
-        raise ValueError("degenerate grid: spacing must be positive")
+    if not 0 < spacing < float("inf"):  # NaN too
+        raise ValueError(f"degenerate grid: spacing must be positive and finite, got {spacing!r}")
     if horizon_minutes < block_minutes or block_minutes < 1:
         raise ValueError("horizon must cover at least one block")
     rng = np.random.default_rng(seed)

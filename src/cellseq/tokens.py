@@ -13,13 +13,9 @@ END = "#end"
 Token = Union[int, str]
 
 
-def is_virtual(token: Token) -> bool:
-    return token == START or token == END
-
-
 def strip_virtual(tokens: Iterable[Token]) -> list[int]:
     """Drop the virtual markers, keeping only real cell indices."""
-    return [t for t in tokens if not is_virtual(t)]
+    return [t for t in tokens if t != START and t != END]
 
 
 class Vocab:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cellseq import cellspace
 from cellseq.cellspace import (
     CellMap,
-    CellSequence,
     RawTrajectory,
     assign_points,
     cluster_points,
@@ -293,10 +292,14 @@ def test_discretize_duplicate_collapse_by_hand():
 def test_discretize_m_le_l_and_no_consecutive_dups(points, seed):
     rng = np.random.default_rng(seed)
     cmap = CellMap(centroids=rng.uniform(-5000, 5000, size=(6, 2)), radius=500.0)
-    tr = make_traj(points)
+    tr = make_traj(points, t0=float(seed), trip_id=f"t{seed}")
     seq = discretize_trajectory(tr, cmap)
-    assert seq.m <= len(tr)
-    for a, b in zip(seq.cells, seq.cells[1:]):
+    assert (seq.trip_id, seq.start_time) == (tr.trip_id, tr.start_time)
+    assert 1 <= seq.m <= len(tr)
+    cells = seq.tokens[1:-1]
+    assert seq.tokens[0] == START and seq.tokens[-1] == END
+    assert all(isinstance(c, int) and 1 <= c <= 6 for c in cells)  # no marker inside
+    for a, b in zip(cells, cells[1:]):
         assert a != b
 
 
@@ -306,22 +309,21 @@ def test_discretize_m_le_l_and_no_consecutive_dups(points, seed):
 
 def test_split_xy_layout():
     vocab = Vocab([2, 4, 9])
-    s = make_example(vocab, CellSequence(tokens=(START, 4, 9, 2, END)).tokens)
+    s = make_example(vocab, (START, 4, 9, 2, END))
     assert vocab.decode(s.x_ids) == [START, 4, 9, 2]
     assert vocab.decode(s.y_ids) == [4, 9, 2, END]
 
 
 def test_split_xy_minimal_journey():
     vocab = Vocab([5])
-    s = make_example(vocab, CellSequence(tokens=(START, 5, END)).tokens)
+    s = make_example(vocab, (START, 5, END))
     assert vocab.decode(s.x_ids) == [START, 5]
     assert vocab.decode(s.y_ids) == [5, END]
 
 
 def test_split_xy_empty_journey_rejected():
-    seq = CellSequence(tokens=(START, END))  # no interior cells
     with pytest.raises(ValueError, match="empty journey"):
-        make_example(Vocab([1]), seq.tokens)
+        make_example(Vocab([1]), (START, END))  # no interior cells
 
 
 @settings(deadline=None, max_examples=40)
@@ -347,15 +349,6 @@ def test_raw_trajectory_validation():
         RawTrajectory("t", np.array([[0.0, np.nan, 0.0]]))
     with pytest.raises(ValueError, match="non-decreasing"):
         RawTrajectory("t", np.array([[0.0, 0.0, 5.0], [1.0, 1.0, 4.0]]))
-
-
-def test_cell_sequence_validation():
-    with pytest.raises(ValueError):
-        CellSequence(tokens=(START, 1, 1, END))
-    with pytest.raises(ValueError):
-        CellSequence(tokens=(1, 2, END))
-    with pytest.raises(ValueError):
-        CellSequence(tokens=(START, 1, START, 2, END))
 
 
 def test_cellmap_io_roundtrip(tmp_path):

@@ -351,6 +351,16 @@ def test_train_rejects_bad_clip_norm_and_epochs(pipeline, tmp_path, capsys, flag
     assert not (out / "model.ckpt").exists() and not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--d-f", "--d-a"])
+def test_train_rejects_attention_dims_below_one(pipeline, tmp_path, capsys, flag):
+    out = tmp_path / "t"
+    assert main(["train", "--sequences", str(pipeline / "disc" / "sequences.tsv"), "--model", "arnn",
+                 "--accumulation", str(pipeline / "acc" / "accumulation.tsv"), "--d-e", "4", "--d-h", "4",
+                 flag, "0", "--out", str(out)]) == 1
+    assert f"error: dims must be ints >= 1, got {flag[2:].replace('-', '_')}=0" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists() and not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
 def test_train_rejects_bad_learning_rate(pipeline, tmp_path, capsys, lr):
     out = tmp_path / "t"

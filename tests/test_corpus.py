@@ -171,6 +171,13 @@ def test_split_rejects_bad_input():
         split_indices(10, (0.8, 0.3, 0.1), seed=0)
 
 
+@pytest.mark.parametrize("fractions", [(float("nan"), 0.1, 0.1), (0.8, float("nan"), 0.1),
+                                       (0.8, 0.1, float("nan"))], ids=["train", "validation", "test"])
+def test_split_rejects_nan_fractions(fractions):
+    with pytest.raises(ValueError, match="fractions must be three non-negative values summing to at most 1"):
+        split_indices(10, fractions, seed=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8),
                 min_size=2, max_size=12), st.integers(0, 5))
@@ -180,8 +187,7 @@ def test_discretize_split_matches_per_trip_discretization(paths, seed):
     cmap, dataset = discretize_split(trips, 150.0, (0.5, 0.25, 0.25), seed)
     split = split_indices(len(trips), (0.5, 0.25, 0.25), seed)
     assert np.array_equal(cmap.centroids, cluster_points(np.concatenate([trips[i].xy for i in split[0]]), 150.0).centroids)
-    expected = [tuple(SequenceRecord(trips[i].trip_id, trips[i].start_time, discretize_trajectory(trips[i], cmap).tokens)
-                      for i in indices) for indices in split]
+    expected = [tuple(discretize_trajectory(trips[i], cmap) for i in indices) for indices in split]
     assert dataset == Dataset(*expected)
 
 
@@ -265,11 +271,11 @@ CORNERS = np.array([(-100.0, -100.0), (100.0, -100.0), (-100.0, 100.0), (100.0, 
 
 
 @settings(deadline=None, max_examples=200)
-@given(trips=trip_sets(), pad=st.integers(0, 3))
-def test_accumulation_equals_oracle(trips, pad):
+@given(trips=trip_sets())
+def test_accumulation_equals_oracle(trips):
     series = compute_accumulation([RawTrajectory(f"v{i}", t) for i, t in enumerate(trips)],
-                                  CellMap(centroids=CORNERS, radius=100.0), pad_minutes=pad)
-    minute0, counts = accumulation_oracle(trips, CORNERS, pad)
+                                  CellMap(centroids=CORNERS, radius=100.0))
+    minute0, counts = accumulation_oracle(trips, CORNERS, corpus.WINDOW_MINUTES)
     assert series.minute0 == minute0
     np.testing.assert_array_equal(series.counts, counts)
     np.testing.assert_array_equal(series.maxima, counts.max(axis=0).astype(float))
@@ -283,7 +289,7 @@ def test_accumulation_chunks_do_not_change_counts(monkeypatch):
         trips.append(np.column_stack((rng.uniform(-150, 150, (len(times), 2)), times)))
     raw = [RawTrajectory(f"v{i}", t) for i, t in enumerate(trips)]
     cmap = CellMap(centroids=CORNERS, radius=100.0)
-    minute0, counts = accumulation_oracle(trips, CORNERS, 10)
+    minute0, counts = accumulation_oracle(trips, CORNERS, corpus.WINDOW_MINUTES)
     for chunk in (1, 3, 256):
         monkeypatch.setattr(corpus, "ACCUMULATION_CHUNK", chunk)
         series = compute_accumulation(raw, cmap)
@@ -307,9 +313,15 @@ def make_series(counts, maxima=None):
     )
 
 
+def normalized(counts, maxima=None):
+    """``make_series`` normalized by its own maxima."""
+    series = make_series(counts, maxima)
+    return normalize(series, series.maxima)
+
+
 def test_normalize_definition():
     series = make_series([[5, 0], [10, 0]])
-    norm = normalize(series)
+    norm = normalize(series, series.maxima)
     assert norm.counts[0, 0] == 0.5
     assert norm.counts[1, 0] == 1.0
     assert np.all(norm.counts[:, 1] == 0.0)  # zero max maps to zero
@@ -317,16 +329,16 @@ def test_normalize_definition():
 
 
 def test_normalize_clamps_and_counts():
-    series = make_series([[5], [10]], maxima=[4.0])
-    norm = normalize(series)
+    norm = normalize(make_series([[5], [10]]), [4.0])  # maxima of a training period
     assert np.all(norm.counts <= 1.0)
     assert norm.clamped == 2
+    np.testing.assert_array_equal(norm.maxima, [4.0])
 
 
 def test_normalize_twice_rejected():
-    norm = normalize(make_series([[1]]))
+    norm = normalized([[1]])
     with pytest.raises(ValueError):
-        normalize(norm)
+        normalize(norm, norm.maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +348,7 @@ def test_normalize_twice_rejected():
 def test_traffic_window_shape_and_values():
     counts = np.zeros((30, 2), dtype=np.int64)
     counts[:, 0] = 4  # constant accumulation
-    series = normalize(make_series(counts, maxima=[8.0, 1.0]))
+    series = normalized(counts, maxima=[8.0, 1.0])
     window = traffic_window(series, trip_start=20 * 60.0)
     assert window.shape == (2, 10)
     np.testing.assert_allclose(window[0], 0.5)  # c / max
@@ -344,21 +356,21 @@ def test_traffic_window_shape_and_values():
 
 
 def test_traffic_window_empty_network_zero():
-    series = normalize(make_series(np.zeros((15, 3), dtype=np.int64)))
+    series = normalized(np.zeros((15, 3), dtype=np.int64))
     window = traffic_window(series, trip_start=12 * 60.0)
     np.testing.assert_array_equal(window, np.zeros((3, 10)))
 
 
 def test_traffic_window_is_pure_lookup():
     rng = np.random.default_rng(0)
-    series = normalize(make_series(rng.integers(0, 5, size=(25, 4))))
+    series = normalized(rng.integers(0, 5, size=(25, 4)))
     a = traffic_window(series, 15 * 60.0)
     b = traffic_window(series, 15 * 60.0)
     np.testing.assert_array_equal(a, b)
 
 
 def test_traffic_window_insufficient_history():
-    series = normalize(make_series(np.zeros((15, 1), dtype=np.int64)))
+    series = normalized(np.zeros((15, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="insufficient history"):
         traffic_window(series, trip_start=5 * 60.0)
     with pytest.raises(ValueError, match="insufficient history"):
@@ -373,7 +385,7 @@ def test_traffic_window_requires_normalized():
 def test_traffic_lookup_selects_cells():
     counts = np.zeros((20, 3), dtype=np.int64)
     counts[:, 2] = 7
-    series = normalize(make_series(counts))
+    series = normalized(counts)
     lookup = TrafficLookup(series, cells=[3, 1])
     window = lookup.window(15 * 60.0)
     assert window.shape == (2, 10)
@@ -382,14 +394,14 @@ def test_traffic_lookup_selects_cells():
 
 
 def test_traffic_lookup_rejects_cells_the_series_lacks():
-    series = normalize(make_series(np.zeros((20, 3), dtype=np.int64)))  # cells 1, 2, 3
+    series = normalized(np.zeros((20, 3), dtype=np.int64))  # cells 1, 2, 3
     with pytest.raises(ValueError, match=re.escape("accumulation series has no counts for cells [9, 4]")):
         TrafficLookup(series, cells=[1, 9, 2, 4])
 
 
 def test_lookup_windows_are_read_only_views_of_one_array():
     rng = np.random.default_rng(3)
-    lookup = TrafficLookup(normalize(make_series(rng.integers(0, 5, size=(40, 6)))), cells=[4, 2, 6])
+    lookup = TrafficLookup(normalized(rng.integers(0, 5, size=(40, 6))), cells=[4, 2, 6])
     windows = [lookup.window(60.0 * minute) for minute in (15, 16, 20, 24)]  # all hold minute 14
     for w in windows:
         assert not w.flags.writeable and not w.flags.owndata and w.base is windows[0].base
@@ -405,8 +417,8 @@ def test_lookup_windows_are_read_only_views_of_one_array():
 def test_lookup_window_equals_the_gathered_copy(n_cells, n_minutes, minute0, random):
     rng = np.random.default_rng(random.getrandbits(32))
     counts = rng.integers(0, 7, size=(n_minutes, n_cells))
-    series = normalize(AccumulationSeries(tuple(range(1, n_cells + 1)), minute0, counts,
-                                          counts.max(axis=0).astype(float)))
+    maxima = counts.max(axis=0).astype(float)
+    series = normalize(AccumulationSeries(tuple(range(1, n_cells + 1)), minute0, counts, maxima), maxima)
     cells = [int(c) for c in rng.permutation(np.arange(1, n_cells + 1))[: rng.integers(1, n_cells + 1)]]
     lookup = TrafficLookup(series, cells)
     columns = [c - 1 for c in cells]
@@ -423,7 +435,8 @@ def test_lookup_window_equals_the_gathered_copy(n_cells, n_minutes, minute0, ran
 
 def test_lookup_windows_allocate_no_copy():
     rng = np.random.default_rng(5)
-    lookup = TrafficLookup(normalize(make_series(rng.integers(0, 9, size=(200, 300)))))
+    series = normalized(rng.integers(0, 9, size=(200, 300)))
+    lookup = TrafficLookup(series, series.cells)
     lookup.window(600.0)
     tracemalloc.start()
     try:
@@ -440,20 +453,29 @@ def test_lookup_windows_allocate_no_copy():
 
 def test_accumulation_io_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
-    raw = make_series(rng.integers(0, 9, size=(12, 3)))
+    norm = normalized(rng.integers(0, 9, size=(12, 3)))
     path = tmp_path / "acc.tsv"
-    save_accumulation(path, raw)
-    loaded = load_accumulation(path)
-    np.testing.assert_array_equal(loaded.counts, raw.counts)
-    assert loaded.minute0 == raw.minute0
-    assert not loaded.normalized
-
-    norm = normalize(raw)
     save_accumulation(path, norm)
     loaded = load_accumulation(path)
     assert loaded.normalized
+    assert (loaded.cells, loaded.minute0, loaded.clamped) == (norm.cells, norm.minute0, norm.clamped)
     np.testing.assert_array_equal(loaded.counts, norm.counts)
     np.testing.assert_array_equal(loaded.maxima, norm.maxima)
+
+
+def test_accumulation_save_rejects_a_raw_series(tmp_path):
+    path = tmp_path / "acc.tsv"
+    with pytest.raises(ValueError, match="only a normalized accumulation series can be saved"):
+        save_accumulation(path, make_series(np.array([[1, 2], [3, 4]])))
+    assert not path.exists()
+
+
+def test_accumulation_load_rejects_a_raw_file(tmp_path):
+    path = tmp_path / "acc.tsv"
+    path.write_text("accum-v1\tkind=raw\tn=2\tminute0=0\tminutes=2\tclamped=0\n"
+                    "cells\t1\t2\nmaxima\t3.0\t4.0\n1\t2\n3\t4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: field kind='raw' is not normalized")):
+        load_accumulation(path)
 
 
 @pytest.mark.parametrize(
@@ -467,7 +489,7 @@ def test_accumulation_io_roundtrip(tmp_path):
 )
 def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
     path = tmp_path / "acc.tsv"
-    save_accumulation(path, make_series(np.array([[1, 2], [3, 4], [5, 6]])))
+    save_accumulation(path, normalized(np.array([[1, 2], [3, 4], [5, 6]])))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=f"{path}{message}"):
         load_accumulation(path)
@@ -478,12 +500,12 @@ def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
     [
         (lambda lines: [lines[0].replace("\tn=2", "")] + lines[1:], ":1: header has no n= field"),
         (lambda lines: [lines[0].replace("\tminutes=3", "")] + lines[1:], ":1: header has no minutes= field"),
-        (lambda lines: [lines[0].replace("kind=raw\t", "")] + lines[1:], ":1: header has no kind= field"),
+        (lambda lines: [lines[0].replace("kind=normalized\t", "")] + lines[1:], ":1: header has no kind= field"),
         (lambda lines: [lines[0].replace("minute0=", "minute0=x")] + lines[1:],
          ":1: field minute0='x.*' is not int"),
-        (lambda lines: [lines[0].replace("kind=raw", "kind=Raw")] + lines[1:],
-         ":1: field kind='Raw' is not raw\\|normalized"),
-        (lambda lines: lines[:4] + ["x\t4"] + lines[5:], ":5: field count='x' is not int"),
+        (lambda lines: [lines[0].replace("kind=normalized", "kind=Normalized")] + lines[1:],
+         ":1: field kind='Normalized' is not normalized"),
+        (lambda lines: lines[:4] + ["x\t0.5"] + lines[5:], ":5: field count='x' is not float"),
         (lambda lines: lines[:1] + ["cells\t1\ttwo"] + lines[2:], ":2: field cell='two' is not int"),
         (lambda lines: lines[:2] + ["maxima\t5.0\thigh"] + lines[3:], ":3: field maximum='high' is not float"),
         (lambda lines: lines[:1], ":1: line 1 counts 5 rows after it, the file holds 0"),
@@ -499,7 +521,7 @@ def test_accumulation_load_rejects_wrong_row_count(tmp_path, edit, message):
 )
 def test_accumulation_load_rejects_bad_fields(tmp_path, edit, message):
     path = tmp_path / "acc.tsv"
-    save_accumulation(path, make_series(np.array([[1, 2], [3, 4], [5, 6]])))
+    save_accumulation(path, normalized(np.array([[1, 2], [3, 4], [5, 6]])))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=f"{path}{message}"):
         load_accumulation(path)
@@ -507,7 +529,7 @@ def test_accumulation_load_rejects_bad_fields(tmp_path, edit, message):
 
 def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
     path = tmp_path / "acc.tsv"
-    save_accumulation(path, normalize(make_series(np.array([[1, 2], [3, 4]]))))
+    save_accumulation(path, normalized(np.array([[1, 2], [3, 4]])))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:3] + ["0.5\tnan?"] + lines[4:]) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:4: field count='nan?' is not float")):
@@ -515,17 +537,15 @@ def test_accumulation_load_rejects_non_numeric_normalized_count(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "counts, row, message",
-    [(np.array([[1, 2], [3, 4]]), "-1\t4", "counts must lie in [0, 2**63), got [-1, 4]"),
-     (np.array([[1, 2], [3, 4]]), f"{2**63}\t4", f"counts must lie in [0, 2**63), got [{2**63}, 4]"),
-     (np.array([[0.5, 1.0], [0.25, 0.0]]), "nan\t0.5", "counts must lie in [0, 1], got [nan, 0.5]"),
-     (np.array([[0.5, 1.0], [0.25, 0.0]]), "1.5\t0.5", "counts must lie in [0, 1], got [1.5, 0.5]")],
-    ids=["negative", "beyond-int64", "nan", "normalized-above-1"],
+    "row, message",
+    [("-0.5\t0.25", "counts must lie in [0, 1], got [-0.5, 0.25]"),
+     ("nan\t0.5", "counts must lie in [0, 1], got [nan, 0.5]"),
+     ("1.5\t0.5", "counts must lie in [0, 1], got [1.5, 0.5]")],
+    ids=["negative", "nan", "normalized-above-1"],
 )
-def test_accumulation_load_rejects_counts_out_of_range(tmp_path, counts, row, message):
+def test_accumulation_load_rejects_counts_out_of_range(tmp_path, row, message):
     path = tmp_path / "acc.tsv"
-    series = make_series(counts)
-    save_accumulation(path, normalize(series) if counts.dtype == float else series)
+    save_accumulation(path, normalized(np.array([[1, 2], [3, 4]])))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:4] + [row]) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:5: {message}")):

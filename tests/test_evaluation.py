@@ -65,9 +65,9 @@ def test_make_tasks_counting_example():
 
 def test_task_invariant_g_less_than_m():
     with pytest.raises(ValueError):
-        EvalTask("a", (START, 1, 2, END), 0.0, g=2, k=1)
+        EvalTask("a", (START, 1, 2, END), 0.0, g=2)
     with pytest.raises(ValueError):
-        EvalTask("a", (START, 1, 2, END), 0.0, g=0, k=1)
+        EvalTask("a", (START, 1, 2, END), 0.0, g=0)
 
 
 def test_g_policy_filtering():
@@ -90,17 +90,17 @@ def test_g_policy_counts_sequences_without_a_listed_g():
 # one task
 
 
-def run_task(task, model, lookup, master_seed):
-    """The score record of one task: ``evaluate_records`` on its sequence
-    alone, at its g only."""
+def run_task(task, k, model, lookup, master_seed):
+    """The score record of one task with k candidates: ``evaluate_records``
+    on its sequence alone, at its g only."""
     seq = SequenceRecord(task.trip_id, task.start_time, task.tokens)
-    (rec,), _ = evaluate_records([seq], model, lookup, master_seed, k=task.k, g_policy=[task.g])
+    (rec,), _ = evaluate_records([seq], model, lookup, master_seed, k=k, g_policy=[task.g])
     return rec
 
 
 def test_run_task_k1_equals_single_generate(memorized_model):
-    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=2, k=1)
-    rec = run_task(task, memorized_model, None, master_seed=77)
+    task, k = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=2), 1
+    rec = run_task(task, k, memorized_model, None, master_seed=77)
     seed = derive_seed(77, "trip", 2, 0)
     ids = sample_oracle(memorized_model, [START, 1, 2], seed, models.default_max_len(6))
     cells = [t for t in memorized_model.vocab.decode(list(ids)) if isinstance(t, int)]
@@ -110,22 +110,22 @@ def test_run_task_k1_equals_single_generate(memorized_model):
 
 
 def test_run_task_memorized_model_perfect_bleu1(memorized_model):
-    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1, k=16)
-    rec = run_task(task, memorized_model, None, master_seed=5)
+    task, k = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1), 16
+    rec = run_task(task, k, memorized_model, None, master_seed=5)
     assert rec.mean.bleu1 == pytest.approx(1.0, abs=1e-6)
     assert rec.m == 4 and rec.g == 1
 
 
 def test_run_task_deterministic(memorized_model):
-    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1, k=8)
-    a = run_task(task, memorized_model, None, master_seed=123)
-    b = run_task(task, memorized_model, None, master_seed=123)
+    task, k = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1), 8
+    a = run_task(task, k, memorized_model, None, master_seed=123)
+    b = run_task(task, k, memorized_model, None, master_seed=123)
     assert a == b
 
 
 def test_run_task_mean_is_mean_of_raws(memorized_model):
-    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1, k=12)
-    rec = run_task(task, memorized_model, None, master_seed=9)
+    task, k = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1), 12
+    rec = run_task(task, k, memorized_model, None, master_seed=9)
     for name in ScoreVector.NAMES:
         assert getattr(rec.mean, name) == pytest.approx(
             np.mean([getattr(r, name) for r in rec.raw]), abs=1e-12
@@ -135,7 +135,7 @@ def test_run_task_mean_is_mean_of_raws(memorized_model):
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 20, 100, 129, 300])
 def test_score_means_equal_np_mean_bit_for_bit(k):
     vocab = Vocab(range(1, 10))
-    task = EvalTask("trip", (START, *range(1, 10), END), 0.0, g=1, k=k)
+    task = EvalTask("trip", (START, *range(1, 10), END), 0.0, g=1)
     rng = np.random.default_rng(k)
     rows = [(*map(int, rng.integers(2, len(vocab), rng.integers(1, 12))), vocab.end_id) for _ in range(k)]
     (rec,) = evaluation._score_block([task], leaves_of([rows]), vocab)
@@ -177,7 +177,7 @@ def blocks(draw):
     tasks, sampled = [], []
     for i in range(draw(st.integers(1, 4))):
         cells = draw(st.lists(st.sampled_from(vocab.cells), min_size=2, max_size=8))
-        tasks.append(EvalTask(f"t{i}", (START, *cells, END), 0.0, g=draw(st.integers(1, len(cells) - 1)), k=k))
+        tasks.append(EvalTask(f"t{i}", (START, *cells, END), 0.0, g=draw(st.integers(1, len(cells) - 1))))
         pool = draw(st.lists(st.lists(ids, min_size=1, max_size=9), min_size=1, max_size=4))
         rows = []
         for _ in range(k):
@@ -207,8 +207,8 @@ def test_score_block_dedupes_marker_variants_and_scores_only_slow_pairs_alone(mo
 
     monkeypatch.setattr(evaluation, "score_vector", counted)
     vocab = Vocab(range(1, 6))
-    tasks = [EvalTask("a", (START, 1, 2, 3, 4, 5, END), 0.0, g=1, k=6),
-             EvalTask("b", (START, 1, 2, 2, 3, 2, END), 0.0, g=1, k=6)]
+    tasks = [EvalTask("a", (START, 1, 2, 3, 4, 5, END), 0.0, g=1),
+             EvalTask("b", (START, 1, 2, 2, 3, 2, END), 0.0, g=1)]
     # cells (1, 2, 3) three times, once unterminated; (3, 2, 2); no cells, once unterminated
     rows = [(2, 3, 4, 1), (0, 2, 3, 4, 1), (2, 3, 0, 4), (4, 3, 3, 1), (1,), (0, 0, 0, 0)]
     records = evaluation._score_block(tasks, leaves_of([rows, rows]), vocab)
@@ -237,8 +237,8 @@ def test_score_block_keys_do_not_overflow_on_a_large_vocabulary():
     rng = np.random.default_rng(0)
     far = [int(x) for x in rng.choice(np.arange(60_000, base), 40, replace=False)]  # none of the ids above
     reference = vocab.decode(ref_ids + far[:10])
-    tasks = [EvalTask("x", (START, 5, *reference, END), 0.0, g=1, k=3),
-             EvalTask("y", (START, *vocab.decode(far[10:20]), END), 0.0, g=2, k=3)]
+    tasks = [EvalTask("x", (START, 5, *reference, END), 0.0, g=1),
+             EvalTask("y", (START, *vocab.decode(far[10:20]), END), 0.0, g=2)]
     rows = [(*cand_ids, *far[:10], 1), tuple(far[5:25]), (*ref_ids, far[0], far[1], 1)]
     check_block(tasks, [rows, rows[::-1]], vocab)
 
@@ -246,12 +246,12 @@ def test_score_block_keys_do_not_overflow_on_a_large_vocabulary():
 def test_run_task_scores_repeated_candidates_like_each_one():
     vocab = Vocab(range(1, 4))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)  # untrained: short repeats
-    task = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1, k=40)
-    rec = run_task(task, model, None, master_seed=3)
-    seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
+    task, k = EvalTask("trip", (START, 1, 2, 3, END), 0.0, g=1), 40
+    rec = run_task(task, k, model, None, master_seed=3)
+    seeds = [derive_seed(3, "trip", 1, i) for i in range(k)]
     results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(5))
     continuations = [[t for t in r.tokens[2:] if isinstance(t, int)] for r in results]
-    assert 1 < rec.distinct == len({tuple(c) for c in continuations}) < task.k
+    assert 1 < rec.distinct == len({tuple(c) for c in continuations}) < k
     expect = [score_vector(c, [2, 3]).as_tuple() for c in continuations]
     assert [[v.hex() for v in r.as_tuple()] for r in rec.raw] == [[v.hex() for v in e] for e in expect]
 
@@ -262,11 +262,11 @@ def test_run_task_counts_alignment_fallbacks(monkeypatch):
     # reach the search, and here the cut alignments score as the exact ones
     vocab = Vocab(range(1, 5))
     model = RnnModel.init(vocab, ModelDims(d_e=3, d_h=3), seed=4)
-    task = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1, k=40)
-    plain = run_task(task, model, None, master_seed=3)
+    task, k = EvalTask("trip", (START, 1, 2, 3, 4, END), 0.0, g=1), 40
+    plain = run_task(task, k, model, None, master_seed=3)
     monkeypatch.setattr(metrics, "_SEARCH_BUDGET", 1)
-    rec = run_task(task, model, None, master_seed=3)
-    seeds = [derive_seed(3, "trip", 1, i) for i in range(task.k)]
+    rec = run_task(task, k, model, None, master_seed=3)
+    seeds = [derive_seed(3, "trip", 1, i) for i in range(k)]
     results = models.generate_batch(model, [START, 1], seeds, models.default_max_len(6))
     continuations = [tuple(t for t in r.tokens[2:] if isinstance(t, int)) for r in results]
     cut = {c for c in continuations if not score_vector(c, [2, 3, 4]).meteor_exact}
@@ -300,7 +300,7 @@ def test_leaves_are_distinct_per_fork_and_merge_marker_variants(data, n_cells, i
     for _ in range(data.draw(st.integers(1, 4))):
         trip = data.draw(st.integers(0, len(seqs) - 1))
         g = data.draw(st.integers(1, len(seqs[trip]) - 3))
-        tasks.append(EvalTask(f"t{trip}", seqs[trip], 0.0, g=g, k=k))
+        tasks.append(EvalTask(f"t{trip}", seqs[trip], 0.0, g=g))
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k))
         forks.append(models.Fork(trip, g + 1, seeds, g + 1 + data.draw(st.integers(1, 8))))
     leaves = models.sample_forks(model, seqs, None, forks)
@@ -327,8 +327,8 @@ def test_evaluate_skips_tasks_whose_prefix_fills_the_length_cap():
     assert [(r.trip_id, r.g) for r in out] == [("long", g) for g in range(1, 99)] + [("short", 1), ("short", 2)]
     by_id = {rec.trip_id: rec for rec in records}
     for rec in out:
-        task = EvalTask(rec.trip_id, by_id[rec.trip_id].tokens, by_id[rec.trip_id].start_time, rec.g, k=2)
-        assert (rec.raw, rec.unterminated) == reference_task(task, model, None, master_seed=4)
+        task = EvalTask(rec.trip_id, by_id[rec.trip_id].tokens, by_id[rec.trip_id].start_time, rec.g)
+        assert (rec.raw, rec.unterminated) == reference_task(task, 2, model, None, master_seed=4)
 
 
 class FixedWindows:
@@ -341,13 +341,13 @@ class FixedWindows:
         return np.random.default_rng(int(start_time)).random((self.n_cells, 10))
 
 
-def reference_task(task, model, lookup, master_seed):
+def reference_task(task, k, model, lookup, master_seed):
     """One task as it was scored before generation was batched: its
     own ``generate_batch`` call over k rows, every candidate scored."""
     prefix = list(task.tokens[: task.g + 1])
     reference = list(task.tokens[task.g + 1 : -1])
     traffic = lookup.window(task.start_time) if lookup is not None else None
-    seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(task.k)]
+    seeds = [derive_seed(master_seed, task.trip_id, task.g, i) for i in range(k)]
     results = models.generate_batch(model, prefix, seeds, models.default_max_len(len(task.tokens)), traffic=traffic)
     raw = tuple(score_vector(strip_virtual(r.tokens[len(prefix) :]), reference) for r in results)
     return raw, sum(not r.terminated for r in results)
@@ -386,8 +386,8 @@ SPLIT_RECORDS = [  # m = 2, 3, 5 and 6: g = 1 .. m - 1 for each
 def test_evaluate_records_equals_per_task_generation(loose_models, monkeypatch, kind, k):
     model = loose_models[kind]
     lookup = FixedWindows(len(model.vocab.cells)) if kind == "arnn" else None
-    tasks = sorted(make_tasks(SPLIT_RECORDS, k=k)[0], key=lambda t: (t.trip_id, t.g))
-    expect = [reference_task(task, model, lookup, master_seed=8) for task in tasks]
+    tasks = sorted(make_tasks(SPLIT_RECORDS)[0], key=lambda t: (t.trip_id, t.g))
+    expect = [reference_task(task, k, model, lookup, master_seed=8) for task in tasks]
     assert {t.g for t in tasks if t.trip_id == "d"} == {1, 2, 3, 4, 5}
     assert sum(unterminated for _, unterminated in expect) > 0  # some candidates hit the cap
     # 1, 7 and 3 states per generation step (chunks that cross tasks and
@@ -417,12 +417,19 @@ def test_evaluate_records_without_tasks_needs_no_lookup():
     assert out == [] and diag.skipped_short == 1
 
 
+@pytest.mark.parametrize("records", [[], [record("short", [1])], [record("a", [1, 2, 3])]],
+                         ids=["no-records", "no-tasks", "tasks"])
+def test_evaluate_records_rejects_k_below_one(memorized_model, records):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        evaluate_records(records, memorized_model, None, master_seed=0, k=0)
+
+
 def test_run_task_arnn_requires_lookup():
     vocab = Vocab([1, 2])
     model = models.ArnnModel.init(vocab, ModelDims(d_e=2, d_h=2), seed=0)
-    task = EvalTask("t", (START, 1, 2, END), 0.0, g=1, k=1)
+    task, k = EvalTask("t", (START, 1, 2, END), 0.0, g=1), 1
     with pytest.raises(ValueError, match="traffic"):
-        run_task(task, model, None, master_seed=0)
+        run_task(task, k, model, None, master_seed=0)
 
 
 def test_evaluate_records_skips_unknown_cells(memorized_model):
@@ -623,7 +630,8 @@ def test_derive_seed_stable():
 def test_generate_seeds_every_candidate_with_derive_seed(memorized_model, monkeypatch):
     forks = []
     monkeypatch.setattr(evaluation, "sample_forks", lambda model, trips, traffic, fs: forks.extend(fs))
-    tasks = [EvalTask(trip, (START, 1, 2, 3, 4, END), 0.0, g=g, k=k)
-             for trip, g, k in (("a", 1, 5), ("a", 3, 12), ("b:7", 2, 1), ("c", 1, 10))]
-    evaluation._generate(tasks, memorized_model, None, master_seed=11)
-    assert [list(f.seeds) for f in forks] == [[derive_seed(11, t.trip_id, t.g, i) for i in range(t.k)] for t in tasks]
+    tasks = [EvalTask(trip, (START, 1, 2, 3, 4, END), 0.0, g=g) for trip, g in (("a", 1), ("a", 3), ("b:7", 2), ("c", 1))]
+    for k in (1, 12):
+        forks.clear()
+        evaluation._generate(tasks, memorized_model, None, master_seed=11, k=k)
+        assert [list(f.seeds) for f in forks] == [[derive_seed(11, t.trip_id, t.g, i) for i in range(k)] for t in tasks]

@@ -98,7 +98,7 @@ def test_gp_posterior_variance_nonnegative(seed):
 def test_ei_zero_at_noiseless_best():
     gp = GaussianProcess(lengthscale=0.3, signal=1.0, noise=1e-9)
     gp.fit(np.array([[0.4]]), np.array([0.7]))
-    ei = expected_improvement(gp, np.array([0.4]), best=0.7)
+    (ei,) = expected_improvement(gp, np.array([[0.4]]), best=0.7)
     assert ei == pytest.approx(0.0, abs=1e-6)
 
 
@@ -107,7 +107,7 @@ def test_ei_at_mu_equals_best_with_unit_sigma():
     gp.fit(np.array([[0.0]]), np.array([0.0]))
     gp.y_mean = 0.0
     # far from data: mean -> 0 (prior), sigma -> signal = 1
-    ei = expected_improvement(gp, np.array([1000.0]), best=0.0)
+    (ei,) = expected_improvement(gp, np.array([[1000.0]]), best=0.0)
     assert ei == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-9)
 
 
@@ -125,14 +125,14 @@ def test_ei_of_incumbent_never_increases_after_conditioning():
     X = rng.random((5, 1))
     y = (X[:, 0] - 0.4) ** 2
     best_idx = int(np.argmin(y))
-    x_best = X[best_idx]
+    x_best = X[best_idx : best_idx + 1]  # a pool of one point
     best = float(y[best_idx])
     gp_before = GaussianProcess(0.3, 1.0, 1e-4).fit(X, y)
-    ei_before = expected_improvement(gp_before, x_best, best)
+    (ei_before,) = expected_improvement(gp_before, x_best, best)
     X2 = np.vstack([X, x_best])
     y2 = np.append(y, best)
     gp_after = GaussianProcess(0.3, 1.0, 1e-4).fit(X2, y2)
-    ei_after = expected_improvement(gp_after, x_best, best)
+    (ei_after,) = expected_improvement(gp_after, x_best, best)
     assert ei_after <= ei_before + 1e-12
 
 

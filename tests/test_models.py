@@ -87,24 +87,30 @@ def test_rnn_forward_unknown_token(tiny_vocab):
 
 def test_encode_traffic_zeros_and_shape(small_vocab):
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4, d_f=5, d_a=3), seed=1)
-    feats = encode_traffic(np.zeros((7, 10)), model)
-    assert feats.shape == (7, 5)
+    feats = encode_traffic(np.zeros((2, 7, 10)), model)
+    assert feats.shape == (2, 7, 5)
     np.testing.assert_array_equal(feats, 0.0)
 
 
 def test_encode_traffic_single_nonzero_row(small_vocab):
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4, d_f=5, d_a=3), seed=1)
-    traffic = np.zeros((4, 10))
-    traffic[2] = np.random.default_rng(0).random(10)
-    feats = encode_traffic(traffic, model)
+    traffic = np.zeros((1, 4, 10))
+    traffic[0, 2] = np.random.default_rng(0).random(10)
+    feats = encode_traffic(traffic, model)[0]
     assert np.all(feats[[0, 1, 3]] == 0.0)
     assert np.any(feats[2] != 0.0)
 
 
 def test_encode_traffic_shape_mismatch(small_vocab):
+    # the unroll that encodes the windows rejects any but [B, N, 10], naming the shape
     model = ArnnModel.init(small_vocab, ModelDims(d_e=3, d_h=4), seed=1)
-    with pytest.raises(ValueError):
-        encode_traffic(np.zeros((4, 9)), model)
+    ids = np.zeros((2, 3), dtype=np.intp)
+    for shape in ((2, 4, 9), (4, 10), (2, 1, 4, 10)):
+        with pytest.raises(ValueError, match=re.escape(f"traffic tensor must be [B, N, 10], got {shape}")):
+            models._Unroll(model, ids, np.zeros(shape), keep=False)
+    example = make_example(small_vocab, (START, *small_vocab.cells[:2], END), np.zeros((4, 9)))
+    with pytest.raises(ValueError, match=re.escape("traffic tensor must be [B, N, 10], got (1, 4, 9)")):
+        models.mean_loss(model, [example])
 
 
 def test_attention_init_state_zero_features(small_vocab):
@@ -541,7 +547,7 @@ def test_row_sampler_matches_scalar_rule_on_edge_rows():
     ])
     for u in (0.0, np.nextafter(1.0, 0.0), 0.5, 0.2, 0.6):
         us = np.full(len(rows), u)
-        got = models._sample(rows, us)
+        got = models._sample(rows, us, np.arange(len(rows)))
         assert got.tolist() == [pick_oracle(r, u) for r in rows]
 
 
@@ -552,9 +558,11 @@ def test_row_sampler_matches_scalar_rule(data, n_rows, v):
     rows = np.array(data.draw(st.lists(st.lists(weight, min_size=v, max_size=v),
                                        min_size=n_rows, max_size=n_rows)))
     unit = st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0.0)), st.floats(0.0, 1.0, exclude_max=True))
-    us = np.array(data.draw(st.lists(unit, min_size=n_rows, max_size=n_rows)))
-    got = models._sample(rows, us)
-    assert got.tolist() == [pick_oracle(r, u) for r, u in zip(rows, us)]
+    n_draws = data.draw(st.integers(1, 8))
+    which = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n_draws, max_size=n_draws)))
+    us = np.array(data.draw(st.lists(unit, min_size=n_draws, max_size=n_draws)))
+    got = models._sample(rows, us, which)
+    assert got.tolist() == [pick_oracle(rows[i], u) for i, u in zip(which, us)]
 
 
 @pytest.mark.parametrize("cls", [RnnModel, ArnnModel])

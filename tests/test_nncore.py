@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -96,15 +97,15 @@ def test_lstm_backward_matches_finite_differences():
 
 
 def test_uniform_logits_loss_is_log_v():
-    loss, grad = softmax_cross_entropy(np.zeros(4), 1)
+    loss, grad = softmax_cross_entropy(np.zeros((1, 4)), [1])
     assert loss == pytest.approx(np.log(4))
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_saturated_correct_label_loss_near_zero():
-    logits = np.zeros(5)
-    logits[2] = 1e6
-    loss, _ = softmax_cross_entropy(logits, 2)
+    logits = np.zeros((1, 5))
+    logits[0, 2] = 1e6
+    loss, _ = softmax_cross_entropy(logits, [2])
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -132,16 +133,16 @@ def test_softmax_properties(logits, seed):
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(p > 0)
     label = seed % len(logits)
-    _, grad = softmax_cross_entropy(logits, label)
+    _, grad = softmax_cross_entropy(logits[None], [label])
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_softmax_cross_entropy_gradient_vs_finite_differences():
     rng = np.random.default_rng(1)
-    params = {"logits": rng.normal(size=6)}
+    params = {"logits": rng.normal(size=(3, 6))}
 
     def fn(p):
-        loss, grad = softmax_cross_entropy(p["logits"], 2)
+        loss, grad = softmax_cross_entropy(p["logits"], [2, 0, 5])
         return loss, {"logits": grad}
 
     assert grad_check(fn, params) < 1e-8
@@ -152,11 +153,13 @@ def test_softmax_cross_entropy_rows_sum_single_rows():
     logits = rng.normal(size=(6, 5)) * 4
     labels = rng.integers(0, 5, size=6)
     loss, grad = softmax_cross_entropy(logits, labels)
-    singles = [softmax_cross_entropy(row, label) for row, label in zip(logits, labels)]
+    singles = [softmax_cross_entropy(row[None], [label]) for row, label in zip(logits, labels)]
     assert loss == pytest.approx(sum(l for l, _ in singles), rel=1e-14)
     np.testing.assert_allclose(grad, np.vstack([g for _, g in singles]), rtol=1e-14, atol=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("logits must be [M, V] with one label per row")):
         softmax_cross_entropy(logits, labels[:5])
+    with pytest.raises(ValueError, match=re.escape("logits must be [M, V] with one label per row")):
+        softmax_cross_entropy(logits[0], labels[0])  # a vector and one label
 
 
 def test_sigmoid_tanh_form_matches_logistic():
@@ -178,10 +181,15 @@ def pack(params):
     return flat, nncore.views(flat, params)
 
 
+def adam_step(flat, grad, state, lr):
+    """``adam_update`` with the norm that ``clip_global_norm`` gives it, as in training."""
+    adam_update(flat, grad, state, lr, clip_global_norm(grad, None))
+
+
 def test_adam_one_step_hand_computed():
     flat, params = pack({"w": np.array([0.0])})
     state = AdamState.zeros_like(params)
-    adam_update(flat, np.array([1.0]), state, lr=0.001)
+    adam_step(flat, np.array([1.0]), state, lr=0.001)
     assert state.step == 1
     assert state.m[0] == pytest.approx(0.1)
     assert state.v[0] == pytest.approx(0.001)
@@ -192,7 +200,7 @@ def test_adam_one_step_hand_computed():
 def test_adam_zero_gradient_is_identity():
     flat, params = pack({"w": np.array([1.5, -2.0])})
     state = AdamState.zeros_like(params)
-    adam_update(flat, np.zeros(2), state, lr=0.1)
+    adam_step(flat, np.zeros(2), state, lr=0.1)
     np.testing.assert_array_equal(params["w"], [1.5, -2.0])
     assert state.step == 1
 
@@ -202,7 +210,7 @@ def test_adam_deterministic():
         flat, params = pack({"w": np.arange(4, dtype=float)})
         state = AdamState.zeros_like(params)
         for t in range(5):
-            adam_update(flat, np.sin(np.arange(4) + t), state, lr=0.01)
+            adam_step(flat, np.sin(np.arange(4) + t), state, lr=0.01)
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
@@ -223,7 +231,7 @@ def test_adam_flat_moments_match_per_parameter_loop():
     state = AdamState.zeros_like(params)
     for t in range(1, 4):
         grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        adam_update(flat, pack(grads)[0], state, lr=0.01)
+        adam_step(flat, pack(grads)[0], state, lr=0.01)
         for k, g in grads.items():
             ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
             ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
@@ -242,14 +250,14 @@ def test_adam_rejects_non_finite_gradient():
     flat, params = pack({"u": np.zeros(3), "w": np.zeros(2)})
     state = AdamState.zeros_like(params)
     with pytest.raises(FloatingPointError, match="diverged: non-finite gradient for 'w'"):
-        adam_update(flat, np.array([0.0, 0.0, 0.0, 1.0, np.nan]), state, lr=0.01)
+        adam_step(flat, np.array([0.0, 0.0, 0.0, 1.0, np.nan]), state, lr=0.01)
     assert state.step == 0 and not flat.any()
 
 
 def test_adam_rejects_bad_lr():
     flat, params = pack({"w": np.zeros(1)})
     with pytest.raises(ValueError):
-        adam_update(flat, np.zeros(1), AdamState.zeros_like(params), lr=0.0)
+        adam_step(flat, np.zeros(1), AdamState.zeros_like(params), lr=0.0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
@@ -257,7 +265,7 @@ def test_adam_rejects_non_finite_or_non_positive_lr(lr):
     flat, params = pack({"w": np.array([0.5, -1.5])})
     state = AdamState.zeros_like(params)
     with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
-        adam_update(flat, np.array([1.0, -2.0]), state, lr=lr)
+        adam_step(flat, np.array([1.0, -2.0]), state, lr=lr)
     np.testing.assert_array_equal(flat, [0.5, -1.5])
     assert state.step == 0 and not state.m.any() and not state.v.any()
 

@@ -67,8 +67,18 @@ def test_schedule_alternates_blocks():
 def test_degenerate_grid_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         generate_world(rows=1, cols=5, spacing=300.0, seed=0)
-    with pytest.raises(ValueError, match="degenerate"):
-        generate_world(rows=3, cols=3, spacing=0.0, seed=0)
+    for spacing in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"degenerate grid: spacing must be positive and finite, got {spacing}"):
+            generate_world(rows=3, cols=3, spacing=spacing, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [("free_speed", 0.0), ("free_speed", -3.0), ("free_speed", float("nan")),
+                                         ("congested_speed", 0.0), ("congested_speed", -1.0),
+                                         ("epsilon", 1.5), ("epsilon", -0.1), ("epsilon", float("nan"))])
+def test_generate_world_rejects_bad_speed_or_epsilon(name, value):
+    rule = "must lie in [0, 1]" if name == "epsilon" else "must be > 0"
+    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}, got {value!r}")):
+        small_world(**{name: value})
 
 
 def test_two_distinct_routes_exist():
@@ -161,7 +171,7 @@ def test_end_to_end_discretization_recovers_route():
             [world.centroid(r, c) for r, c in route_cells(world, corridor, dest_col)], cmap
         ).tolist()
         seq = discretize_trajectory(trip, cmap)
-        assert list(seq.cells) == intended
+        assert list(seq.tokens[1:-1]) == intended
         assert seq.tokens[0] == START and seq.tokens[-1] == END
 
 
